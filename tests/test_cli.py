@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from randcorr.cli import main, parse_scalar
+from randcorr.errors import NumericalError
 from randcorr.linalg import write_matrix_csv
+from randcorr.norms import classical_upper_bound, quantum_classical_gap
 from randcorr.sampling import SeedSpec, gaussian
 
 
@@ -56,6 +58,45 @@ def test_gap_report_round_trip_and_verify(tmp_path, capsys):
     doc = json.loads(open(out).read())
     assert json.loads(json.dumps(doc)) == doc
     assert main(["verify-certificate", out]) == 0
+
+
+def test_gap_report_matches_quantum_classical_gap(tmp_path, capsys):
+    mat = gaussian(12, 12, SeedSpec(3, 1)) / math.sqrt(12)
+    mpath = tmp_path / "g.csv"
+    write_matrix_csv(mpath, mat)
+    out = str(tmp_path / "gap.json")
+    assert main(["gap", "--matrix", str(mpath), "--seed", "4", "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    want = quantum_classical_gap(np.asarray(doc["matrix"]), seed=SeedSpec(4, 0))
+    assert doc["results"]["gap"] == want
+
+
+def test_classical_unconverged_certifies_no_upper_bound(tmp_path, capsys):
+    # column generation cut off at 5 atoms still uses elastic slack: its
+    # weight sum (0.52) sits below the certified lower bound (1.02)
+    mat = gaussian(10, 10, SeedSpec(7, 0)) / math.sqrt(10)
+    mpath = tmp_path / "g10.csv"
+    write_matrix_csv(mpath, mat)
+    out = str(tmp_path / "classical.json")
+    assert main(["classical", "--matrix", str(mpath), "--max-atoms", "5",
+                 "--out", out]) == 0
+    assert "no upper bound" in capsys.readouterr().out
+    doc = json.loads(open(out).read())
+    assert doc["results"]["upper"] is None
+    assert not doc["results"]["converged"]
+    assert doc["results"]["residual"] > 1e-6
+    assert [c["claims"] for c in doc["certificates"]] == ["classical_lower"]
+    assert main(["verify-certificate", out]) == 0
+    # a slack-using decomposition is rejected even when it states its residual
+    dec = classical_upper_bound(np.asarray(doc["matrix"]), max_atoms=5)
+    doc["certificates"].append({"claims": "classical_upper",
+                                "value": dec.weight_sum(),
+                                "certificate": dec.to_dict()})
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert "does not reconstruct" in capsys.readouterr().out
 
 
 def test_verify_detects_tampered_decomposition(tmp_path, capsys):
@@ -136,6 +177,22 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert json.loads(err.strip())["error"] == "validation"
     assert main(["experiment"]) == 2
+
+
+def test_numerical_error_detail_on_stderr(id4, monkeypatch, capsys):
+    import randcorr.cli as cli_mod
+
+    def failing_bracket(mat):
+        raise NumericalError("bisection failed", detail={
+            "interval": (1.0, 2.0), "roots": np.array([0.5, 1.5]),
+            "steps": np.int64(3)})
+
+    monkeypatch.setattr(cli_mod, "gamma2_bracket", failing_bracket)
+    assert main(["gamma2", "--matrix", id4]) == 1
+    line = json.loads(capsys.readouterr().err.strip())
+    assert line == {"error": "numerical", "message": "bisection failed",
+                    "detail": {"interval": [1.0, 2.0], "roots": [0.5, 1.5],
+                               "steps": 3}}
 
 
 def test_inputs_not_mutated(id4):

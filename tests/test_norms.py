@@ -12,7 +12,7 @@ from randcorr.norms import (GAMMA2_RESCALE_TOL, GROTHENDIECK, BellFunctional,
                             ConvexDecomposition, NormBracket, SignPair,
                             bell_functional_from_svd, classical_lower_bound,
                             classical_upper_bound, gamma2_bracket,
-                            gamma2_oracle, gamma2_star_orthogonal,
+                            gamma2_oracle, gamma2_star_orthogonal, gap_from_bell,
                             infty_to_one_exact, infty_to_one_heuristic,
                             quantum_classical_gap, tau_gap_bound)
 from randcorr.sampling import SeedSpec, gaussian, haar_orthogonal
@@ -28,6 +28,23 @@ def brute_force_infty_to_one(a):
         for beta in itertools.product((-1.0, 1.0), repeat=n):
             best = max(best, float(np.array(alpha) @ a @ np.array(beta)))
     return best
+
+
+def reference_infty_to_one(a):
+    """Independent oracle: every alpha with alpha_1 = +1, beta = sign(a^t alpha)."""
+    n = a.shape[0]
+    alphas = np.array([(1.0,) + rest
+                       for rest in itertools.product((1.0, -1.0), repeat=n - 1)])
+    partial = alphas @ a
+    betas = np.where(partial >= 0.0, 1.0, -1.0)
+    return float((partial * betas).sum(axis=1).max())
+
+
+def sylvester_hadamard(n):
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
 
 
 def small_gaussian(n, seed, trial=0):
@@ -62,6 +79,40 @@ def test_exact_matches_brute_force(n, seed):
     val, pair = infty_to_one_exact(g)
     assert val == pytest.approx(brute_force_infty_to_one(g), rel=1e-12)
     assert pair.pairing(g) == pytest.approx(val, rel=1e-12)
+
+
+def test_split_enumeration_matches_reference():
+    # n = 1 has no sign bits; n - 1 = 12 is the last size with one high row
+    for n in [1] + list(range(12, 17)):
+        g = gaussian(n, n, SeedSpec(60, n))
+        val, pair = infty_to_one_exact(g)
+        assert val == pytest.approx(reference_infty_to_one(g), rel=1e-12)
+        assert val == pair.pairing(g)
+        assert pair.alpha[0] == 1.0
+        assert np.array_equal(pair.beta, np.where(g.T @ pair.alpha >= 0.0, 1.0, -1.0))
+
+
+def test_split_enumeration_tie_heavy_inputs():
+    # every sign vector ties on eye(n); the first in index order (all +1) is kept
+    for a, want in ((np.ones((14, 14)), 196.0), (np.eye(15), 15.0)):
+        val, pair = infty_to_one_exact(a)
+        assert val == want
+        assert np.array_equal(pair.alpha, np.ones(a.shape[0]))
+        assert pair.pairing(a) == val
+    had16 = sylvester_hadamard(16)
+    val, pair = infty_to_one_exact(had16)
+    assert val == 64.0  # n^(3/2)
+    assert pair.pairing(had16) == val
+    assert reference_infty_to_one(had16) == 64.0
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=10 ** 6))
+def test_split_enumeration_matches_reference_hypothesis(n, seed):
+    g = gaussian(n, n, SeedSpec(seed, 3))
+    val, pair = infty_to_one_exact(g)
+    assert val == pytest.approx(reference_infty_to_one(g), rel=1e-12)
+    assert val == pair.pairing(g)
 
 
 def test_exact_cap_enforced():
@@ -334,6 +385,28 @@ def test_duality_sandwich_on_seeded_inputs():
 
 def test_gap_all_ones_control():
     assert quantum_classical_gap(np.ones((6, 6))) <= 1.0 + 1e-9
+
+
+def test_gap_uses_one_svd_and_matches_bracket_lower(monkeypatch):
+    import randcorr.norms as norms_mod
+    g = small_gaussian(10, 56)
+    bell = bell_functional_from_svd(g)
+    want = gap_from_bell(g, bell, gamma2_bracket(g).lower)
+    calls = []
+    real_svd = norms_mod.svd
+
+    def counting_svd(m):
+        calls.append(m.shape)
+        return real_svd(m)
+
+    monkeypatch.setattr(norms_mod, "svd", counting_svd)
+    assert quantum_classical_gap(g) == want
+    assert len(calls) == 1
+
+
+def test_gap_rejects_zero():
+    with pytest.raises(ValidationError):
+        quantum_classical_gap(np.zeros((4, 4)))
 
 
 def test_gap_orthogonal_matches_norm_ratio():
