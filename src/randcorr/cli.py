@@ -399,6 +399,14 @@ def _verify_single(doc: dict) -> list:
     return failures
 
 
+def _close(a: float, b: float) -> bool:
+    """Stored and re-evaluated numbers agree to 1e-12 relative (equal
+    infinities and two NaNs agree too)."""
+    a, b = float(a), float(b)
+    return a == b or (math.isnan(a) and math.isnan(b)) or (
+        abs(a - b) <= 1e-12 * max(1.0, abs(a)))
+
+
 def _verify_experiment(doc: dict) -> list:
     failures = []
     cfg = ExperimentConfig.from_dict(doc["config"])
@@ -410,13 +418,25 @@ def _verify_experiment(doc: dict) -> list:
         return failures
     for a, b in zip(fresh, stored):
         for key in ("mean", "std", "q05", "q50", "q95"):
-            if abs(a[key] - b[key]) > 1e-12 * max(1.0, abs(a[key])):
+            if not _close(a[key], b[key]):
                 failures.append(f"summary {a['size']}/{a['stat']}/{key} mismatch")
     _, verdict_fn = _SCENARIO_TABLE[cfg.scenario]
     fresh_verdicts = verdict_fn(cfg, trials, fresh)
-    for new, old in zip(fresh_verdicts, doc["verdicts"]):
+    stored_verdicts = doc["verdicts"]
+    if len(fresh_verdicts) != len(stored_verdicts):
+        failures.append(f"verdict count mismatch: {len(stored_verdicts)} stored, "
+                        f"{len(fresh_verdicts)} re-evaluated")
+        return failures
+    for new, old in zip(fresh_verdicts, stored_verdicts):
+        if new.name != old["name"]:
+            failures.append(f"verdict {old['name']!r} stored where {new.name!r} "
+                            "re-evaluates")
+            continue
         if bool(new.passed) != bool(old["passed"]):
             failures.append(f"verdict {new.name} flipped on re-evaluation")
+        for key in ("value", "threshold"):
+            if not _close(getattr(new, key), old[key]):
+                failures.append(f"verdict {new.name}/{key} mismatch")
     return failures
 
 
@@ -480,7 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classical", help="projective-norm bracket")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--max-atoms", type=int, default=400)
+    p.add_argument("--max-atoms", type=int, default=400,
+                   help="bound on master LP solves and on the atoms added to "
+                        "the pool (each solve prices up to 32 atoms; zero-"
+                        "weight atoms are dropped when the pool is full)")
     p.add_argument("--tol", type=float, default=1e-9)
     common(p)
     p.set_defaults(func=_cmd_classical)

@@ -26,6 +26,7 @@ GAMMA2_RESCALE_MAX_ITER = 100   # rescaling steps after the plain factorization
 GAMMA2_SCALE_FLOOR = 1e-2       # smallest row/column weight, relative to the largest
 TOL_FACTOR_RESIDUAL = 1e-9      # max reconstruction residual of an upper certificate
 _LOW_BITS = 12                  # sign bits in the exact enumeration's low table (2^12 x n)
+_PRICING_COLUMNS = 32           # atoms priced per column-generation round
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,36 @@ def _sign_rows(count: int) -> np.ndarray:
     return rows
 
 
+class _SplitTables:
+    """The exact enumeration's tables for a square m: alpha = (1, s_low, s_high)
+    with k = min(n - 1, _LOW_BITS) low signs, low = (sign rows over k bits)
+    m[1:1+k] and high = m[0] + (sign rows over the rest) m[1+k:]."""
+
+    def __init__(self, m: np.ndarray):
+        n = m.shape[0]
+        self.k = min(n - 1, _LOW_BITS)
+        self.low_signs, self.high_signs = _sign_rows(self.k), _sign_rows(n - 1 - self.k)
+        self.low = self.low_signs @ m[1:1 + self.k]
+        self.high = m[0] + self.high_signs @ m[1 + self.k:]
+
+    def row_values(self):
+        """Yield (h, ||m^t alpha||_1 for every low row j) for each high row h,
+        filling one preallocated buffer with |low + high[h]|."""
+        buf = np.empty_like(self.low)
+        ones = np.ones(self.low.shape[1])
+        for h, row in enumerate(self.high):
+            np.add(self.low, row, out=buf)
+            np.abs(buf, out=buf)
+            yield h, buf @ ones
+
+    def pair(self, m: np.ndarray, h: int, j: int) -> tuple[float, SignPair]:
+        """alpha from high row h and low row j, beta = sign(m^t alpha), and
+        the value alpha^t m beta recomputed from the pair."""
+        alpha = np.concatenate(([1.0], self.low_signs[j], self.high_signs[h]))
+        beta = _sign(m.T @ alpha)
+        return float(alpha @ m @ beta), SignPair(alpha, beta)
+
+
 def infty_to_one_exact(a, exact_cap: int = EXACT_CAP) -> tuple[float, SignPair]:
     """Exact max of alpha^t a beta over sign vectors, with an attaining pair.
 
@@ -229,26 +260,38 @@ def infty_to_one_exact(a, exact_cap: int = EXACT_CAP) -> tuple[float, SignPair]:
     if n > exact_cap:
         raise ValidationError(
             f"n={n} exceeds exact_cap={exact_cap}; use infty_to_one_heuristic")
-    k = min(n - 1, _LOW_BITS)
-    low_signs, high_signs = _sign_rows(k), _sign_rows(n - 1 - k)
-    low = low_signs @ m[1:1 + k]
-    high = m[0] + high_signs @ m[1 + k:]
-    buf = np.empty_like(low)
-    ones = np.ones(n)
+    tables = _SplitTables(m)
     best_val = -np.inf
     best = (0, 0)
-    for h, row in enumerate(high):
-        np.add(low, row, out=buf)
-        np.abs(buf, out=buf)
-        vals = buf @ ones
+    for h, vals in tables.row_values():
         j = int(np.argmax(vals))
         if vals[j] > best_val:
             best_val = float(vals[j])
             best = (h, j)
-    h, j = best
-    alpha = np.concatenate(([1.0], low_signs[j], high_signs[h]))
-    beta = _sign(m.T @ alpha)
-    return float(alpha @ m @ beta), SignPair(alpha, beta)
+    return tables.pair(m, *best)
+
+
+def _top_sign_pairs(y: np.ndarray, count: int) -> list[tuple[float, SignPair]]:
+    """The `count` largest ||y^t alpha||_1 over the exact enumeration, best
+    first with ties in index order, each as (alpha^t y beta, SignPair).
+
+    Each high row keeps its values at or above its count-th largest (found
+    with argpartition, so every tie at the cut survives); the survivors are
+    merged by a stable sort in index order.  The first entry is therefore
+    exactly infty_to_one_exact(y).
+    """
+    tables = _SplitTables(y)
+    kept_vals, kept_idx = [], []
+    for h, vals in tables.row_values():
+        j = np.arange(vals.size)
+        if count < vals.size:
+            cut = vals[np.argpartition(vals, vals.size - count)[vals.size - count]]
+            j = j[vals >= cut]
+        kept_vals.append(vals[j])
+        kept_idx.append((h << tables.k) + j)
+    vals, idx = np.concatenate(kept_vals), np.concatenate(kept_idx)
+    order = np.argsort(-vals, kind="stable")[:count]
+    return [tables.pair(y, *divmod(int(i), 1 << tables.k)) for i in idx[order]]
 
 
 def infty_to_one_heuristic(a, restarts: int, seed: SeedSpec) -> tuple[float, SignPair]:
@@ -495,7 +538,15 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
     w >= 0 (elastic slacks keep it feasible while the pool is small).
     Pricing maximizes the dual pairing over sign matrices; with exact
     pricing (n <= exact_cap) the result is certified optimal to `tol` via
-    the dual bound sum(w) <= opt * price.
+    the dual bound sum(w) <= opt * price.  Exact pricing scores every sign
+    vector anyway, so each round adds the price-attaining atom plus up to
+    _PRICING_COLUMNS - 1 further atoms of value above 1 + 1e-9 (multi-column
+    pricing); above exact_cap the heuristic prices one atom per round.
+
+    max_atoms bounds the master solves and the pool: it never holds more
+    than max_atoms atoms beyond the two it starts with.  When new atoms
+    would overflow it, atoms with zero weight in the current master
+    solution are dropped first.
     """
     m = as_matrix(t, square=True)
     if max_atoms < 1:
@@ -507,20 +558,23 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
     scale = max(1.0, float(np.abs(m).max()))
     big_m = 1e6 * scale
 
-    def price_oracle(y: np.ndarray) -> tuple[float, SignPair]:
+    def price_oracle(y: np.ndarray) -> list[tuple[float, SignPair]]:
         if certified:
-            return infty_to_one_exact(y, exact_cap)
-        return infty_to_one_heuristic(y, heuristic_restarts, h_seed)
+            return _top_sign_pairs(y, _PRICING_COLUMNS)
+        return [infty_to_one_heuristic(y, heuristic_restarts, h_seed)]
 
-    val0, pair0 = price_oracle(m)
+    def column(pair: SignPair) -> np.ndarray:
+        return np.outer(pair.alpha, pair.beta).flatten()
+
+    _, pair0 = (infty_to_one_exact(m, exact_cap) if certified
+                else infty_to_one_heuristic(m, heuristic_restarts, h_seed))
     atoms = [pair0, SignPair(np.ones(n), np.ones(n))]
-    columns = [np.outer(p.alpha, p.beta).flatten() for p in atoms]
-    seen = {c.tobytes() for c in columns}
+    capacity = len(atoms) + max_atoms
     n2 = n * n
     eye = np.eye(n2)
     dual_bound = None
     for _ in range(max_atoms):
-        a_mat = np.stack(columns, axis=1)
+        a_mat = np.stack([column(p) for p in atoms], axis=1)
         k = a_mat.shape[1]
         cost = np.concatenate([np.ones(k), big_m * np.ones(2 * n2)])
         a_eq = np.hstack([a_mat, eye, -eye])
@@ -528,25 +582,31 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
         if res.status != 0:
             raise NumericalError(f"master LP failed: {res.message}")
         weights = res.x[:k]
+        solved, live = atoms, weights > 1e-14
         slack = float(res.x[k:].sum())
         y = res.eqlin.marginals
-        price, pair = price_oracle(y.reshape(n, n))
+        priced = price_oracle(y.reshape(n, n))
+        price = priced[0][0]
         primal = float(weights.sum())
         if price > 0:
             dual_bound = float(y @ b) / price
         gap = primal - dual_bound if dual_bound is not None else np.inf
         if price <= 1.0 + 1e-9 and slack <= 1e-9 * scale and gap <= tol:
             break
-        col = np.outer(pair.alpha, pair.beta).flatten()
-        key = col.tobytes()
-        if key in seen:
-            break  # pricing stalled on a known atom: numerical plateau
-        seen.add(key)
-        atoms.append(pair)
-        columns.append(col)
-    keep = weights > 1e-14
-    kept_atoms = [a for a, keep_it in zip(atoms, keep) if keep_it]
-    kept_w = weights[keep]
+        pool = {c.tobytes() for c in a_mat.T}
+        if column(priced[0][1]).tobytes() in pool:
+            break  # pricing stalled on a pooled atom: numerical plateau
+        # priced alphas are distinct with alpha_1 = +1, so their atoms are too
+        new = [pair for i, (value, pair) in enumerate(priced)
+               if (i == 0 or value > 1.0 + 1e-9) and column(pair).tobytes() not in pool]
+        if len(atoms) + len(new) > capacity:
+            atoms = [a for a, keep_it in zip(atoms, live) if keep_it]
+            new = new[:capacity - len(atoms)]
+        if not new:
+            break  # every pooled atom carries weight
+        atoms = atoms + new
+    kept_atoms = [a for a, keep_it in zip(solved, live) if keep_it]
+    kept_w = weights[live]
     dec = ConvexDecomposition(weights=kept_w, atoms=kept_atoms,
                               converged=bool(price <= 1.0 + 1e-9 and slack <= 1e-9 * scale),
                               certified=certified and bool(price <= 1.0 + 1e-9),

@@ -14,9 +14,11 @@ by largest imaginary part.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import NumericalError, ValidationError
 from .sampling import SeedSpec, gaussian_product
@@ -239,11 +241,14 @@ def alpha_threshold(gap_constant: float, lo: float = 0.01, hi: float = 1.0,
     """The aspect ratio where gap_constant * C_alpha / sqrt(alpha) crosses 1.
 
     C_alpha/sqrt(alpha) decreases in alpha (checked at the bracket ends),
-    so plain bisection applies.
+    so the crossing is the single root on the bracket, found by Brent's
+    method to within tol.  Each objective value costs one density
+    inversion; the bracket ends are evaluated once and shared with Brent.
     """
     if gap_constant <= 0:
         raise ValidationError("gap_constant must be positive")
 
+    @functools.lru_cache(maxsize=None)
     def objective(a: float) -> float:
         return gap_constant * c_alpha(a, grid_points, eps_cap) / np.sqrt(a) - 1.0
 
@@ -254,13 +259,7 @@ def alpha_threshold(gap_constant: float, lo: float = 0.01, hi: float = 1.0,
     if f_lo < 0 or f_hi > 0:
         raise NumericalError("no sign change on the initial bracket",
                              detail={"f(lo)": f_lo, "f(hi)": f_hi})
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if objective(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(brentq(objective, lo, hi, xtol=tol))
 
 
 @dataclass

@@ -73,7 +73,7 @@ def test_gap_report_matches_quantum_classical_gap(tmp_path, capsys):
 
 def test_classical_unconverged_certifies_no_upper_bound(tmp_path, capsys):
     # column generation cut off at 5 atoms still uses elastic slack: its
-    # weight sum (0.52) sits below the certified lower bound (1.02)
+    # weight sum (0.50) sits below the certified lower bound (1.02)
     mat = gaussian(10, 10, SeedSpec(7, 0)) / math.sqrt(10)
     mpath = tmp_path / "g10.csv"
     write_matrix_csv(mpath, mat)
@@ -170,6 +170,31 @@ def test_experiment_report_verifies(tmp_path):
     with open(out, "w") as fh:
         json.dump(doc, fh)
     assert main(["verify-certificate", out]) == 1
+
+
+@pytest.mark.parametrize("edit", ["emptied", "truncated", "renamed", "value", "threshold"])
+def test_verify_rejects_edited_verdicts(tmp_path, capsys, edit):
+    out = str(tmp_path / "exp.json")
+    assert main(["experiment", "--scenario", "tau_approximation", "--trials",
+                 "3", "--seed", "11", "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    verdicts = doc["verdicts"]
+    assert len(verdicts) == 2
+    if edit == "emptied":
+        doc["verdicts"] = []
+    elif edit == "truncated":
+        doc["verdicts"] = verdicts[:1]
+    elif edit == "renamed":
+        verdicts[1]["name"] = "bound_cap_m9999"
+    elif edit == "value":
+        verdicts[1]["value"] *= 1.0 + 1e-9  # verdict still passes
+    else:
+        verdicts[1]["threshold"] = 0.25
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert "FAIL verdict" in capsys.readouterr().out
 
 
 def test_validation_errors_exit_2(tmp_path, capsys):

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from randcorr.errors import NumericalError, ValidationError
 from randcorr.linalg import trace_norm
 from randcorr.norms import (GAMMA2_RESCALE_TOL, GROTHENDIECK, BellFunctional,
                             ConvexDecomposition, NormBracket, SignPair,
-                            bell_functional_from_svd, classical_lower_bound,
-                            classical_upper_bound, gamma2_bracket,
+                            _top_sign_pairs, bell_functional_from_svd,
+                            classical_lower_bound, classical_upper_bound, gamma2_bracket,
                             gamma2_oracle, gamma2_star_orthogonal, gap_from_bell,
                             infty_to_one_exact, infty_to_one_heuristic,
                             quantum_classical_gap, tau_gap_bound)
@@ -379,6 +380,97 @@ def test_duality_sandwich_on_seeded_inputs():
         br = gamma2_bracket(g)
         assert br.lower <= dec.weight_sum() + 1e-7
         assert dec.weight_sum() <= GROTHENDIECK.kg_upper * br.upper + 1e-6
+
+
+def reference_projective_norm(t):
+    """Independent oracle: min ||w||_1 over t = sum_k w_k outer(alpha_k, beta_k)
+    with all 2^(2n-1) sign atoms (alpha_1 = +1), as one LP."""
+    n = t.shape[0]
+    alphas = [(1.0,) + rest for rest in itertools.product((1.0, -1.0), repeat=n - 1)]
+    betas = list(itertools.product((1.0, -1.0), repeat=n))
+    atoms = np.array([np.outer(a, b).ravel() for a in alphas for b in betas]).T
+    res = linprog(np.ones(2 * atoms.shape[1]), A_eq=np.hstack([atoms, -atoms]),
+                  b_eq=t.ravel(), bounds=(0, None), method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("case", ["seeded", "ones", "eye", "hadamard16"])
+def test_top_sign_pairs_first_entry_is_exact(case):
+    if case == "seeded":
+        mats = [small_gaussian(n, 61, n) for n in range(1, 17)]
+    elif case == "ones":
+        mats = [np.ones((n, n)) for n in (1, 6, 14)]
+    elif case == "eye":
+        mats = [np.eye(n) for n in (1, 6, 15)]
+    else:
+        mats = [sylvester_hadamard(16)]
+    for m in mats:
+        val, pair = infty_to_one_exact(m)
+        for count in (1, 32):
+            top_val, top_pair = _top_sign_pairs(m, count)[0]
+            assert top_val == val
+            assert np.array_equal(top_pair.alpha, pair.alpha)
+            assert np.array_equal(top_pair.beta, pair.beta)
+
+
+def test_top_sign_pairs_match_reference_ranking():
+    # both sides of the one-high-row boundary (n - 1 = 12)
+    for n in (5, 13, 14):
+        g = small_gaussian(n, 62, n)
+        alphas = np.array([(1.0,) + rest
+                           for rest in itertools.product((1.0, -1.0), repeat=n - 1)])
+        want = np.sort(np.abs(alphas @ g).sum(axis=1))[::-1][:32]
+        top = _top_sign_pairs(g, 32)
+        assert len(top) == min(32, len(alphas))
+        assert len({p.alpha.tobytes() for _, p in top}) == len(top)
+        for value, pair in top:
+            assert pair.alpha[0] == 1.0
+            assert np.array_equal(pair.beta, np.where(g.T @ pair.alpha >= 0.0, 1.0, -1.0))
+            assert value == pair.pairing(g)
+        np.testing.assert_allclose([v for v, _ in top], want, rtol=1e-12)
+
+
+def test_top_sign_pairs_ties_in_index_order():
+    # every alpha ties on eye(6): the first 32 in index order come back
+    top = _top_sign_pairs(np.eye(6), 32)
+    assert [v for v, _ in top] == [6.0] * 32
+    idx = [int(((1.0 - p.alpha[1:]) / 2) @ (1 << np.arange(5))) for _, p in top]
+    assert idx == list(range(32))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_upper_bound_matches_full_sign_atom_lp(n):
+    for t in range(4):
+        g = small_gaussian(n, 63, t)
+        dec = classical_upper_bound(g)
+        assert dec.converged and dec.certified
+        assert dec.residual <= 1e-9
+        assert dec.weight_sum() == pytest.approx(reference_projective_norm(g), rel=1e-9)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=10 ** 6))
+def test_upper_bound_matches_full_sign_atom_lp_hypothesis(n, seed):
+    g = gaussian(n, n, SeedSpec(seed, 4))
+    dec = classical_upper_bound(g)
+    assert dec.converged and dec.certified
+    assert dec.weight_sum() == pytest.approx(reference_projective_norm(g), rel=1e-9)
+
+
+def test_upper_bound_pool_bound():
+    # max_atoms caps the atoms added beyond the two starting ones
+    for g in (small_gaussian(10, 7), small_gaussian(6, 64), small_gaussian(8, 64)):
+        dec = classical_upper_bound(g, max_atoms=5)
+        assert len(dec.atoms) <= 7
+
+
+def test_upper_bound_converges_at_n10_default_max_atoms():
+    g = small_gaussian(10, 7)
+    dec = classical_upper_bound(g)
+    assert dec.converged and dec.certified
+    assert dec.residual <= 1e-9
+    assert classical_lower_bound(g, bell_functional_from_svd(g)) <= dec.weight_sum() + 1e-9
 
 
 # --- gap and tau bound -----------------------------------------------------------
