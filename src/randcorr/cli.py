@@ -378,12 +378,11 @@ def _verify_single(doc: dict) -> list:
                 got = dec.weight_sum()
             elif kind == "bell_functional":
                 a = as_matrix(payload["a"], square=True)
-                n = a.shape[0]
                 if payload.get("exact"):
                     norm, _ = infty_to_one_exact(a)
                 else:
-                    op = float(np.linalg.svd(a, compute_uv=False)[0])
-                    norm = float(min(n, n * op))
+                    # alpha^t a beta <= n ||a||_op for any a, orthogonal or not
+                    norm = a.shape[0] * operator_norm(a)
                 if cert["claims"] == "classical_lower":
                     got = float((mat * a).sum()) / norm
                 else:

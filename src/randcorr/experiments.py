@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import flatness_ratio, trace_norm
-from .norms import (EXACT_CAP, bell_functional_from_svd, classical_lower_bound,
-                    gamma2_bracket, infty_to_one_exact, quantum_classical_gap,
-                    tau_gap_bound)
+from .linalg import flatness_from_sigma, svd, trace_norm
+from .norms import (EXACT_CAP, _gamma2_bracket, bell_functional_from_svd,
+                    classical_lower_bound, infty_to_one_exact,
+                    quantum_classical_gap, tau_gap_bound)
 from .sampling import SeedSpec, gaussian, haar_orthogonal, unit_rows_correlation
 from .spectral import alpha_threshold
 
@@ -48,8 +48,6 @@ class ConcentrationTest:
 
     epsilon: float = 0.0
     theta: float = 0.0
-    median_estimate: float = 0.0
-    lipschitz_bound: float = 1.0
 
     def levy_bound(self, n: int) -> float:
         """Tail mass of the spherical cap of geodesic radius theta."""
@@ -338,11 +336,12 @@ def _jobs_quantum_norm_convergence(cfg):
                 t = bi_invariant(np.asarray(spectrum, dtype=float), seed)
             else:
                 raise ValidationError(f"unsupported ensemble {ensemble!r}")
-            flat = flatness_ratio(t)
+            triple = svd(t)  # one SVD serves the precondition and the bracket
+            flat = flatness_from_sigma(triple.sigma)
             if flat > flat_max:
                 raise ValidationError(
                     f"flatness precondition failed: {flat:.3f} > {flat_max}")
-            bracket = gamma2_bracket(t)
+            bracket = _gamma2_bracket(t, triple)
             return {"bracket_ratio": bracket.ratio(), "flatness": flat}
 
         for _ in range(cfg.trials):
@@ -513,8 +512,7 @@ def _jobs_levy_tails(cfg):
     draws = int(cfg.params["draws"])
     for n in cfg.sizes:
         for theta in cfg.params["thetas"]:
-            test = ConcentrationTest(theta=theta, median_estimate=0.0,
-                                     lipschitz_bound=math.sqrt(n))
+            test = ConcentrationTest(theta=theta)
 
             def job(seed, n=n, theta=theta, test=test):
                 gen = seed.generator()

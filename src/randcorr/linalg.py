@@ -92,23 +92,17 @@ def operator_norm(a) -> float:
     return float(singular_values(a)[0])
 
 
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(as_matrix(a)))
-
-
 def flatness_ratio(a) -> float:
     """Spectral flatness n * ||a||_op / ||a||_tr; 1 iff all singular values equal."""
-    m = as_matrix(a, square=True)
-    s = singular_values(m)
-    total = s.sum()
+    return flatness_from_sigma(singular_values(as_matrix(a, square=True)))
+
+
+def flatness_from_sigma(sigma: np.ndarray) -> float:
+    """flatness_ratio from the descending singular values of a square matrix."""
+    total = sigma.sum()
     if total == 0.0:
         raise ValidationError("flatness_ratio is undefined for the zero matrix")
-    return float(m.shape[0] * s[0] / total)
-
-
-def is_orthogonal(a, tol: float = TOL_ORTH) -> bool:
-    m = as_matrix(a, square=True)
-    return bool(np.linalg.norm(m @ m.T - np.eye(m.shape[0])) <= tol)
+    return float(sigma.size * sigma[0] / total)
 
 
 def read_matrix_csv(path) -> np.ndarray:

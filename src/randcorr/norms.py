@@ -33,7 +33,6 @@ _PRICING_COLUMNS = 32           # atoms priced per column-generation round
 class GrothendieckConstants:
     """Published interval for the real Grothendieck constant."""
 
-    kg_lower: float = 1.67696
     kg_upper: float = 1.78221
 
 
@@ -360,16 +359,29 @@ def _rescaled_factorization(du: np.ndarray, dv: np.ndarray, triple: SvdTriple
     return FactorizationPair(x, y), row_w, col_w
 
 
-def _next_scale(weights: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """sqrt(weights), normalised, floored at GAMMA2_SCALE_FLOOR times its
-    largest entry on live rows and 0 on all-zero rows.
+def _next_scale(d: np.ndarray, weights: np.ndarray, live: np.ndarray,
+                damped: bool) -> np.ndarray:
+    """The next row (or column) scaling from the current one d and the
+    weights u o ((W o t) v): the undamped step (W o t) v = weights / d, or
+    the damped step sqrt(weights), the geometric mean of d and (W o t) v.
+    Normalised, floored at GAMMA2_SCALE_FLOOR times its largest entry on
+    live rows and 0 on all-zero rows.
 
     An entry the update drives towards 0 belongs to a row that is slack in
     the optimal factorization; the floor keeps un-scaling from dividing the
     SVD's rounding error by a vanishing weight.
     """
-    d = np.sqrt(weights / weights.sum())
-    return np.where(live, np.maximum(d, GAMMA2_SCALE_FLOOR * d.max()), 0.0)
+    if damped:
+        step = np.sqrt(weights)
+    else:
+        step = np.divide(weights, d, out=np.zeros_like(weights), where=live)
+    step = step / np.linalg.norm(step)
+    return np.where(live, np.maximum(step, GAMMA2_SCALE_FLOOR * step.max()), 0.0)
+
+
+def _log_step(d: np.ndarray, d_next: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """log(d_next / d) on live entries: the direction of a scaling step."""
+    return np.log(d_next[live] / d[live])
 
 
 def gamma2_bracket(t) -> NormBracket:
@@ -382,19 +394,34 @@ def gamma2_bracket(t) -> NormBracket:
     factorization t = x y, found by diagonal rescaling.  gamma2 has the dual
     form max over unit u, v of ||diag(u) t diag(v)||_tr; starting from the
     plain factorization U sqrt(S) . sqrt(S) V^t (u = v uniform), each step
-    sets u <- sqrt(u o ((W o t) v)), normalised, with W = U'V'^t from the
-    SVD of diag(u) t diag(v) (likewise for v), and un-scales that SVD into
-    a factorization of t.  The best iterate whose reconstruction residual
-    is at most TOL_FACTOR_RESIDUAL is kept, so the upper bound never exceeds
-    the plain one.  Iteration stops once the upper bound is within a factor
-    1 + GAMMA2_RESCALE_TOL of the largest ||diag(u) t diag(v)||_tr seen
-    (itself a lower bound on gamma2), or after GAMMA2_RESCALE_MAX_ITER steps.
+    takes W = U'V'^t from the SVD of diag(u) t diag(v), sets
+    u <- (W o t) v, normalised (likewise v <- (W o t)^t u), and un-scales
+    that SVD into a factorization of t.
+
+    The undamped step can overshoot.  If one lowers the dual
+    ||diag(u) t diag(v)||_tr / (||u|| ||v||) below the previous iterate's,
+    the iteration goes back to that iterate.  If the next one would turn
+    back on the last (successive moves of (log u, log v) have a negative
+    inner product: an oscillation whose dual can still creep up for 100
+    steps), it stays at the current iterate.  Either way it takes the
+    damped step u <- sqrt(u o ((W o t) v)), the geometric mean of u and
+    (W o t) v, from there on.
+
+    The best iterate whose reconstruction residual is at most
+    TOL_FACTOR_RESIDUAL is kept, so the upper bound never exceeds the plain
+    one.  Iteration stops once the upper bound is within a factor
+    1 + GAMMA2_RESCALE_TOL of the largest dual seen (itself a lower bound on
+    gamma2), or after GAMMA2_RESCALE_MAX_ITER steps.
     """
     m = as_matrix(t, square=True)
     if not np.any(m):
         raise ValidationError("gamma2_bracket requires a nonzero matrix")
+    return _gamma2_bracket(m, svd(m))
+
+
+def _gamma2_bracket(m: np.ndarray, triple: SvdTriple) -> NormBracket:
+    """gamma2_bracket on a nonzero square m and its SVD triple."""
     n = m.shape[0]
-    triple = svd(m)
     lower = float(triple.sigma.sum() / n)
     witness = DualWitness(triple.u @ triple.v.T)
     # zero rows/columns of t keep zero weight; the rest start uniform, so the
@@ -402,6 +429,7 @@ def gamma2_bracket(t) -> NormBracket:
     live_rows, live_cols = np.any(m, axis=1), np.any(m, axis=0)
     du, dv = live_rows.astype(float), live_cols.astype(float)
     best, best_upper, best_dual = None, np.inf, 0.0
+    damped, prev = False, None
     for step in range(GAMMA2_RESCALE_MAX_ITER + 1):
         if step:
             triple = svd(du[:, None] * m * dv)
@@ -413,7 +441,24 @@ def gamma2_bracket(t) -> NormBracket:
         best_dual = max(best_dual, dual)
         if best_upper <= (1.0 + GAMMA2_RESCALE_TOL) * best_dual:
             break
-        du, dv = _next_scale(row_w, live_rows), _next_scale(col_w, live_cols)
+        du_next = _next_scale(du, row_w, live_rows, damped)
+        dv_next = _next_scale(dv, col_w, live_cols, damped)
+        if not damped and prev is not None:
+            if dual < prev[0]:
+                # the last undamped step overshot: step again from the
+                # iterate before it
+                damped = True
+                dual, du, dv, row_w, col_w = prev
+            elif (_log_step(prev[1], du, live_rows) @ _log_step(du, du_next, live_rows)
+                  + _log_step(prev[2], dv, live_cols) @ _log_step(dv, dv_next, live_cols)
+                  < 0.0):
+                # the next undamped step would turn back on the last one
+                damped = True
+            if damped:
+                du_next = _next_scale(du, row_w, live_rows, damped)
+                dv_next = _next_scale(dv, col_w, live_cols, damped)
+        prev = (dual, du, dv, row_w, col_w)
+        du, dv = du_next, dv_next
     if best is None:
         raise NumericalError("no gamma2 factorization met the residual tolerance",
                              detail={"tol": TOL_FACTOR_RESIDUAL})
@@ -462,6 +507,9 @@ def gamma2_oracle(t, tol: float = 1e-4, tol_feas: float = 1e-7,
     Bisects c over [bracket.lower, bracket.upper] on feasibility of a PSD
     completion [[P, t], [t^t, Q]] with all diagonal entries <= c, decided
     by alternating projections (eigenvalue clipping vs. affine reset).
+    The projections give up as infeasible when 50 of them cut the residual
+    by less than 0.1%, which happens for feasible c close to gamma2, so the
+    result can lie above gamma2 by about 5e-4 relative, whatever `tol`.
     """
     m = as_matrix(t, square=True)
     if m.shape[0] > GAMMA2_ORACLE_CAP:
@@ -501,9 +549,10 @@ def bell_functional_from_svd(t, exact_cap: int = EXACT_CAP,
     """The orthogonal functional UV^t from the SVD of t.
 
     For n <= exact_cap the inf->1 norm is computed exactly; above the cap
-    the certified upper bound min(n, n * ||a||_op) is stored and the
-    alternating-ascent estimate is reported separately.  Near-singular
-    inputs keep the (non-unique) UV^t and set a warning flag.
+    the certified upper bound n is stored (alpha^t a beta <= n ||a||_op,
+    and a is orthogonal) and the alternating-ascent estimate is reported
+    separately.  Near-singular inputs keep the (non-unique) UV^t and set a
+    warning flag.
     """
     m = as_matrix(t, square=True)
     return _bell_functional(svd(m), exact_cap, heuristic_restarts, seed)
@@ -519,11 +568,9 @@ def _bell_functional(triple: SvdTriple, exact_cap: int, heuristic_restarts: int,
         value, pair = infty_to_one_exact(a, exact_cap)
         return BellFunctional(a=a, eps_one_norm=value, exact=True,
                               near_singular=near_singular, attaining=pair)
-    op = float(np.linalg.svd(a, compute_uv=False)[0])
-    upper = float(min(n, n * op))
     h_seed = seed if seed is not None else SeedSpec(0, 0)
     h_val, h_pair = infty_to_one_heuristic(a, heuristic_restarts, h_seed)
-    return BellFunctional(a=a, eps_one_norm=upper, exact=False,
+    return BellFunctional(a=a, eps_one_norm=float(n), exact=False,
                           heuristic_lower=h_val, near_singular=near_singular,
                           attaining=h_pair)
 

@@ -115,6 +115,26 @@ def test_verify_detects_tampered_decomposition(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_rejects_scaled_bell_functional_above_cap(tmp_path, capsys):
+    # above EXACT_CAP the functional's norm is certified by n ||a||_op; a
+    # doubled a has norm up to 2n, so the stored claim n must not verify
+    mat = gaussian(26, 26, SeedSpec(3, 2)) / math.sqrt(26)
+    mpath = tmp_path / "g26.csv"
+    write_matrix_csv(mpath, mat)
+    out = str(tmp_path / "gap.json")
+    assert main(["gap", "--matrix", str(mpath), "--restarts", "2", "--out", out]) == 0
+    assert main(["verify-certificate", out]) == 0
+    doc = json.loads(open(out).read())
+    [cert] = [c for c in doc["certificates"] if c["claims"] == "bell_functional"]
+    assert cert["value"] == 26.0 and not cert["certificate"]["exact"]
+    cert["certificate"]["a"] = (2.0 * np.asarray(cert["certificate"]["a"])).tolist()
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert "bell_functional" in capsys.readouterr().out
+
+
 def test_threshold_subcommand(capsys):
     assert main(["threshold", "--gap", "sqrt(16/15)"]) == 0
     out = capsys.readouterr().out

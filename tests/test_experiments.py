@@ -127,6 +127,30 @@ def test_quantum_norm_convergence_flatness_precondition():
         run_experiment(cfg)
 
 
+def test_quantum_norm_convergence_one_svd_per_trial(monkeypatch):
+    # each trial takes one SVD for the flatness precondition and the bracket,
+    # and reports what flatness_ratio and gamma2_bracket give on its matrix
+    import randcorr.experiments as experiments_mod
+    import randcorr.linalg as linalg_mod
+    from randcorr.linalg import flatness_ratio
+    from randcorr.norms import gamma2_bracket
+    matrices = []
+    real_svd = experiments_mod.svd
+
+    def recording_svd(m):
+        matrices.append(m.copy())
+        return real_svd(m)
+
+    monkeypatch.setattr(experiments_mod, "svd", recording_svd)
+    monkeypatch.setattr(linalg_mod, "singular_values", None)  # no values-only SVD
+    rep = run_experiment(small("quantum_norm_convergence", sizes=[6, 10], trials=3))
+    monkeypatch.undo()
+    assert len(matrices) == len(rep.trials) == 6
+    for t, trial in zip(matrices, rep.trials):
+        assert trial.values["flatness"] == pytest.approx(flatness_ratio(t), rel=1e-13)
+        assert trial.values["bracket_ratio"] == gamma2_bracket(t).ratio()
+
+
 def test_nonlocality_sweep_controls():
     cfg = small("nonlocality_sweep", trials=15)
     rep = run_experiment(cfg)

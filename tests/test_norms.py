@@ -280,6 +280,91 @@ def test_rescaled_upper_matches_oracle_and_beats_plain_factorization():
         assert br.upper_certificate.residual(g) <= 1e-9
 
 
+def _bracket_trace(monkeypatch):
+    """Record, per gamma2_bracket call, each iterate's scalings du, dv and
+    dual ||diag(du) t diag(dv)||_tr / (||du|| ||dv||), each scaling step's
+    input and whether it was damped, and the number of SVDs taken."""
+    import randcorr.norms as norms_mod
+    trace = {"iterates": [], "steps": [], "svds": 0}
+    real_factorization, real_next = norms_mod._rescaled_factorization, norms_mod._next_scale
+    real_svd = norms_mod.svd
+
+    def factorization(du, dv, triple):
+        dual = float(triple.sigma.sum() / (np.linalg.norm(du) * np.linalg.norm(dv)))
+        trace["iterates"].append((du.copy(), dv.copy(), dual))
+        return real_factorization(du, dv, triple)
+
+    def next_scale(d, weights, live, damped):
+        trace["steps"].append((d.copy(), damped))
+        return real_next(d, weights, live, damped)
+
+    def counting_svd(m):
+        trace["svds"] += 1
+        return real_svd(m)
+
+    monkeypatch.setattr(norms_mod, "_rescaled_factorization", factorization)
+    monkeypatch.setattr(norms_mod, "_next_scale", next_scale)
+    monkeypatch.setattr(norms_mod, "svd", counting_svd)
+    return trace
+
+
+def test_bracket_svd_count_at_n400(monkeypatch):
+    # the undamped step reaches the 1 + GAMMA2_RESCALE_TOL stop in at most
+    # 4 rescaling SVDs at n = 400 (the damped step alone took 8)
+    for t in range(3):
+        g = small_gaussian(400, 42, t)
+        trace = _bracket_trace(monkeypatch)
+        br = gamma2_bracket(g)
+        assert trace["svds"] == len(trace["iterates"]) <= 5
+        assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * max(d for _, _, d in trace["iterates"])
+
+
+# A 3x3 integer input (gamma2 = 3) on which the undamped step, left to
+# itself, lowers the dual at iterate 17; found by a seeded search over
+# integer matrices.
+OVERSHOOT = np.array([[0.0, -3.0, 1.0], [-1.0, -2.0, 0.0], [3.0, 0.0, -1.0]])
+
+
+def test_bracket_dual_drop_goes_back_to_previous_iterate(monkeypatch):
+    import randcorr.norms as norms_mod
+    trace = _bracket_trace(monkeypatch)
+    # without the turn-back test, only the dual drop can stop the undamped step
+    monkeypatch.setattr(norms_mod, "_log_step", lambda d, d_next, live: np.zeros(1))
+    br = gamma2_bracket(OVERSHOOT)
+    duals = [d for _, _, d in trace["iterates"]]
+    drops = [k for k in range(1, len(duals)) if duals[k] < duals[k - 1]]
+    assert drops
+    k = drops[0]
+    # the first damped step starts from iterate k - 1's scalings
+    first = [i for i, (_, damped) in enumerate(trace["steps"]) if damped][0]
+    du_prev, dv_prev, _ = trace["iterates"][k - 1]
+    assert np.array_equal(trace["steps"][first][0], du_prev)
+    assert np.array_equal(trace["steps"][first + 1][0], dv_prev)
+    assert all(damped for _, damped in trace["steps"][first:])
+    accepted = duals[:k] + duals[k + 1:]
+    assert all(b >= a for a, b in zip(accepted, accepted[1:]))
+    assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * max(accepted)
+    assert br.upper_certificate.residual(OVERSHOOT) <= 1e-9
+    monkeypatch.undo()
+    assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * gamma2_oracle(OVERSHOOT, tol=1e-6)
+
+
+def test_bracket_oscillation_switches_to_damped_step(monkeypatch):
+    # on this heavy-tailed 5x5 the undamped step swings back and forth while
+    # its dual creeps up: undamped to the end, it ran all 100 steps and
+    # stopped 1.6% above the bound the damped step alone reaches in 19 SVDs
+    g = gaussian(5, 5, SeedSpec(61, 608)) ** 3
+    trace = _bracket_trace(monkeypatch)
+    br = gamma2_bracket(g)
+    duals = [d for _, _, d in trace["iterates"]]
+    assert any(damped for _, damped in trace["steps"])
+    assert all(b >= a for a, b in zip(duals, duals[1:]))
+    assert trace["svds"] <= 30
+    assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * max(duals)
+    monkeypatch.undo()
+    assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * gamma2_oracle(g, tol=1e-6)
+
+
 def test_oracle_cap():
     with pytest.raises(ValidationError):
         gamma2_oracle(np.eye(13))
