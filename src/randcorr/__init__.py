@@ -12,11 +12,10 @@ from .linalg import (SvdTriple, as_matrix, flatness_ratio, operator_norm,
 from .sampling import (EnsembleSpec, SeedSpec, bi_invariant, gaussian,
                        gaussian_product, haar_orthogonal, splitmix64,
                        uniform_sphere, unit_rows_correlation)
-from .norms import (GROTHENDIECK, BellFunctional, ConvexDecomposition,
-                    GrothendieckConstants, NormBracket, SignPair,
-                    bell_functional_from_svd, classical_lower_bound,
-                    classical_upper_bound, gamma2_bracket, gamma2_oracle,
-                    gamma2_star_orthogonal, infty_to_one_exact,
+from .norms import (KG_UPPER, BellFunctional, ConvexDecomposition,
+                    NormBracket, SignPair, bell_functional_from_svd,
+                    classical_lower_bound, classical_upper_bound,
+                    gamma2_bracket, gamma2_oracle, infty_to_one_exact,
                     infty_to_one_heuristic, quantum_classical_gap,
                     tau_gap_bound)
 from .spectral import (EmpiricalSpectrum, SpectralLaw, ac_support_edges,
@@ -29,14 +28,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BellFunctional", "ConvexDecomposition", "EmpiricalSpectrum",
-    "EnsembleSpec", "ExperimentConfig", "ExperimentReport", "GROTHENDIECK",
-    "GrothendieckConstants", "NormBracket", "NumericalError", "SeedSpec",
+    "EnsembleSpec", "ExperimentConfig", "ExperimentReport", "KG_UPPER",
+    "NormBracket", "NumericalError", "SeedSpec",
     "SignPair", "SpectralLaw", "SvdTriple", "ValidationError",
     "ac_support_edges", "alpha_threshold", "as_matrix",
     "bell_functional_from_svd", "bi_invariant", "c_alpha",
     "classical_lower_bound", "classical_upper_bound", "default_config",
     "density", "empirical_spectrum", "flatness_ratio", "gamma2_bracket",
-    "gamma2_oracle", "gamma2_star_orthogonal", "gaussian", "gaussian_product",
+    "gamma2_oracle", "gaussian", "gaussian_product",
     "haar_orthogonal", "infty_to_one_exact", "infty_to_one_heuristic",
     "ks_distance", "operator_norm", "quantum_classical_gap",
     "read_matrix_csv", "run_experiment", "splitmix64", "stieltjes", "svd",

@@ -25,8 +25,8 @@ from .norms import (ConvexDecomposition, DualWitness, FactorizationPair,
                     classical_upper_bound, gamma2_bracket, gamma2_oracle,
                     gap_from_bell, infty_to_one_exact, infty_to_one_heuristic)
 from .sampling import ENSEMBLE_KINDS, EnsembleSpec, SeedSpec
-from .experiments import (ExperimentConfig, TrialRecord, _SCENARIO_TABLE,
-                          default_config, run_experiment, summarize_records)
+from .experiments import (ExperimentConfig, TrialRecord, default_config, grid,
+                          run_experiment, summarize_records, verdicts)
 
 SCHEMA_VERSION = "1"
 OUT_ENV = "RANDCORR_OUT"
@@ -410,6 +410,20 @@ def _verify_experiment(doc: dict) -> list:
     failures = []
     cfg = ExperimentConfig.from_dict(doc["config"])
     trials = [TrialRecord.from_dict(t) for t in doc["trials"]]
+    # trial i must be the seeded trial at position i of the scenario's grid
+    sizes = grid(cfg)
+    if len(trials) != len(sizes):
+        failures.append(f"trial count mismatch: {len(trials)} stored, "
+                        f"{len(sizes)} in the grid")
+    for i, (t, size) in enumerate(zip(trials, sizes)):
+        if t.trial_index != i:
+            failures.append(f"trial {i}: trial_index {t.trial_index} stored")
+        if t.stream_seed != SeedSpec(cfg.master_seed, i).stream_seed():
+            failures.append(f"trial {i}: stream_seed is not that of "
+                            f"(master_seed, {i})")
+        if t.size != size:
+            failures.append(f"trial {i}: size {t.size} stored where the grid "
+                            f"has {size}")
     fresh = summarize_records(trials)
     stored = doc["summaries"]
     if len(fresh) != len(stored):
@@ -419,8 +433,7 @@ def _verify_experiment(doc: dict) -> list:
         for key in ("mean", "std", "q05", "q50", "q95"):
             if not _close(a[key], b[key]):
                 failures.append(f"summary {a['size']}/{a['stat']}/{key} mismatch")
-    _, verdict_fn = _SCENARIO_TABLE[cfg.scenario]
-    fresh_verdicts = verdict_fn(cfg, trials, fresh)
+    fresh_verdicts = verdicts(cfg, trials, fresh)
     stored_verdicts = doc["verdicts"]
     if len(fresh_verdicts) != len(stored_verdicts):
         failures.append(f"verdict count mismatch: {len(stored_verdicts)} stored, "
@@ -467,8 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="report/output path")
 
     p = sub.add_parser("sample", help="draw one matrix from an ensemble")
@@ -536,6 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock in the report (breaks byte-identity)")
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(func=_cmd_experiment)
 

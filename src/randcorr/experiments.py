@@ -9,11 +9,13 @@ by pilot runs and are echoed into every report.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -22,19 +24,9 @@ from .linalg import flatness_from_sigma, svd, trace_norm
 from .norms import (EXACT_CAP, _gamma2_bracket, bell_functional_from_svd,
                     classical_lower_bound, infty_to_one_exact,
                     quantum_classical_gap, tau_gap_bound)
-from .sampling import SeedSpec, gaussian, haar_orthogonal, unit_rows_correlation
+from .sampling import (SeedSpec, bi_invariant, gaussian, haar_orthogonal,
+                       unit_rows_correlation)
 from .spectral import alpha_threshold
-
-SCENARIOS = (
-    "orthogonal_norm_band",
-    "quantum_norm_convergence",
-    "qc_gap",
-    "nonlocality_sweep",
-    "mean_width",
-    "levy_tails",
-    "gaussian_row_concentration",
-    "tau_approximation",
-)
 
 SQRT_16_15 = math.sqrt(16.0 / 15.0)
 SQRT_15_16 = math.sqrt(15.0 / 16.0)
@@ -42,26 +34,23 @@ SQRT_2_PI = math.sqrt(2.0 / math.pi)
 GAUSS_TRACE_CONST = 8.0 / (3.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class ConcentrationTest:
-    """One grid point of a sphere/Gaussian concentration check."""
+def levy_bound(theta: float, n: int) -> float:
+    """Tail mass of the spherical cap of geodesic radius theta on S^(n-1)."""
+    if not 0.0 < theta < math.pi / 2:
+        raise ValidationError("theta must lie in (0, pi/2)")
+    return min(1.0, 0.5 * math.sin(theta) ** (n - 1))
 
-    epsilon: float = 0.0
-    theta: float = 0.0
 
-    def levy_bound(self, n: int) -> float:
-        """Tail mass of the spherical cap of geodesic radius theta."""
-        if not 0.0 < self.theta < math.pi / 2:
-            raise ValidationError("theta must lie in (0, pi/2)")
-        return min(1.0, 0.5 * math.sin(self.theta) ** (n - 1))
+def gaussian_row_bound(epsilon: float, m: int) -> float:
+    """Tail bound on ||g||^2 >= m / (1 - epsilon) for g standard in R^m."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValidationError("epsilon must lie in (0, 1)")
+    return min(1.0, math.exp(-epsilon ** 2 * m / 4.0))
 
-    def gaussian_row_bound(self, m: int) -> float:
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValidationError("epsilon must lie in (0, 1)")
-        return min(1.0, math.exp(-self.epsilon ** 2 * m / 4.0))
 
-    def gaussian_max_row_bound(self, n: int, m: int) -> float:
-        return min(1.0, 2.0 * n * self.gaussian_row_bound(m))
+def gaussian_max_row_bound(epsilon: float, n: int, m: int) -> float:
+    """Union bound over n rows on a normalization error above epsilon."""
+    return min(1.0, 2.0 * n * gaussian_row_bound(epsilon, m))
 
 
 _CONFIG_KEYS = {"scenario", "sizes", "trials", "master_seed", "thresholds", "params"}
@@ -77,17 +66,17 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in _TABLE:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if not self.sizes:
             raise ValidationError("sizes must be non-empty")
-        defaults = _DEFAULTS[self.scenario]
-        merged_thr = dict(defaults["thresholds"])
+        defaults = _TABLE[self.scenario]
+        merged_thr = dict(defaults.thresholds)
         merged_thr.update(self.thresholds)
         self.thresholds = merged_thr
-        merged_par = dict(defaults["params"])
+        merged_par = dict(defaults.params)
         merged_par.update(self.params)
         self.params = merged_par
 
@@ -238,76 +227,27 @@ def monte_carlo_se(freq: float, count: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scenario definitions: job builder + verdict function per scenario
+# scenarios: defaults, size grid, trial and verdicts, one table entry each
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "orthogonal_norm_band": dict(
-        sizes=[16], trials=200,
-        thresholds={"band_slack": 0.05, "freq_min": 0.95},
-        params={}),
-    "quantum_norm_convergence": dict(
-        sizes=[50, 100, 200, 400], trials=50,
-        thresholds={"ratio_slack": 0.05, "flatness_max": 6.0},
-        params={"ensemble": "gaussian"}),
-    "qc_gap": dict(
-        sizes=[20], trials=200,
-        thresholds={"freq_min": 0.9},
-        params={"heuristic_restarts": 50}),
-    "nonlocality_sweep": dict(
-        sizes=[16], trials=60,
-        thresholds={"freq_nonlocal_min": 0.6, "freq_local_max": 0.1,
-                    "tau_slack": 0.0},
-        params={"alphas": [0.125, 0.25, 0.5, 1.0, 2.0, 4.0]}),
-    "mean_width": dict(
-        sizes=[200], trials=50,
-        thresholds={"width_tol": 0.02, "ratio_min": 1.02},
-        params={"heuristic_restarts": 50}),
-    "levy_tails": dict(
-        sizes=[20, 50], trials=1,
-        thresholds={"se_mult": 3.0},
-        params={"thetas": [math.pi / 3, 1.2, 1.4], "draws": 100_000}),
-    "gaussian_row_concentration": dict(
-        sizes=[8], trials=1,
-        thresholds={"se_mult": 3.0},
-        params={"cases": [[400, 0.2], [400, 0.3], [100, 0.3]],
-                "draws": 100_000}),
-    "tau_approximation": dict(
-        sizes=[50], trials=20,
-        thresholds={"gap_cap": 0.2},
-        params={"m_values": [500, 2000, 4000]}),
-}
+def _per_size(cfg) -> list[dict]:
+    """cfg.trials trials at each configured n, in order."""
+    return [{"n": n} for n in cfg.sizes for _ in range(cfg.trials)]
 
 
-def default_config(scenario: str, master_seed: int = 2024) -> ExperimentConfig:
-    """Pilot-calibrated default configuration for each scenario."""
-    if scenario not in _DEFAULTS:
-        raise ValidationError(f"unknown scenario {scenario!r}")
-    base = _DEFAULTS[scenario]
-    return ExperimentConfig(scenario=scenario, sizes=list(base["sizes"]),
-                            trials=base["trials"], master_seed=master_seed)
+def _grid_orthogonal_norm_band(cfg):
+    if max(cfg.sizes) > EXACT_CAP:
+        raise ValidationError(f"orthogonal_norm_band needs n <= {EXACT_CAP}")
+    return _per_size(cfg)
 
 
-def _jobs_orthogonal_norm_band(cfg):
-    jobs = []
-    idx = 0
-    for n in cfg.sizes:
-        if n > EXACT_CAP:
-            raise ValidationError(f"orthogonal_norm_band needs n <= {EXACT_CAP}")
-        lo = SQRT_2_PI - cfg.thresholds["band_slack"]
-        hi = SQRT_15_16 + cfg.thresholds["band_slack"]
-
-        def job(seed, n=n, lo=lo, hi=hi):
-            o = haar_orthogonal(n, seed)
-            val, _ = infty_to_one_exact(o)
-            ratio = val / n
-            return {"norm_over_n": ratio,
-                    "in_band_event": float(lo <= ratio <= hi)}
-
-        for _ in range(cfg.trials):
-            jobs.append((idx, {"n": n}, job))
-            idx += 1
-    return jobs
+def _trial_orthogonal_norm_band(cfg, size, seed):
+    n = size["n"]
+    val, _ = infty_to_one_exact(haar_orthogonal(n, seed))
+    ratio = val / n
+    slack = cfg.thresholds["band_slack"]
+    return {"norm_over_n": ratio,
+            "in_band_event": float(SQRT_2_PI - slack <= ratio <= SQRT_15_16 + slack)}
 
 
 def _verdict_orthogonal_norm_band(cfg, trials, summaries):
@@ -321,33 +261,23 @@ def _verdict_orthogonal_norm_band(cfg, trials, summaries):
     return out
 
 
-def _jobs_quantum_norm_convergence(cfg):
-    jobs = []
-    idx = 0
+def _trial_quantum_norm_convergence(cfg, size, seed):
+    n = size["n"]
     ensemble = cfg.params.get("ensemble", "gaussian")
-    spectrum = cfg.params.get("spectrum")
+    if ensemble == "gaussian":
+        t = gaussian(n, n, seed) / math.sqrt(n)
+    elif ensemble == "bi_invariant":
+        t = bi_invariant(np.asarray(cfg.params.get("spectrum"), dtype=float), seed)
+    else:
+        raise ValidationError(f"unsupported ensemble {ensemble!r}")
+    triple = svd(t)  # one SVD serves the precondition and the bracket
+    flat = flatness_from_sigma(triple.sigma)
     flat_max = cfg.thresholds["flatness_max"]
-    for n in cfg.sizes:
-        def job(seed, n=n):
-            if ensemble == "gaussian":
-                t = gaussian(n, n, seed) / math.sqrt(n)
-            elif ensemble == "bi_invariant":
-                from .sampling import bi_invariant
-                t = bi_invariant(np.asarray(spectrum, dtype=float), seed)
-            else:
-                raise ValidationError(f"unsupported ensemble {ensemble!r}")
-            triple = svd(t)  # one SVD serves the precondition and the bracket
-            flat = flatness_from_sigma(triple.sigma)
-            if flat > flat_max:
-                raise ValidationError(
-                    f"flatness precondition failed: {flat:.3f} > {flat_max}")
-            bracket = _gamma2_bracket(t, triple)
-            return {"bracket_ratio": bracket.ratio(), "flatness": flat}
-
-        for _ in range(cfg.trials):
-            jobs.append((idx, {"n": n}, job))
-            idx += 1
-    return jobs
+    if flat > flat_max:
+        raise ValidationError(
+            f"flatness precondition failed: {flat:.3f} > {flat_max}")
+    bracket = _gamma2_bracket(t, triple)
+    return {"bracket_ratio": bracket.ratio(), "flatness": flat}
 
 
 def _verdict_quantum_norm_convergence(cfg, trials, summaries):
@@ -368,29 +298,22 @@ def _verdict_quantum_norm_convergence(cfg, trials, summaries):
     ]
 
 
-def _jobs_qc_gap(cfg):
-    jobs = []
-    idx = 0
-    restarts = int(cfg.params.get("heuristic_restarts", 50))
-    for n in cfg.sizes:
-        def job(seed, n=n):
-            t = gaussian(n, n, seed) / math.sqrt(n)
-            gap = quantum_classical_gap(t, heuristic_restarts=restarts, seed=seed)
-            return {"gap": gap, "gap_gt_1_event": float(gap > 1.0),
-                    "exact_mode": float(n <= EXACT_CAP)}
+def _grid_qc_gap(cfg):
+    # the all-ones negative control runs last
+    return _per_size(cfg) + [{"n": min(cfg.sizes), "control": "all_ones"}]
 
-        for _ in range(cfg.trials):
-            jobs.append((idx, {"n": n}, job))
-            idx += 1
 
-    # negative control: the all-ones matrix is an extreme classical point
-    def control_job(seed):
-        n = min(cfg.sizes)
+def _trial_qc_gap(cfg, size, seed):
+    n = size["n"]
+    if "control" in size:
+        # the all-ones matrix is an extreme classical point
         gap = quantum_classical_gap(np.ones((n, n)))
         return {"gap": gap, "control_event": float(gap <= 1.0 + 1e-9)}
-
-    jobs.append((idx, {"n": min(cfg.sizes), "control": "all_ones"}, control_job))
-    return jobs
+    t = gaussian(n, n, seed) / math.sqrt(n)
+    restarts = int(cfg.params.get("heuristic_restarts", 50))
+    gap = quantum_classical_gap(t, heuristic_restarts=restarts, seed=seed)
+    return {"gap": gap, "gap_gt_1_event": float(gap > 1.0),
+            "exact_mode": float(n <= EXACT_CAP)}
 
 
 def _verdict_qc_gap(cfg, trials, summaries):
@@ -411,27 +334,23 @@ def _verdict_qc_gap(cfg, trials, summaries):
     return out
 
 
-def _jobs_nonlocality_sweep(cfg):
-    jobs = []
-    idx = 0
+def _grid_nonlocality_sweep(cfg):
+    return [{"n": n, "m": m, "alpha": m / n}
+            for n in cfg.sizes
+            for m in [max(1, round(alpha * n)) for alpha in cfg.params["alphas"]]
+            for _ in range(cfg.trials)]
+
+
+def _trial_nonlocality_sweep(cfg, size, seed):
+    n, m = size["n"], size["m"]
+    tau = unit_rows_correlation(n, m, seed)
+    bell = bell_functional_from_svd(tau, seed=seed)
+    lower = classical_lower_bound(tau, bell)
     slack_mult = cfg.thresholds.get("tau_slack", 0.0)
-    for n in cfg.sizes:
-        for alpha in cfg.params["alphas"]:
-            m = max(1, round(alpha * n))
-
-            def job(seed, n=n, m=m):
-                tau = unit_rows_correlation(n, m, seed)
-                bell = bell_functional_from_svd(tau, seed=seed)
-                lower = classical_lower_bound(tau, bell)
-                slack = slack_mult * tau_gap_bound(n, m, seed) if slack_mult else 0.0
-                return {"classical_lower": lower,
-                        "certificate_event": float(lower > 1.0 + slack),
-                        "exact_mode": float(bell.exact)}
-
-            for _ in range(cfg.trials):
-                jobs.append((idx, {"n": n, "m": m, "alpha": m / n}, job))
-                idx += 1
-    return jobs
+    slack = slack_mult * tau_gap_bound(n, m, seed) if slack_mult else 0.0
+    return {"classical_lower": lower,
+            "certificate_event": float(lower > 1.0 + slack),
+            "exact_mode": float(bell.exact)}
 
 
 def _verdict_nonlocality_sweep(cfg, trials, summaries):
@@ -464,25 +383,16 @@ def _verdict_nonlocality_sweep(cfg, trials, summaries):
     return out
 
 
-def _jobs_mean_width(cfg):
-    jobs = []
-    idx = 0
+def _trial_mean_width(cfg, size, seed):
+    n = size["n"]
     restarts = int(cfg.params.get("heuristic_restarts", 50))
-    for n in cfg.sizes:
-        def job(seed, n=n):
-            g = gaussian(n, n, seed)
-            tn = trace_norm(g)
-            bell = bell_functional_from_svd(g, heuristic_restarts=restarts,
-                                            seed=seed)
-            norm_est = bell.eps_one_norm if bell.exact else bell.heuristic_lower
-            classical = float((g * bell.a).sum()) / norm_est
-            return {"quantum_width_scaled": tn / n ** 1.5,
-                    "classical_width_scaled": classical / math.sqrt(n)}
-
-        for _ in range(cfg.trials):
-            jobs.append((idx, {"n": n}, job))
-            idx += 1
-    return jobs
+    g = gaussian(n, n, seed)
+    tn = trace_norm(g)
+    bell = bell_functional_from_svd(g, heuristic_restarts=restarts, seed=seed)
+    norm_est = bell.eps_one_norm if bell.exact else bell.heuristic_lower
+    classical = float((g * bell.a).sum()) / norm_est
+    return {"quantum_width_scaled": tn / n ** 1.5,
+            "classical_width_scaled": classical / math.sqrt(n)}
 
 
 def _verdict_mean_width(cfg, trials, summaries):
@@ -506,38 +416,35 @@ def _verdict_mean_width(cfg, trials, summaries):
     ]
 
 
-def _jobs_levy_tails(cfg):
-    jobs = []
-    idx = 0
+def _grid_levy_tails(cfg):
+    return [{"n": n, "theta": round(theta, 10)}
+            for n in cfg.sizes for theta in cfg.params["thetas"]]
+
+
+def _trial_levy_tails(cfg, size, seed):
+    n = size["n"]
+    # the size holds theta rounded for display; the cut and the bound use
+    # the configured value
+    theta = [t for t in cfg.params["thetas"] if round(t, 10) == size["theta"]][0]
+    bound = levy_bound(theta, n)
     draws = int(cfg.params["draws"])
-    for n in cfg.sizes:
-        for theta in cfg.params["thetas"]:
-            test = ConcentrationTest(theta=theta)
-
-            def job(seed, n=n, theta=theta, test=test):
-                gen = seed.generator()
-                # f(psi) = sum_i psi_i exceeds cos(theta) * sqrt(n) iff the
-                # sphere point lies in the cap around the diagonal direction
-                count = 0
-                block = 20_000
-                done = 0
-                cut = math.cos(theta) * math.sqrt(n)
-                while done < draws:
-                    b = min(block, draws - done)
-                    g = gen.standard_normal((b, n))
-                    s = g.sum(axis=1) / np.linalg.norm(g, axis=1)
-                    count += int(np.sum(s > cut))
-                    done += b
-                emp = count / draws
-                bound = test.levy_bound(n)
-                se = monte_carlo_se(emp, draws)
-                return {"exceedance": emp, "bound": bound,
-                        "bound_ok_event": float(
-                            emp <= bound + cfg.thresholds["se_mult"] * se)}
-
-            jobs.append((idx, {"n": n, "theta": round(theta, 10)}, job))
-            idx += 1
-    return jobs
+    gen = seed.generator()
+    # f(psi) = sum_i psi_i exceeds cos(theta) * sqrt(n) iff the
+    # sphere point lies in the cap around the diagonal direction
+    count = 0
+    block = 20_000
+    done = 0
+    cut = math.cos(theta) * math.sqrt(n)
+    while done < draws:
+        b = min(block, draws - done)
+        g = gen.standard_normal((b, n))
+        s = g.sum(axis=1) / np.linalg.norm(g, axis=1)
+        count += int(np.sum(s > cut))
+        done += b
+    emp = count / draws
+    se = monte_carlo_se(emp, draws)
+    return {"exceedance": emp, "bound": bound,
+            "bound_ok_event": float(emp <= bound + cfg.thresholds["se_mult"] * se)}
 
 
 def _verdict_levy_tails(cfg, trials, summaries):
@@ -551,42 +458,37 @@ def _verdict_levy_tails(cfg, trials, summaries):
     return out
 
 
-def _jobs_gaussian_row_concentration(cfg):
-    jobs = []
-    idx = 0
+def _grid_gaussian_row_concentration(cfg):
+    return [{"n": n, "m": int(m), "epsilon": float(eps)}
+            for n in cfg.sizes for m, eps in cfg.params["cases"]]
+
+
+def _trial_gaussian_row_concentration(cfg, size, seed):
+    n, m, eps = size["n"], size["m"], size["epsilon"]
     draws = int(cfg.params["draws"])
     se_mult = cfg.thresholds["se_mult"]
-    for n in cfg.sizes:
-        for m, eps in cfg.params["cases"]:
-            test = ConcentrationTest(epsilon=eps)
-
-            def job(seed, n=n, m=int(m), eps=float(eps), test=test):
-                gen = seed.generator()
-                one_row = 0
-                max_row = 0
-                cut2 = m / (1.0 - eps)
-                block = 20_000
-                done = 0
-                while done < draws:
-                    b = min(block, draws - done)
-                    chi2 = gen.chisquare(m, size=(b, n))
-                    one_row += int(np.sum(chi2[:, 0] >= cut2))
-                    dev = np.abs(np.sqrt(chi2 / m) - 1.0)
-                    max_row += int(np.sum(dev.max(axis=1) > eps))
-                    done += b
-                emp1 = one_row / draws
-                empm = max_row / draws
-                b1 = test.gaussian_row_bound(m)
-                bm = test.gaussian_max_row_bound(n, m)
-                ok1 = emp1 <= b1 + se_mult * monte_carlo_se(emp1, draws)
-                okm = empm <= bm + se_mult * monte_carlo_se(empm, draws)
-                return {"one_row_exceedance": emp1, "one_row_bound": b1,
-                        "max_row_exceedance": empm, "max_row_bound": bm,
-                        "bounds_ok_event": float(ok1 and okm)}
-
-            jobs.append((idx, {"n": n, "m": int(m), "epsilon": float(eps)}, job))
-            idx += 1
-    return jobs
+    b1 = gaussian_row_bound(eps, m)
+    bm = gaussian_max_row_bound(eps, n, m)
+    gen = seed.generator()
+    one_row = 0
+    max_row = 0
+    cut2 = m / (1.0 - eps)
+    block = 20_000
+    done = 0
+    while done < draws:
+        b = min(block, draws - done)
+        chi2 = gen.chisquare(m, size=(b, n))
+        one_row += int(np.sum(chi2[:, 0] >= cut2))
+        dev = np.abs(np.sqrt(chi2 / m) - 1.0)
+        max_row += int(np.sum(dev.max(axis=1) > eps))
+        done += b
+    emp1 = one_row / draws
+    empm = max_row / draws
+    ok1 = emp1 <= b1 + se_mult * monte_carlo_se(emp1, draws)
+    okm = empm <= bm + se_mult * monte_carlo_se(empm, draws)
+    return {"one_row_exceedance": emp1, "one_row_bound": b1,
+            "max_row_exceedance": empm, "max_row_bound": bm,
+            "bounds_ok_event": float(ok1 and okm)}
 
 
 def _verdict_gaussian_row_concentration(cfg, trials, summaries):
@@ -601,18 +503,14 @@ def _verdict_gaussian_row_concentration(cfg, trials, summaries):
     return out
 
 
-def _jobs_tau_approximation(cfg):
-    jobs = []
-    idx = 0
-    for n in cfg.sizes:
-        for m in cfg.params["m_values"]:
-            def job(seed, n=n, m=int(m)):
-                return {"tau_gap_bound": tau_gap_bound(n, m, seed)}
+def _grid_tau_approximation(cfg):
+    return [{"n": n, "m": int(m)}
+            for n in cfg.sizes for m in cfg.params["m_values"]
+            for _ in range(cfg.trials)]
 
-            for _ in range(cfg.trials):
-                jobs.append((idx, {"n": n, "m": int(m)}, job))
-                idx += 1
-    return jobs
+
+def _trial_tau_approximation(cfg, size, seed):
+    return {"tau_gap_bound": tau_gap_bound(size["n"], size["m"], seed)}
 
 
 def _verdict_tau_approximation(cfg, trials, summaries):
@@ -632,42 +530,121 @@ def _verdict_tau_approximation(cfg, trials, summaries):
     ]
 
 
-_SCENARIO_TABLE = {
-    "orthogonal_norm_band": (_jobs_orthogonal_norm_band, _verdict_orthogonal_norm_band),
-    "quantum_norm_convergence": (_jobs_quantum_norm_convergence,
-                                 _verdict_quantum_norm_convergence),
-    "qc_gap": (_jobs_qc_gap, _verdict_qc_gap),
-    "nonlocality_sweep": (_jobs_nonlocality_sweep, _verdict_nonlocality_sweep),
-    "mean_width": (_jobs_mean_width, _verdict_mean_width),
-    "levy_tails": (_jobs_levy_tails, _verdict_levy_tails),
-    "gaussian_row_concentration": (_jobs_gaussian_row_concentration,
-                                   _verdict_gaussian_row_concentration),
-    "tau_approximation": (_jobs_tau_approximation, _verdict_tau_approximation),
+@dataclass(frozen=True)
+class Scenario:
+    """One seeded scenario.
+
+    `sizes`, `trials`, `thresholds` and `params` are its defaults.
+    `grid(cfg)` lists the size of every trial, trial i at position i;
+    `trial(cfg, size, seed)` computes one trial's values from nothing but
+    its arguments; `verdicts(cfg, trials, summaries)` judges the records.
+    """
+
+    sizes: list
+    trials: int
+    thresholds: dict
+    params: dict
+    grid: Callable[[ExperimentConfig], list[dict]]
+    trial: Callable[[ExperimentConfig, dict, SeedSpec], dict]
+    verdicts: Callable[[ExperimentConfig, list, list], list[Verdict]]
+
+
+_TABLE = {
+    "orthogonal_norm_band": Scenario(
+        sizes=[16], trials=200,
+        thresholds={"band_slack": 0.05, "freq_min": 0.95},
+        params={},
+        grid=_grid_orthogonal_norm_band, trial=_trial_orthogonal_norm_band,
+        verdicts=_verdict_orthogonal_norm_band),
+    "quantum_norm_convergence": Scenario(
+        sizes=[50, 100, 200, 400], trials=50,
+        thresholds={"ratio_slack": 0.05, "flatness_max": 6.0},
+        params={"ensemble": "gaussian"},
+        grid=_per_size, trial=_trial_quantum_norm_convergence,
+        verdicts=_verdict_quantum_norm_convergence),
+    "qc_gap": Scenario(
+        sizes=[20], trials=200,
+        thresholds={"freq_min": 0.9},
+        params={"heuristic_restarts": 50},
+        grid=_grid_qc_gap, trial=_trial_qc_gap, verdicts=_verdict_qc_gap),
+    "nonlocality_sweep": Scenario(
+        sizes=[16], trials=60,
+        thresholds={"freq_nonlocal_min": 0.6, "freq_local_max": 0.1,
+                    "tau_slack": 0.0},
+        params={"alphas": [0.125, 0.25, 0.5, 1.0, 2.0, 4.0]},
+        grid=_grid_nonlocality_sweep, trial=_trial_nonlocality_sweep,
+        verdicts=_verdict_nonlocality_sweep),
+    "mean_width": Scenario(
+        sizes=[200], trials=50,
+        thresholds={"width_tol": 0.02, "ratio_min": 1.02},
+        params={"heuristic_restarts": 50},
+        grid=_per_size, trial=_trial_mean_width, verdicts=_verdict_mean_width),
+    "levy_tails": Scenario(
+        sizes=[20, 50], trials=1,
+        thresholds={"se_mult": 3.0},
+        params={"thetas": [math.pi / 3, 1.2, 1.4], "draws": 100_000},
+        grid=_grid_levy_tails, trial=_trial_levy_tails,
+        verdicts=_verdict_levy_tails),
+    "gaussian_row_concentration": Scenario(
+        sizes=[8], trials=1,
+        thresholds={"se_mult": 3.0},
+        params={"cases": [[400, 0.2], [400, 0.3], [100, 0.3]],
+                "draws": 100_000},
+        grid=_grid_gaussian_row_concentration,
+        trial=_trial_gaussian_row_concentration,
+        verdicts=_verdict_gaussian_row_concentration),
+    "tau_approximation": Scenario(
+        sizes=[50], trials=20,
+        thresholds={"gap_cap": 0.2},
+        params={"m_values": [500, 2000, 4000]},
+        grid=_grid_tau_approximation, trial=_trial_tau_approximation,
+        verdicts=_verdict_tau_approximation),
 }
+
+SCENARIOS = tuple(_TABLE)
+
+
+def default_config(scenario: str, master_seed: int = 2024) -> ExperimentConfig:
+    """Pilot-calibrated default configuration for each scenario."""
+    if scenario not in _TABLE:
+        raise ValidationError(f"unknown scenario {scenario!r}")
+    base = _TABLE[scenario]
+    return ExperimentConfig(scenario=scenario, sizes=list(base.sizes),
+                            trials=base.trials, master_seed=master_seed)
+
+
+def grid(cfg: ExperimentConfig) -> list[dict]:
+    """The size of every trial of cfg; trial i has size grid(cfg)[i]."""
+    return _TABLE[cfg.scenario].grid(cfg)
+
+
+def run_trial(cfg: ExperimentConfig, index: int, size: dict) -> TrialRecord:
+    """Trial `index` of cfg, seeded by (master_seed, index); a pure function
+    of its arguments, so any record of a report can be rebuilt alone."""
+    seed = SeedSpec(cfg.master_seed, index)
+    values = _TABLE[cfg.scenario].trial(cfg, size, seed)
+    return TrialRecord(trial_index=index, stream_seed=seed.stream_seed(),
+                       size=size, values=values)
+
+
+def verdicts(cfg: ExperimentConfig, trials: list[TrialRecord],
+             summaries: list[dict]) -> list[Verdict]:
+    """The scenario's verdicts, from the records, summaries and thresholds."""
+    return _TABLE[cfg.scenario].verdicts(cfg, trials, summaries)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Execute a scenario: independent seeded trials, order-independent
     aggregation, verdicts from records and thresholds only."""
-    jobs_fn, verdict_fn = _SCENARIO_TABLE[cfg.scenario]
-    jobs = jobs_fn(cfg)
+    sizes = grid(cfg)
     start = time.perf_counter()
-
-    def run_one(item):
-        idx, size, fn = item
-        seed = SeedSpec(cfg.master_seed, idx)
-        values = fn(seed)
-        return TrialRecord(trial_index=idx, stream_seed=seed.stream_seed(),
-                           size=size, values=values)
-
+    args = (itertools.repeat(cfg), range(len(sizes)), sizes)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run_one, jobs))
+            records = list(pool.map(run_trial, *args))
     else:
-        records = [run_one(j) for j in jobs]
-    records.sort(key=lambda r: r.trial_index)
+        records = list(map(run_trial, *args))
     summaries = summarize_records(records)
-    verdicts = verdict_fn(cfg, records, summaries)
     return ExperimentReport(config=cfg, trials=records, summaries=summaries,
-                            verdicts=verdicts,
+                            verdicts=verdicts(cfg, records, summaries),
                             wall_clock_s=time.perf_counter() - start)

@@ -29,14 +29,7 @@ _LOW_BITS = 12                  # sign bits in the exact enumeration's low table
 _PRICING_COLUMNS = 32           # atoms priced per column-generation round
 
 
-@dataclass(frozen=True)
-class GrothendieckConstants:
-    """Published interval for the real Grothendieck constant."""
-
-    kg_upper: float = 1.78221
-
-
-GROTHENDIECK = GrothendieckConstants()
+KG_UPPER = 1.78221  # published upper bound on the real Grothendieck constant
 
 
 def _sign(x: np.ndarray) -> np.ndarray:
@@ -124,7 +117,6 @@ class ConvexDecomposition:
     residual: float = 0.0
     converged: bool = True
     certified: bool = True
-    dual_bound: float | None = None
 
     def weight_sum(self) -> float:
         return float(np.sum(self.weights))
@@ -323,17 +315,6 @@ def infty_to_one_heuristic(a, restarts: int, seed: SeedSpec) -> tuple[float, Sig
             best_val = val
             best_pair = SignPair(alpha, _sign(m.T @ alpha))
     return best_val, best_pair
-
-
-def gamma2_star_orthogonal(o, tol_orth: float = 1e-9) -> float:
-    """The dual quantum norm of an orthogonal matrix equals its size n."""
-    m = as_matrix(o, square=True)
-    n = m.shape[0]
-    residual = float(np.linalg.norm(m @ m.T - np.eye(n)))
-    if residual > tol_orth:
-        raise ValidationError(
-            f"matrix is not orthogonal (residual {residual:.3e} > {tol_orth:.1e})")
-    return float(n)
 
 
 def _rescaled_factorization(du: np.ndarray, dv: np.ndarray, triple: SvdTriple
@@ -656,8 +637,7 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
     kept_w = weights[live]
     dec = ConvexDecomposition(weights=kept_w, atoms=kept_atoms,
                               converged=bool(price <= 1.0 + 1e-9 and slack <= 1e-9 * scale),
-                              certified=certified and bool(price <= 1.0 + 1e-9),
-                              dual_bound=dual_bound)
+                              certified=certified and bool(price <= 1.0 + 1e-9))
     dec.residual = dec.reconstruction_residual(m)
     return dec
 
@@ -709,7 +689,6 @@ def tau_gap_bound(n: int, m: int, seed: SeedSpec) -> float:
     sqrt_m = np.sqrt(m)
     max_eps = float(np.abs(gn / sqrt_m - 1.0).max())
     max_delta = float(np.abs(hn / sqrt_m - 1.0).max())
-    kg = GROTHENDIECK.kg_upper
-    return kg * (max_eps * hn.max() / sqrt_m
-                 + gn.max() * max_delta / sqrt_m
-                 + max_eps * max_delta)
+    return KG_UPPER * (max_eps * hn.max() / sqrt_m
+                       + gn.max() * max_delta / sqrt_m
+                       + max_eps * max_delta)

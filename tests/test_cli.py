@@ -7,6 +7,8 @@ import pytest
 
 from randcorr.cli import main, parse_scalar
 from randcorr.errors import NumericalError
+from randcorr.experiments import (ExperimentConfig, TrialRecord,
+                                  summarize_records, verdicts)
 from randcorr.linalg import write_matrix_csv
 from randcorr.norms import classical_upper_bound, quantum_classical_gap
 from randcorr.sampling import SeedSpec, gaussian
@@ -215,6 +217,35 @@ def test_verify_rejects_edited_verdicts(tmp_path, capsys, edit):
     capsys.readouterr()
     assert main(["verify-certificate", out]) == 1
     assert "FAIL verdict" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", ["stream_seed", "trial_index", "dropped", "swapped"])
+def test_verify_rejects_edited_layout(tmp_path, capsys, edit):
+    out = str(tmp_path / "exp.json")
+    assert main(["experiment", "--scenario", "tau_approximation", "--trials",
+                 "3", "--seed", "11", "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    trials = doc["trials"]
+    if edit == "stream_seed":
+        trials[1]["stream_seed"] += 1
+    elif edit == "trial_index":
+        trials[1]["trial_index"] = 7
+    else:
+        if edit == "dropped":
+            trials.pop()
+        else:
+            trials[0]["size"], trials[3]["size"] = trials[3]["size"], trials[0]["size"]
+        # summaries and verdicts made to match, so only the layout is wrong
+        cfg = ExperimentConfig.from_dict(doc["config"])
+        records = [TrialRecord.from_dict(t) for t in trials]
+        doc["summaries"] = summarize_records(records)
+        doc["verdicts"] = [v.to_dict() for v in
+                           verdicts(cfg, records, doc["summaries"])]
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert "FAIL trial" in capsys.readouterr().out
 
 
 def test_validation_errors_exit_2(tmp_path, capsys):

@@ -4,9 +4,10 @@ import math
 import pytest
 
 from randcorr.errors import ValidationError
-from randcorr.experiments import (ConcentrationTest, ExperimentConfig,
-                                  TrialRecord, default_config,
-                                  monte_carlo_se, run_experiment,
+from randcorr.experiments import (SCENARIOS, ExperimentConfig, TrialRecord,
+                                  default_config, gaussian_max_row_bound,
+                                  gaussian_row_bound, grid, levy_bound,
+                                  monte_carlo_se, run_experiment, run_trial,
                                   summarize_records)
 
 
@@ -35,14 +36,13 @@ def test_config_round_trip_merges_defaults():
 
 
 def test_concentration_test_bounds_are_probabilities():
-    t = ConcentrationTest(theta=1.0, epsilon=0.2)
-    assert 0.0 <= t.levy_bound(3) <= 1.0
-    assert 0.0 <= t.gaussian_row_bound(10) <= 1.0
-    assert 0.0 <= t.gaussian_max_row_bound(5, 10) <= 1.0
+    assert 0.0 <= levy_bound(1.0, 3) <= 1.0
+    assert 0.0 <= gaussian_row_bound(0.2, 10) <= 1.0
+    assert 0.0 <= gaussian_max_row_bound(0.2, 5, 10) <= 1.0
     with pytest.raises(ValidationError):
-        ConcentrationTest(theta=2.0).levy_bound(3)
+        levy_bound(2.0, 3)
     with pytest.raises(ValidationError):
-        ConcentrationTest(epsilon=1.5).gaussian_row_bound(3)
+        gaussian_row_bound(1.5, 3)
 
 
 def test_monte_carlo_se_guard():
@@ -85,6 +85,30 @@ def test_trial_records_reproducible_individually():
     t = gaussian(n, n, seed) / math.sqrt(n)
     assert quantum_classical_gap(t, heuristic_restarts=50, seed=seed) == \
         rec.values["gap"]
+
+
+# a few cheap trials per scenario, each with more than one size
+SMALL = {
+    "orthogonal_norm_band": dict(sizes=[4, 6], trials=2),
+    "quantum_norm_convergence": dict(sizes=[6, 10], trials=2),
+    "qc_gap": dict(sizes=[6], trials=2),
+    "nonlocality_sweep": dict(sizes=[6], trials=1),
+    "mean_width": dict(sizes=[6, 8], trials=2),
+    "levy_tails": dict(sizes=[5, 7], params={"thetas": [1.0, 1.3], "draws": 2000}),
+    "gaussian_row_concentration": dict(
+        params={"cases": [[50, 0.3], [20, 0.4]], "draws": 2000}),
+    "tau_approximation": dict(sizes=[6], trials=2, params={"m_values": [20, 40]}),
+}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_single_trial_rebuilds_report_records(scenario):
+    cfg = small(scenario, **SMALL[scenario])
+    rep = run_experiment(cfg)
+    sizes = grid(cfg)
+    assert [t.size for t in rep.trials] == sizes
+    for i in (0, len(sizes) - 1):
+        assert run_trial(cfg, i, sizes[i]) == rep.trials[i]
 
 
 def test_csv_export_shape():
@@ -186,6 +210,26 @@ def test_levy_theta_near_right_angle_trivial():
     rep = run_experiment(cfg)
     assert rep.trials[0].values["bound"] == pytest.approx(0.5, abs=1e-4)
     assert rep.passed()
+
+
+def test_levy_tails_bound_uses_configured_theta():
+    # the size shows theta rounded to 10 digits; the bound does not round
+    cfg = small("levy_tails", sizes=[20],
+                params={"thetas": [math.pi / 3], "draws": 2000})
+    rec = run_experiment(cfg).trials[0]
+    assert rec.size["theta"] == round(math.pi / 3, 10)
+    assert rec.values["bound"] == levy_bound(math.pi / 3, 20)
+    assert rec.values["bound"] != levy_bound(round(math.pi / 3, 10), 20)
+
+
+def test_orthogonal_band_size_check_runs_no_trial(monkeypatch):
+    import randcorr.experiments as experiments_mod
+    drawn = []
+    monkeypatch.setattr(experiments_mod, "haar_orthogonal",
+                        lambda n, seed: drawn.append(n))
+    with pytest.raises(ValidationError):
+        run_experiment(small("orthogonal_norm_band", sizes=[4, 30], trials=1))
+    assert drawn == []
 
 
 def test_gaussian_row_concentration_scenario():

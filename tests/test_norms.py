@@ -9,11 +9,11 @@ from scipy.optimize import linprog
 
 from randcorr.errors import NumericalError, ValidationError
 from randcorr.linalg import trace_norm
-from randcorr.norms import (GAMMA2_RESCALE_TOL, GROTHENDIECK, BellFunctional,
+from randcorr.norms import (GAMMA2_RESCALE_TOL, KG_UPPER, BellFunctional,
                             ConvexDecomposition, NormBracket, SignPair,
                             _top_sign_pairs, bell_functional_from_svd,
                             classical_lower_bound, classical_upper_bound, gamma2_bracket,
-                            gamma2_oracle, gamma2_star_orthogonal, gap_from_bell,
+                            gamma2_oracle, gap_from_bell,
                             infty_to_one_exact, infty_to_one_heuristic,
                             quantum_classical_gap, tau_gap_bound)
 from randcorr.sampling import SeedSpec, gaussian, haar_orthogonal
@@ -144,19 +144,6 @@ def test_heuristic_is_lower_bound_and_monotone_in_restarts():
         assert h1 <= exact + 1e-9
         assert h100 <= exact + 1e-9
         assert h100 >= h1 - 1e-12
-
-
-# --- gamma2* ------------------------------------------------------------------
-
-def test_gamma2_star_identity_haar_rotation():
-    assert gamma2_star_orthogonal(np.eye(5)) == 5.0
-    assert gamma2_star_orthogonal(haar_orthogonal(12, SeedSpec(34, 0))) == 12.0
-    for theta in (0.0, 0.3, 1.2, math.pi / 2):
-        rot = np.array([[math.cos(theta), -math.sin(theta)],
-                        [math.sin(theta), math.cos(theta)]])
-        assert gamma2_star_orthogonal(rot) == 2.0
-    with pytest.raises(ValidationError):
-        gamma2_star_orthogonal(np.ones((3, 3)))
 
 
 # --- gamma2 bracket -----------------------------------------------------------
@@ -464,7 +451,7 @@ def test_duality_sandwich_on_seeded_inputs():
         assert lower <= dec.weight_sum() + 1e-7
         br = gamma2_bracket(g)
         assert br.lower <= dec.weight_sum() + 1e-7
-        assert dec.weight_sum() <= GROTHENDIECK.kg_upper * br.upper + 1e-6
+        assert dec.weight_sum() <= KG_UPPER * br.upper + 1e-6
 
 
 def reference_projective_norm(t):

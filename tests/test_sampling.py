@@ -5,7 +5,7 @@ import pytest
 
 from randcorr.errors import ValidationError
 from randcorr.linalg import flatness_ratio, svd
-from randcorr.norms import GROTHENDIECK, tau_gap_bound
+from randcorr.norms import KG_UPPER, tau_gap_bound
 from randcorr.sampling import (EnsembleSpec, SeedSpec, bi_invariant, gaussian,
                                gaussian_product, haar_orthogonal, splitmix64,
                                uniform_sphere, unit_rows_correlation)
@@ -129,7 +129,7 @@ def test_unit_rows_coupling_with_gaussian_product():
     seed = SeedSpec(23, 0)
     tau = unit_rows_correlation(n, m, seed)
     prod = gaussian_product(n, m, seed) / m
-    bound = tau_gap_bound(n, m, seed) / GROTHENDIECK.kg_upper
+    bound = tau_gap_bound(n, m, seed) / KG_UPPER
     assert np.abs(tau - prod).max() <= bound + 1e-12
 
 
