@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Run every experiment scenario at its default configuration.
 
-Writes one JSON report per scenario into --outdir and prints the verdict
-lines.  Exit status is nonzero if any verdict fails.
+Runs `randcorr experiment` once per scenario, writing one JSON report per
+scenario into --outdir; the verdict lines are those of `randcorr
+experiment`.  Exit status is nonzero if any run's is.
 """
 import argparse
-import json
 import os
 import sys
+import time
 
-from randcorr.experiments import SCENARIOS, default_config, run_experiment
+from randcorr.cli import main as randcorr_main
+from randcorr.experiments import SCENARIOS, default_config
 
 
 def main():
@@ -23,25 +25,18 @@ def main():
                     help="run only these scenarios (repeatable)")
     args = ap.parse_args()
 
-    os.makedirs(args.outdir, exist_ok=True)
-    wanted = args.scenario or SCENARIOS
-    all_ok = True
-    for name in wanted:
-        cfg = default_config(name, master_seed=args.seed)
-        if args.quick:
-            cfg.trials = max(1, cfg.trials // 10)
-        report = run_experiment(cfg, threads=args.threads)
+    status = 0
+    for name in args.scenario or SCENARIOS:
         path = os.path.join(args.outdir, f"{name}.json")
-        with open(path, "w") as fh:
-            fh.write(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-            fh.write("\n")
-        status = "ok" if report.passed() else "VERDICT FAILURE"
-        print(f"{name}: {status} ({report.wall_clock_s:.1f}s) -> {path}")
-        for v in report.verdicts:
-            print(f"  [{'PASS' if v.passed else 'FAIL'}] {v.name}: "
-                  f"value={v.value:.6g} threshold={v.threshold:.6g}")
-        all_ok = all_ok and report.passed()
-    return 0 if all_ok else 3
+        argv = ["experiment", "--scenario", name, "--seed", str(args.seed),
+                "--threads", str(args.threads), "--out", path]
+        if args.quick:
+            argv += ["--trials", str(max(1, default_config(name).trials // 10))]
+        start = time.perf_counter()
+        code = randcorr_main(argv)
+        print(f"{name}: exit {code} ({time.perf_counter() - start:.1f}s) -> {path}")
+        status = status or code
+    return status
 
 
 if __name__ == "__main__":

@@ -20,10 +20,11 @@ from . import spectral
 from .errors import NumericalError, ValidationError
 from .linalg import (as_matrix, flatness_ratio, operator_norm, read_matrix_csv,
                      trace_norm, write_matrix_csv)
-from .norms import (ConvexDecomposition, DualWitness, FactorizationPair,
-                    SignPair, bell_functional_from_svd, classical_lower_bound,
-                    classical_upper_bound, gamma2_bracket, gamma2_oracle,
-                    gap_from_bell, infty_to_one_exact, infty_to_one_heuristic)
+from .norms import (BellFunctional, ConvexDecomposition, DualWitness,
+                    FactorizationPair, SignPair, bell_functional_from_svd,
+                    classical_lower_bound, classical_upper_bound,
+                    gamma2_bracket, gamma2_oracle, gap_from_bell,
+                    infty_to_one_exact, infty_to_one_heuristic)
 from .sampling import ENSEMBLE_KINDS, EnsembleSpec, SeedSpec
 from .experiments import (ExperimentConfig, TrialRecord, default_config, grid,
                           run_experiment, summarize_records, verdicts)
@@ -32,6 +33,14 @@ SCHEMA_VERSION = "1"
 OUT_ENV = "RANDCORR_OUT"
 _CERT_TOL = 1e-9
 _RECONSTRUCTION_TOL = 1e-6  # max residual of a certified convex decomposition
+# results entries that restate a certificate's claim, by report kind
+_RESULT_CLAIMS = {
+    "gap": {"bell_norm": "bell_functional", "gamma2_lower": "gamma2_lower",
+            "gamma2_upper": "gamma2_upper"},
+    "classical": {"lower": "classical_lower", "upper": "classical_upper"},
+    "gamma2": {"lower": "gamma2_lower", "upper": "gamma2_upper"},
+    "norm": {"value": "infty_to_one_lower"},
+}
 
 
 # --- symbolic constant parser ------------------------------------------------
@@ -57,7 +66,10 @@ class _Tokens:
                 while j < len(text) and (text[j].isdigit() or text[j] in ".eE"
                                          or (text[j] in "+-" and text[j - 1] in "eE")):
                     j += 1
-                out.append(float(text[i:j]))
+                try:
+                    out.append(float(text[i:j]))
+                except ValueError:
+                    raise ValidationError(f"malformed number {text[i:j]!r}") from None
                 i = j
             elif ch.isalpha():
                 j = i
@@ -97,6 +109,8 @@ def parse_scalar(text: str) -> float:
             if nxt in ("*", "/"):
                 op = toks.pop()
                 rhs = unary()
+                if op == "/" and rhs == 0.0:
+                    raise ValidationError(f"division by zero in {text!r}")
                 val = val * rhs if op == "*" else val / rhs
             elif isinstance(nxt, float) or nxt == "(" or (
                     isinstance(nxt, str) and nxt.isalpha()):
@@ -122,6 +136,8 @@ def parse_scalar(text: str) -> float:
             val = expr()
             if toks.pop() != ")":
                 raise ValidationError("unbalanced parentheses")
+            if val < 0.0 or (tok == "ln" and val == 0.0):
+                raise ValidationError(f"{tok}({val!r}) is undefined")
             return math.sqrt(val) if tok == "sqrt" else math.log(val)
         if tok == "(":
             val = expr()
@@ -133,6 +149,8 @@ def parse_scalar(text: str) -> float:
     val = expr()
     if toks.peek() is not None:
         raise ValidationError(f"trailing input in expression: {text!r}")
+    if not math.isfinite(val):
+        raise ValidationError(f"expression {text!r} is not finite")
     return val
 
 
@@ -349,6 +367,7 @@ def _cmd_experiment(args) -> int:
 def _verify_single(doc: dict) -> list:
     failures = []
     mat = as_matrix(doc["matrix"]) if "matrix" in doc else None
+    evaluated, bell = {}, None
     for i, cert in enumerate(doc.get("certificates", [])):
         claimed = float(cert["value"])
         payload = cert["certificate"]
@@ -378,11 +397,14 @@ def _verify_single(doc: dict) -> list:
                 got = dec.weight_sum()
             elif kind == "bell_functional":
                 a = as_matrix(payload["a"], square=True)
-                if payload.get("exact"):
+                exact = bool(payload.get("exact"))
+                if exact:
                     norm, _ = infty_to_one_exact(a)
                 else:
                     # alpha^t a beta <= n ||a||_op for any a, orthogonal or not
                     norm = a.shape[0] * operator_norm(a)
+                bell = BellFunctional(a, norm, exact,
+                                      None if exact else float(payload["heuristic_lower"]))
                 if cert["claims"] == "classical_lower":
                     got = float((mat * a).sum()) / norm
                 else:
@@ -390,11 +412,43 @@ def _verify_single(doc: dict) -> list:
             else:
                 failures.append(f"{label}: unknown certificate type {kind!r}")
                 continue
-        except (ValidationError, NumericalError) as exc:
+        except (ValidationError, NumericalError, KeyError) as exc:
             failures.append(f"{label}: re-evaluation failed: {exc}")
             continue
+        evaluated[cert["claims"]] = got
         if abs(got - claimed) > _CERT_TOL * max(1.0, abs(claimed)):
             failures.append(f"{label}: re-evaluates to {got!r}, claimed {claimed!r}")
+    return failures + _verify_results(doc, mat, evaluated, bell)
+
+
+def _verify_results(doc: dict, mat, evaluated: dict, bell) -> list:
+    """Check a single-matrix report's results against the re-evaluated
+    certificates: each entry that restates a claim must match it, an entry
+    whose certificate is missing must be null (norm's trace, operator and
+    flatness values have none and stay unchecked), and a gap report's `gap`
+    and `bell_norm_exact` must follow from its Bell functional."""
+    failures = []
+    kind, results = doc.get("kind"), doc.get("results", {})
+    for key, claim in _RESULT_CLAIMS.get(kind, {}).items():
+        stored = results.get(key)
+        if claim in evaluated:
+            if stored is None or not _close(stored, evaluated[claim]):
+                failures.append(f"results {key}: {stored!r} stored, certificate "
+                                f"{claim} re-evaluates to {evaluated[claim]!r}")
+        elif stored is not None and kind != "norm":
+            failures.append(f"results {key}: no {claim} certificate backs it")
+    if kind == "gap":
+        if bell is None or "gamma2_lower" not in evaluated:
+            failures.append("results gap: no bell_functional and gamma2_lower "
+                            "certificates to recompute it from")
+        else:
+            stored = results.get("gap")
+            gap = gap_from_bell(mat, bell, evaluated["gamma2_lower"])
+            if stored is None or not _close(stored, gap):
+                failures.append(f"results gap: {stored!r} stored, recomputes to {gap!r}")
+            if results.get("bell_norm_exact") is not bell.exact:
+                failures.append("results bell_norm_exact does not match the "
+                                "bell_functional certificate")
     return failures
 
 
@@ -554,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-certificate", help="re-evaluate a report's certificates")
     p.add_argument("report")
-    common(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser

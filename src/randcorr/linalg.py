@@ -32,7 +32,7 @@ class SvdTriple:
     """Singular value decomposition a = u @ diag(sigma) @ v.T.
 
     sigma is sorted descending and non-negative; u and v are orthogonal
-    within `tol_orth`.
+    within TOL_ORTH.
     """
 
     u: np.ndarray
@@ -56,7 +56,7 @@ class SvdTriple:
         return np.linalg.norm(self.reconstruct() - a) / denom
 
 
-def svd(a, tol_orth: float = TOL_ORTH, tol_recon: float = TOL_RECON) -> SvdTriple:
+def svd(a) -> SvdTriple:
     """Full SVD of a square matrix, validated against its invariants."""
     m = as_matrix(a, square=True)
     try:
@@ -66,7 +66,7 @@ def svd(a, tol_orth: float = TOL_ORTH, tol_recon: float = TOL_RECON) -> SvdTripl
     triple = SvdTriple(u=u, sigma=s, v=vt.T)
     r_orth = triple.orthogonality_residual()
     r_recon = triple.reconstruction_residual(m)
-    if r_orth > tol_orth or r_recon > tol_recon:
+    if r_orth > TOL_ORTH or r_recon > TOL_RECON:
         raise NumericalError(
             "SVD result violates tolerances",
             detail={"orth_residual": r_orth, "recon_residual": r_recon},
@@ -109,11 +109,15 @@ def read_matrix_csv(path) -> np.ndarray:
     """Read a headerless CSV matrix (rows of comma-separated decimals)."""
     rows = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rows.append([float(tok) for tok in line.split(",")])
+            try:
+                rows.append([float(tok) for tok in line.split(",")])
+            except ValueError:
+                raise ValidationError(
+                    f"non-numeric entry on line {lineno} of {path}") from None
     if not rows:
         raise ValidationError(f"empty matrix file: {path}")
     width = len(rows[0])

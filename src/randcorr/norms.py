@@ -21,12 +21,16 @@ from .sampling import SeedSpec
 
 EXACT_CAP = 24          # 2^(n-1) sign vectors enumerated exactly up to here
 GAMMA2_ORACLE_CAP = 12  # PSD-completion oracle stays desk-scale
+GAMMA2_ORACLE_TOL_FEAS = 1e-7   # relative residual of a feasible PSD completion
+GAMMA2_ORACLE_MAX_ITER = 3000   # alternating projections per feasibility test
+GAMMA2_ORACLE_MAX_BISECT = 40   # bisection steps before the oracle gives up
 GAMMA2_RESCALE_TOL = 3e-3       # stop once upper <= (1 + tol) * rescaled trace norm
 GAMMA2_RESCALE_MAX_ITER = 100   # rescaling steps after the plain factorization
 GAMMA2_SCALE_FLOOR = 1e-2       # smallest row/column weight, relative to the largest
 TOL_FACTOR_RESIDUAL = 1e-9      # max reconstruction residual of an upper certificate
 _LOW_BITS = 12                  # sign bits in the exact enumeration's low table (2^12 x n)
 _PRICING_COLUMNS = 32           # atoms priced per column-generation round
+HEURISTIC_RESTARTS = 50         # alternating-ascent starts above EXACT_CAP
 
 
 KG_UPPER = 1.78221  # published upper bound on the real Grothendieck constant
@@ -231,7 +235,7 @@ class _SplitTables:
         return float(alpha @ m @ beta), SignPair(alpha, beta)
 
 
-def infty_to_one_exact(a, exact_cap: int = EXACT_CAP) -> tuple[float, SignPair]:
+def infty_to_one_exact(a) -> tuple[float, SignPair]:
     """Exact max of alpha^t a beta over sign vectors, with an attaining pair.
 
     Enumerates the 2^(n-1) sign vectors alpha with alpha_1 = +1 (global sign
@@ -248,9 +252,9 @@ def infty_to_one_exact(a, exact_cap: int = EXACT_CAP) -> tuple[float, SignPair]:
     """
     m = as_matrix(a, square=True)
     n = m.shape[0]
-    if n > exact_cap:
+    if n > EXACT_CAP:
         raise ValidationError(
-            f"n={n} exceeds exact_cap={exact_cap}; use infty_to_one_heuristic")
+            f"n={n} exceeds EXACT_CAP={EXACT_CAP}; use infty_to_one_heuristic")
     tables = _SplitTables(m)
     best_val = -np.inf
     best = (0, 0)
@@ -447,8 +451,7 @@ def _gamma2_bracket(m: np.ndarray, triple: SvdTriple) -> NormBracket:
                        lower_certificate=witness, upper_certificate=best)
 
 
-def _psd_completion_feasible(t: np.ndarray, c: float, z0: np.ndarray | None,
-                             tol_feas: float, max_iter: int):
+def _psd_completion_feasible(t: np.ndarray, c: float, z0: np.ndarray | None):
     """Alternating projections between the PSD cone and the affine slice
     {off-diagonal block = t, diagonal <= c}.  Returns (feasible, last Z)."""
     n = t.shape[0]
@@ -463,7 +466,7 @@ def _psd_completion_feasible(t: np.ndarray, c: float, z0: np.ndarray | None,
         d = np.diagonal(z).copy()
         np.fill_diagonal(z, np.minimum(d, c))
     prev_res = np.inf
-    for it in range(max_iter):
+    for it in range(GAMMA2_ORACLE_MAX_ITER):
         w, vec = np.linalg.eigh(z)
         psd = (vec * np.maximum(w, 0.0)) @ vec.T
         z = psd.copy()
@@ -472,17 +475,16 @@ def _psd_completion_feasible(t: np.ndarray, c: float, z0: np.ndarray | None,
         d = np.diagonal(z).copy()
         np.fill_diagonal(z, np.minimum(d, c))
         res = float(np.linalg.norm(psd - z)) / scale
-        if res < tol_feas:
+        if res < GAMMA2_ORACLE_TOL_FEAS:
             return True, z
         if it % 50 == 49:
-            if res > 10 * tol_feas and res > 0.999 * prev_res:
+            if res > 10 * GAMMA2_ORACLE_TOL_FEAS and res > 0.999 * prev_res:
                 return False, z
             prev_res = res
-    return res < 10 * tol_feas, z
+    return res < 10 * GAMMA2_ORACLE_TOL_FEAS, z
 
 
-def gamma2_oracle(t, tol: float = 1e-4, tol_feas: float = 1e-7,
-                  max_bisect: int = 40, max_iter: int = 3000) -> float:
+def gamma2_oracle(t, tol: float = 1e-4) -> float:
     """Small-n gamma2 oracle, independent of the bracket construction.
 
     Bisects c over [bracket.lower, bracket.upper] on feasibility of a PSD
@@ -500,11 +502,11 @@ def gamma2_oracle(t, tol: float = 1e-4, tol_feas: float = 1e-7,
     warm = None
     steps = 0
     while hi - lo > tol:
-        if steps >= max_bisect:
+        if steps >= GAMMA2_ORACLE_MAX_BISECT:
             raise NumericalError("gamma2 bisection failed to separate",
                                  detail={"interval": (lo, hi)})
         mid = 0.5 * (lo + hi)
-        feasible, warm = _psd_completion_feasible(m, mid, warm, tol_feas, max_iter)
+        feasible, warm = _psd_completion_feasible(m, mid, warm)
         if feasible:
             hi = mid
         else:
@@ -524,29 +526,28 @@ def classical_lower_bound(t, bell: BellFunctional) -> float:
     return float((m * bell.a).sum() / bell.eps_one_norm)
 
 
-def bell_functional_from_svd(t, exact_cap: int = EXACT_CAP,
-                             heuristic_restarts: int = 50,
+def bell_functional_from_svd(t, heuristic_restarts: int = HEURISTIC_RESTARTS,
                              seed: SeedSpec | None = None) -> BellFunctional:
     """The orthogonal functional UV^t from the SVD of t.
 
-    For n <= exact_cap the inf->1 norm is computed exactly; above the cap
+    For n <= EXACT_CAP the inf->1 norm is computed exactly; above the cap
     the certified upper bound n is stored (alpha^t a beta <= n ||a||_op,
     and a is orthogonal) and the alternating-ascent estimate is reported
     separately.  Near-singular inputs keep the (non-unique) UV^t and set a
     warning flag.
     """
     m = as_matrix(t, square=True)
-    return _bell_functional(svd(m), exact_cap, heuristic_restarts, seed)
+    return _bell_functional(svd(m), heuristic_restarts, seed)
 
 
-def _bell_functional(triple: SvdTriple, exact_cap: int, heuristic_restarts: int,
+def _bell_functional(triple: SvdTriple, heuristic_restarts: int,
                      seed: SeedSpec | None) -> BellFunctional:
     """bell_functional_from_svd on the SVD triple of t."""
     a = triple.u @ triple.v.T
     n = a.shape[0]
     near_singular = bool(triple.sigma[-1] <= 1e-10 * max(triple.sigma[0], 1e-300))
-    if n <= exact_cap:
-        value, pair = infty_to_one_exact(a, exact_cap)
+    if n <= EXACT_CAP:
+        value, pair = infty_to_one_exact(a)
         return BellFunctional(a=a, eps_one_norm=value, exact=True,
                               near_singular=near_singular, attaining=pair)
     h_seed = seed if seed is not None else SeedSpec(0, 0)
@@ -557,19 +558,17 @@ def _bell_functional(triple: SvdTriple, exact_cap: int, heuristic_restarts: int,
 
 
 def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
-                          exact_cap: int = EXACT_CAP,
-                          heuristic_restarts: int = 50,
                           seed: SeedSpec | None = None) -> ConvexDecomposition:
     """Projective-norm upper bound by column generation over sign atoms.
 
     Restricted master: min sum(w) with sum_k w_k outer(alpha_k, beta_k) = t,
     w >= 0 (elastic slacks keep it feasible while the pool is small).
     Pricing maximizes the dual pairing over sign matrices; with exact
-    pricing (n <= exact_cap) the result is certified optimal to `tol` via
+    pricing (n <= EXACT_CAP) the result is certified optimal to `tol` via
     the dual bound sum(w) <= opt * price.  Exact pricing scores every sign
     vector anyway, so each round adds the price-attaining atom plus up to
     _PRICING_COLUMNS - 1 further atoms of value above 1 + 1e-9 (multi-column
-    pricing); above exact_cap the heuristic prices one atom per round.
+    pricing); above EXACT_CAP the heuristic prices one atom per round.
 
     max_atoms bounds the master solves and the pool: it never holds more
     than max_atoms atoms beyond the two it starts with.  When new atoms
@@ -580,7 +579,7 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
     if max_atoms < 1:
         raise ValidationError("max_atoms must be >= 1")
     n = m.shape[0]
-    certified = n <= exact_cap
+    certified = n <= EXACT_CAP
     h_seed = seed if seed is not None else SeedSpec(0, 0)
     b = m.flatten()
     scale = max(1.0, float(np.abs(m).max()))
@@ -589,13 +588,13 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
     def price_oracle(y: np.ndarray) -> list[tuple[float, SignPair]]:
         if certified:
             return _top_sign_pairs(y, _PRICING_COLUMNS)
-        return [infty_to_one_heuristic(y, heuristic_restarts, h_seed)]
+        return [infty_to_one_heuristic(y, HEURISTIC_RESTARTS, h_seed)]
 
     def column(pair: SignPair) -> np.ndarray:
         return np.outer(pair.alpha, pair.beta).flatten()
 
-    _, pair0 = (infty_to_one_exact(m, exact_cap) if certified
-                else infty_to_one_heuristic(m, heuristic_restarts, h_seed))
+    _, pair0 = (infty_to_one_exact(m) if certified
+                else infty_to_one_heuristic(m, HEURISTIC_RESTARTS, h_seed))
     atoms = [pair0, SignPair(np.ones(n), np.ones(n))]
     capacity = len(atoms) + max_atoms
     n2 = n * n
@@ -642,8 +641,7 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
     return dec
 
 
-def quantum_classical_gap(t, exact_cap: int = EXACT_CAP,
-                          heuristic_restarts: int = 50,
+def quantum_classical_gap(t, heuristic_restarts: int = HEURISTIC_RESTARTS,
                           seed: SeedSpec | None = None) -> float:
     """Estimated ratio of classical to quantum norm of t.
 
@@ -651,7 +649,7 @@ def quantum_classical_gap(t, exact_cap: int = EXACT_CAP,
     Denominator: ||t||_tr / n, the quantum norm value that the trace-norm
     convergence theorem makes asymptotically exact for flat bi-invariant
     ensembles.  A value > 1 flags t/gamma2(t) as non-classical; when n
-    exceeds exact_cap the Bell norm is the alternating-ascent estimate and
+    exceeds EXACT_CAP the Bell norm is the alternating-ascent estimate and
     the gap is an uncertified (optimistic) estimate.  One SVD of t gives
     both the functional and the denominator.
     """
@@ -659,7 +657,7 @@ def quantum_classical_gap(t, exact_cap: int = EXACT_CAP,
     if not np.any(m):
         raise ValidationError("quantum_classical_gap requires a nonzero matrix")
     triple = svd(m)
-    bell = _bell_functional(triple, exact_cap, heuristic_restarts, seed)
+    bell = _bell_functional(triple, heuristic_restarts, seed)
     return gap_from_bell(m, bell, float(triple.sigma.sum() / m.shape[0]))
 
 

@@ -55,9 +55,6 @@ class SeedSpec:
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.stream_seed()))
 
-    def trial(self, trial_index: int) -> "SeedSpec":
-        return SeedSpec(self.master_seed, trial_index)
-
 
 @dataclass
 class EnsembleSpec:
@@ -97,24 +94,6 @@ class EnsembleSpec:
         if self.kind == "gaussian_product":
             return gaussian_product(self.n, self.m, seed)
         return unit_rows_correlation(self.n, self.m, seed)
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "n": self.n}
-        if self.m is not None:
-            d["m"] = self.m
-        if self.spectrum is not None:
-            d["spectrum"] = [float(x) for x in self.spectrum]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnsembleSpec":
-        known = {"kind", "n", "m", "spectrum"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValidationError(f"unknown ensemble keys: {sorted(unknown)}")
-        return cls(kind=d["kind"], n=int(d["n"]),
-                   m=int(d["m"]) if "m" in d else None,
-                   spectrum=d.get("spectrum"))
 
 
 def gaussian(n: int, m: int, seed: SeedSpec) -> np.ndarray:

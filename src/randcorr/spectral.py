@@ -80,12 +80,12 @@ def support_overestimate(alpha: float) -> float:
     return 10.0 * (1.0 + 1.0 / np.sqrt(alpha)) ** 2
 
 
-def stieltjes(alpha: float, z: complex, residual_tol: float = 1e-12) -> complex:
+def stieltjes(alpha: float, z: complex) -> complex:
     """The Stieltjes transform at a single z with Im z > 0.
 
     The physical branch is continued from the -1/z asymptote down a
     straight path to z; the returned root has Im s > 0 and satisfies the
-    cubic to `residual_tol` (relative).
+    cubic to 1e-12 (relative).
     """
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
@@ -104,7 +104,7 @@ def stieltjes(alpha: float, z: complex, residual_tol: float = 1e-12) -> complex:
         raise NumericalError("no upper-half-plane root found",
                              detail={"z": z, "roots": roots[-1].tolist()})
     res = cubic_residual(alpha, z, s)
-    if res > residual_tol:
+    if res > 1e-12:
         raise NumericalError(f"cubic residual {res:.2e} above tolerance",
                              detail={"z": z})
     return complex(s)
@@ -174,7 +174,7 @@ def _density_arrays(alpha: float, grid_points: int, eps_cap: float):
         p = np.log(f[1] / f[0]) / np.log(xs[1] / xs[0])
         if -1.0 < p < 0.0:
             tail = float(f[0] * xs[0] / (p + 1.0))
-    return xs, f, atom, tail, x_hi, s_vals, eps
+    return xs, f, atom, tail, x_hi
 
 
 def _scan_upper_edge(alpha: float, x_hi_hint: float) -> tuple[float, float]:
@@ -210,7 +210,7 @@ def density(alpha: float, grid_points: int = DEFAULT_GRID_POINTS,
         raise ValidationError("alpha must be positive")
     if grid_points < 100:
         raise ValidationError("grid_points must be >= 100")
-    xs, f, atom, tail, x_hi, _, _ = _density_arrays(alpha, grid_points, eps_cap)
+    xs, f, atom, tail, x_hi = _density_arrays(alpha, grid_points, eps_cap)
     detected, scan_step = _scan_upper_edge(alpha, x_hi)
     if abs(detected - x_hi) > max(3.0 * scan_step, 0.02 * x_hi):
         raise NumericalError(

@@ -3,6 +3,7 @@
 Each test prints one [PASS]/[FAIL] line with the measured values before
 asserting, so a full run documents the numeric outcome of every criterion.
 """
+import functools
 import math
 import time
 
@@ -35,11 +36,16 @@ def test_criterion_1_threshold_reproduction():
                          f"{elapsed:.1f}s (< 10 s)")
 
 
-def test_criterion_2_quantum_norm_convergence_monotone():
+@functools.cache
+def _quantum_norm_convergence_run():
+    # both halves of criterion 2 read the same default run: (report, seconds)
     start = time.perf_counter()
-    cfg = default_config("quantum_norm_convergence")
-    rep = run_experiment(cfg)
-    elapsed = time.perf_counter() - start
+    rep = run_experiment(default_config("quantum_norm_convergence"))
+    return rep, time.perf_counter() - start
+
+
+def test_criterion_2_quantum_norm_convergence_monotone():
+    rep, elapsed = _quantum_norm_convergence_run()
     medians = {s["size"]["n"]: s["q50"] for s in rep.summaries
                if s["stat"] == "bracket_ratio"}
     seq = [medians[n] for n in (50, 100, 200, 400)]
@@ -54,8 +60,7 @@ def test_criterion_2_quantum_norm_convergence_cap():
     # end is the diagonally rescaled factorization, which stops within a small
     # tolerance of a lower bound on gamma2, so the median ratio at n=400 must
     # sit under the stated 1.05 cap.
-    cfg = default_config("quantum_norm_convergence")
-    rep = run_experiment(cfg)
+    rep, _ = _quantum_norm_convergence_run()
     med400 = next(s["q50"] for s in rep.summaries
                   if s["stat"] == "bracket_ratio" and s["size"]["n"] == 400)
     ok = med400 <= 1.05

@@ -248,6 +248,55 @@ def test_verify_rejects_edited_layout(tmp_path, capsys, edit):
     assert "FAIL trial" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind, edit", [
+    ("gap", "gap"), ("gap", "gamma2_upper"), ("classical", "lower"),
+    ("classical", "upper"), ("gamma2", "lower"), ("norm", "value"),
+    ("gap", "bell_norm_exact"), ("classical", "upper_certificate_dropped")])
+def test_verify_rejects_edited_results(tmp_path, capsys, kind, edit):
+    mpath = tmp_path / "g.csv"
+    write_matrix_csv(mpath, gaussian(6, 6, SeedSpec(13, 0)) / math.sqrt(6))
+    out = str(tmp_path / f"{kind}.json")
+    assert main([kind, "--matrix", str(mpath), "--out", out]) == 0
+    assert main(["verify-certificate", out]) == 0
+    doc = json.loads(open(out).read())
+    if edit == "bell_norm_exact":
+        doc["results"][edit] = not doc["results"][edit]
+    elif edit == "upper_certificate_dropped":
+        doc["certificates"] = [c for c in doc["certificates"]
+                               if c["claims"] != "classical_upper"]
+    else:
+        doc["results"][edit] *= 1.5
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert "FAIL results" in capsys.readouterr().out
+
+
+def test_uncertified_norm_reports_verify(id4, tmp_path):
+    # trace, operator and flatness values carry no certificate to check
+    for which in ("trace", "operator", "flatness"):
+        out = str(tmp_path / f"{which}.json")
+        assert main(["norm", "--matrix", id4, "--which", which, "--out", out]) == 0
+        assert main(["verify-certificate", out]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--gap", "1/0"], ["threshold", "--gap", "sqrt(-1)"],
+    ["threshold", "--gap", "1.5.2"], ["spectral", "--alpha", "ln(0)"],
+    ["spectral", "--alpha", "1e400"], ["norm", "--matrix", "BAD_CSV"]],
+    ids=["div_by_zero", "sqrt_negative", "two_points", "ln_zero", "overflow",
+         "csv_cell"])
+def test_malformed_numeric_input_exits_2(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2\n3,x\n")
+    argv = [str(bad) if tok == "BAD_CSV" else tok for tok in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    assert json.loads(err)["error"] == "validation"
+
+
 def test_validation_errors_exit_2(tmp_path, capsys):
     assert main(["norm", "--matrix", str(tmp_path / "missing.csv")]) == 2
     err = capsys.readouterr().err

@@ -403,8 +403,7 @@ def test_bell_functional_near_singular_flag():
 
 def test_bell_functional_heuristic_above_cap():
     g = small_gaussian(30, 43)
-    bell = bell_functional_from_svd(g, exact_cap=24, heuristic_restarts=10,
-                                    seed=SeedSpec(44, 0))
+    bell = bell_functional_from_svd(g, heuristic_restarts=10, seed=SeedSpec(44, 0))
     assert not bell.exact
     assert bell.eps_one_norm == pytest.approx(min(30, 30 * np.linalg.svd(bell.a, compute_uv=False)[0]))
     assert bell.heuristic_lower is not None

@@ -155,12 +155,3 @@ def test_ensemble_spec_validation_and_dispatch():
         EnsembleSpec(kind="bi_invariant", n=3)
     with pytest.raises(ValidationError):
         EnsembleSpec(kind="nope", n=3)
-
-
-def test_ensemble_spec_dict_round_trip():
-    spec = EnsembleSpec(kind="bi_invariant", n=3, spectrum=[2.0, 1.0, 0.5])
-    back = EnsembleSpec.from_dict(spec.to_dict())
-    assert back.kind == spec.kind and back.n == spec.n
-    assert np.allclose(back.spectrum, spec.spectrum)
-    with pytest.raises(ValidationError):
-        EnsembleSpec.from_dict({"kind": "gaussian", "n": 3, "bogus": 1})
