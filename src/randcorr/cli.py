@@ -146,7 +146,11 @@ def parse_scalar(text: str) -> float:
             return val
         raise ValidationError(f"unexpected token {tok!r}")
 
-    val = expr()
+    try:
+        val = expr()
+    except RecursionError:
+        # one Python frame per nesting level of parentheses or unary minus
+        raise ValidationError(f"expression nested too deeply: {text[:40]!r}...") from None
     if toks.peek() is not None:
         raise ValidationError(f"trailing input in expression: {text!r}")
     if not math.isfinite(val):
@@ -369,11 +373,11 @@ def _verify_single(doc: dict) -> list:
     mat = as_matrix(doc["matrix"]) if "matrix" in doc else None
     evaluated, bell = {}, None
     for i, cert in enumerate(doc.get("certificates", [])):
-        claimed = float(cert["value"])
         payload = cert["certificate"]
         kind = payload.get("type")
         label = f"certificate {i} ({cert['claims']})"
         try:
+            claimed = float(cert["value"])
             if kind == "sign_pair":
                 got = SignPair.from_dict(payload).pairing(mat)
             elif kind == "dual_witness":
@@ -403,8 +407,16 @@ def _verify_single(doc: dict) -> list:
                 else:
                     # alpha^t a beta <= n ||a||_op for any a, orthogonal or not
                     norm = a.shape[0] * operator_norm(a)
-                bell = BellFunctional(a, norm, exact,
-                                      None if exact else float(payload["heuristic_lower"]))
+                    # gap is computed from the heuristic lower value, so its
+                    # attaining pair must reach it (the ascent stops within
+                    # 1e-12 of the pair's value)
+                    lower = float(payload["heuristic_lower"])
+                    reached = SignPair.from_dict(payload["attaining"]).pairing(a)
+                    if not abs(reached - lower) <= _CERT_TOL * max(1.0, abs(lower)):
+                        failures.append(f"{label}: heuristic_lower {lower!r} stored, "
+                                        f"its attaining pair reaches {reached!r}")
+                        continue
+                bell = BellFunctional(a, norm, exact, None if exact else lower)
                 if cert["claims"] == "classical_lower":
                     got = float((mat * a).sum()) / norm
                 else:
@@ -412,7 +424,8 @@ def _verify_single(doc: dict) -> list:
             else:
                 failures.append(f"{label}: unknown certificate type {kind!r}")
                 continue
-        except (ValidationError, NumericalError, KeyError) as exc:
+        except (ValidationError, NumericalError, KeyError, TypeError, ValueError) as exc:
+            # a malformed payload (a missing key, a non-numeric entry)
             failures.append(f"{label}: re-evaluation failed: {exc}")
             continue
         evaluated[cert["claims"]] = got
@@ -452,10 +465,14 @@ def _verify_results(doc: dict, mat, evaluated: dict, bell) -> list:
     return failures
 
 
-def _close(a: float, b: float) -> bool:
+def _close(a, b) -> bool:
     """Stored and re-evaluated numbers agree to 1e-12 relative (equal
-    infinities and two NaNs agree too)."""
-    a, b = float(a), float(b)
+    infinities and two NaNs agree too); a value that is not a number agrees
+    with nothing."""
+    try:
+        a, b = float(a), float(b)
+    except (TypeError, ValueError):
+        return False
     return a == b or (math.isnan(a) and math.isnan(b)) or (
         abs(a - b) <= 1e-12 * max(1.0, abs(a)))
 

@@ -20,7 +20,7 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValidationError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValidationError("matrix contains NaN or Inf entries")
     if square and m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")

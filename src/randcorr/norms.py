@@ -10,6 +10,7 @@ two-sided brackets everywhere else.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ GAMMA2_RESCALE_MAX_ITER = 100   # rescaling steps after the plain factorization
 GAMMA2_SCALE_FLOOR = 1e-2       # smallest row/column weight, relative to the largest
 TOL_FACTOR_RESIDUAL = 1e-9      # max reconstruction residual of an upper certificate
 _LOW_BITS = 12                  # sign bits in the exact enumeration's low table (2^12 x n)
+_TIE_RTOL = 1e-12               # sign vectors this close (relative) to the maximum tie
 _PRICING_COLUMNS = 32           # atoms priced per column-generation round
 HEURISTIC_RESTARTS = 50         # alternating-ascent starts above EXACT_CAP
 
@@ -51,7 +53,7 @@ class SignPair:
     def __post_init__(self):
         for v in (self.alpha, self.beta):
             arr = np.asarray(v, dtype=float)
-            if arr.ndim != 1 or not np.all(np.abs(arr) == 1.0):
+            if arr.ndim != 1 or not (np.abs(arr) == 1.0).all():
                 raise ValidationError("sign vectors must have entries exactly +-1")
 
     def pairing(self, a) -> float:
@@ -205,34 +207,158 @@ def _sign_rows(count: int) -> np.ndarray:
     return rows
 
 
+@functools.lru_cache(maxsize=EXACT_CAP)
+def _ones(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ones(n) in float64 and float32: the vectors that sum table
+    rows by a matrix product."""
+    pair = np.ones(n), np.ones(n, dtype=np.float32)
+    for v in pair:
+        v.flags.writeable = False
+    return pair
+
+
 class _SplitTables:
-    """The exact enumeration's tables for a square m: alpha = (1, s_low, s_high)
-    with k = min(n - 1, _LOW_BITS) low signs, low = (sign rows over k bits)
-    m[1:1+k] and high = m[0] + (sign rows over the rest) m[1+k:]."""
+    """The exact enumeration of a square m: a float32 screen of every sign
+    vector, then float64 rescoring of the few the screen cannot rule out.
+
+    Index i (0 <= i < 2^(n-1)) stands for alpha = (1, s_low, s_high): bit b
+    of i set means alpha_(b+2) = -1.  With k = min(n - 1, _LOW_BITS) low
+    bits, m^t alpha is row j = i mod 2^k of low = (sign rows over k bits)
+    m[1:1+k] plus row h = i >> k of high = m[0] + (sign rows over the rest)
+    m[1+k:], and the value of i is ||m^t alpha||_1 = sum_c |low_jc + high_hc|.
+
+    Scale.  Both tables are built in float64 from m 2^p, where 2^(e-1) <=
+    max |m_ij| < 2^e and p = -(e + ceil(log2 n^2)), so that
+    A = sum |m_ij| 2^p < 1.  A power of two changes no comparison, is exact
+    bar float64 underflow (entries 2^-1000 below the largest), and keeps the
+    float32 copies in range for entries anywhere in 1e+-300.
+
+    Screen.  low32 is the low table transposed (n x 2^k) and h the high row,
+    both in float32.  For all 2^k vectors of high row h at once,
+        sum_c |l_c + h_c| = 2 sum_c max(l_c, -h_c) - sum_c l_c + sum_c h_c
+    takes one np.maximum pass over low32 and one ones @ buf product; the
+    sums of l (one per low row) and of h (one per high row) are computed
+    once, by the same float32 product.
+
+    Slack: a bound on |screened value - V| for V the exact value.  With
+    u = 2^-24 and eta = 2^-150 (half the smallest float32 subnormal),
+    rounding x to float32 errs by at most u|x| + eta, and a float32 sum of n
+    terms in any order by gamma = (n - 1) u / (1 - (n - 1) u) times the sum
+    of their sizes; additions whose result is subnormal are exact.
+    - Tables.  The float64 entries err by n 2^-53 A in total, and rounding
+      them to float32 by u A + 2n eta over one vector's 2n entries.  As
+      |.| is 1-Lipschitz, V' = sum_c |l_c + h_c| of the float32 entries is
+      within u A + 2n eta of V (to first order), and
+      A' = sum_c (|l_c| + |h_c|) <= A + u A + 2n eta.
+    - Arithmetic.  max, negation and doubling are exact.  The sum of the
+      terms max(l_c, -h_c), each at most |l_c| + |h_c| in size, errs by
+      gamma A', doubled to 2 gamma A'; the sums of l and of h together by
+      gamma A'.  Of the two subtractions that combine the three, the first
+      has a result of size at most 3 A' and the second of about A': u 4 A'.
+    So |screened value - V| <= (3n + 2) u A + 2n eta to first order.
+    slack = (3n + 16) u + 8n eta (A < 1) adds 14 u for the second-order
+    terms (under n^2 u^2), the float64 tables and the float64 rescoring
+    (under 3n 2^-53 each), so it bounds |screened - rescored| as well.
+
+    Candidates.  Let top32 be the largest screened value and kth32 the
+    count-th largest.  The float64 maximum M is at most top32 + slack, and
+    the count-th largest float64 value is at least kth32 - slack, since
+    count vectors screen at or above kth32.  So every vector among the
+    count best in float64, or within _TIE_RTOL M of M, screens at or above
+        cut = kth32 - 2 slack - _TIE_RTOL (top32 + slack).
+    """
 
     def __init__(self, m: np.ndarray):
         n = m.shape[0]
+        self.m = m
         self.k = min(n - 1, _LOW_BITS)
         self.low_signs, self.high_signs = _sign_rows(self.k), _sign_rows(n - 1 - self.k)
-        self.low = self.low_signs @ m[1:1 + self.k]
-        self.high = m[0] + self.high_signs @ m[1 + self.k:]
+        # sum |m_ij| <= n^2 max |m_ij| < n^2 2^e <= 2^-p: A < 1
+        e = math.frexp(float(np.abs(m).max()))[1]
+        scaled = np.ldexp(m, -(e + (n * n - 1).bit_length()))
+        self.low = self.low_signs @ scaled[1:1 + self.k]
+        self.high = scaled[0] + self.high_signs @ scaled[1 + self.k:]
+        self.low32 = np.ascontiguousarray(self.low.T, dtype=np.float32)
+        self.neg_high32 = np.negative(self.high, dtype=np.float32)
+        self.ones, self.ones32 = _ones(n)
+        self.low32_sum = self.ones32 @ self.low32
+        self.neg_high32_sum = self.neg_high32 @ self.ones32
+        self.slack = (3 * n + 16) * 2.0 ** -24 + 8 * n * 2.0 ** -150
 
-    def row_values(self):
-        """Yield (h, ||m^t alpha||_1 for every low row j) for each high row h,
-        filling one preallocated buffer with |low + high[h]|."""
-        buf = np.empty_like(self.low)
-        ones = np.ones(self.low.shape[1])
-        for h, row in enumerate(self.high):
-            np.add(self.low, row, out=buf)
-            np.abs(buf, out=buf)
-            yield h, buf @ ones
+    def _screen(self, h: int, buf: np.ndarray) -> np.ndarray:
+        """Float32 values of the 2^k sign vectors in high row h (a new array)."""
+        np.maximum(self.low32, self.neg_high32[h][:, None], out=buf)
+        vals = self.ones32 @ buf
+        vals += vals  # doubling is exact
+        vals -= self.low32_sum
+        vals -= self.neg_high32_sum[h]
+        return vals
 
-    def pair(self, m: np.ndarray, h: int, j: int) -> tuple[float, SignPair]:
-        """alpha from high row h and low row j, beta = sign(m^t alpha), and
-        the value alpha^t m beta recomputed from the pair."""
+    def ranked(self, count: int) -> list[int]:
+        """Indices of up to `count` sign vectors, best first.
+
+        First comes the tie rule's choice: the first index whose float64
+        value is within _TIE_RTOL relative of the float64 maximum.  The
+        others follow by float64 value, exact ties in index order.
+
+        The screen runs over every high row, keeping each row's maximum (and
+        its `count` largest values) and the screen of the best row.  Then
+        the rows that reach the cut are rescored in float64, one at a time,
+        keeping each row's float64 maximum (and the `count` best so far).
+        The tie rule's index lies in the first of those rows whose maximum
+        is within _TIE_RTOL of the largest; that row is rescored once more
+        unless it was the last one rescored.
+        """
+        buf = np.empty_like(self.low32)
+
+        def rescore(h: int) -> tuple[np.ndarray, np.ndarray]:
+            # (low rows j at or above the cut, their float64 values)
+            vals = best_screen[1] if h == best_screen[0] else self._screen(h, buf)
+            j = (vals >= cut).nonzero()[0]
+            return j, np.abs(self.low[j] + self.high[h]) @ self.ones
+
+        row_max, tops, top32 = [], [], -np.inf
+        for h in range(self.high.shape[0]):
+            vals = self._screen(h, buf)
+            row_max.append(float(vals.max()))
+            if row_max[h] > top32:
+                best_screen, top32 = (h, vals), row_max[h]
+            if count > 1:
+                tops.append(_largest(vals, count))
+        kth32 = float(_largest(np.concatenate(tops), count).min()) if count > 1 else top32
+        # a float64 scalar, so that float32 values are compared to it unrounded
+        cut = np.float64(kth32 - 2 * self.slack - _TIE_RTOL * (top32 + self.slack))
+        row64, best_idx, best_val = {}, np.empty(0, dtype=np.int64), np.empty(0)
+        for h in range(len(row_max)):
+            if row_max[h] >= cut:
+                j, vals = rescore(h)
+                row64[h], last = vals.max(), (h, j, vals)
+                if count > 1:
+                    best_idx = np.concatenate((best_idx, (h << self.k) + j))
+                    best_val = np.concatenate((best_val, vals))
+                    order = np.lexsort((best_idx, -best_val))[:count]
+                    best_idx, best_val = best_idx[order], best_val[order]
+        top64 = max(row64.values())
+        tie = top64 - _TIE_RTOL * top64
+        h = next(h for h, v in row64.items() if v >= tie)
+        j, vals = last[1:] if h == last[0] else rescore(h)
+        first = (h << self.k) + int(j[(vals >= tie).argmax()])
+        return [first] + [int(i) for i in best_idx if i != first][:count - 1]
+
+    def pair(self, i: int) -> tuple[float, SignPair]:
+        """Sign vector i as alpha, beta = sign(m^t alpha), and the value
+        alpha^t m beta recomputed from the pair."""
+        h, j = divmod(i, 1 << self.k)
         alpha = np.concatenate(([1.0], self.low_signs[j], self.high_signs[h]))
-        beta = _sign(m.T @ alpha)
-        return float(alpha @ m @ beta), SignPair(alpha, beta)
+        beta = _sign(self.m.T @ alpha)
+        return float(alpha @ self.m @ beta), SignPair(alpha, beta)
+
+
+def _largest(vals: np.ndarray, count: int) -> np.ndarray:
+    """The `count` largest entries of vals (all of them if it has fewer)."""
+    if vals.size <= count:
+        return vals
+    return np.partition(vals, vals.size - count)[vals.size - count:]
 
 
 def infty_to_one_exact(a) -> tuple[float, SignPair]:
@@ -240,15 +366,13 @@ def infty_to_one_exact(a) -> tuple[float, SignPair]:
 
     Enumerates the 2^(n-1) sign vectors alpha with alpha_1 = +1 (global sign
     symmetry) and takes beta = sign(a^t alpha), so each value is
-    ||a^t alpha||_1.  Writing alpha = (1, s_low, s_high) with the low
-    k = min(n - 1, _LOW_BITS) signs, a^t alpha is a row of the table
-    low = (sign rows over k bits) a[1:1+k] plus a row of
-    high = a[0] + (sign rows over the rest) a[1+k:], both built by one
-    matrix product each.  Every sign vector then costs n adds and n
-    absolute values.  High row h, then low row j, walks index (h << k) + j:
-    the binary count of alpha's sign bits.  Only a strictly larger value
-    replaces the best, so the first maximum in that order is kept.  The
-    returned value is alpha^t a beta recomputed from the attaining pair.
+    ||a^t alpha||_1.  Every value is screened in float32 from split tables
+    (see _SplitTables), and only those within a proved slack of the best are
+    rescored in float64.  Tie rule: the pair returned is the first alpha in
+    index order (the binary count of its sign bits) whose float64 value is
+    within _TIE_RTOL = 1e-12 relative of the float64 maximum, so the choice
+    does not depend on the summation order.  The returned value is
+    alpha^t a beta recomputed from the attaining pair.
     """
     m = as_matrix(a, square=True)
     n = m.shape[0]
@@ -256,37 +380,20 @@ def infty_to_one_exact(a) -> tuple[float, SignPair]:
         raise ValidationError(
             f"n={n} exceeds EXACT_CAP={EXACT_CAP}; use infty_to_one_heuristic")
     tables = _SplitTables(m)
-    best_val = -np.inf
-    best = (0, 0)
-    for h, vals in tables.row_values():
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best = (h, j)
-    return tables.pair(m, *best)
+    return tables.pair(tables.ranked(1)[0])
 
 
 def _top_sign_pairs(y: np.ndarray, count: int) -> list[tuple[float, SignPair]]:
-    """The `count` largest ||y^t alpha||_1 over the exact enumeration, best
-    first with ties in index order, each as (alpha^t y beta, SignPair).
+    """The `count` largest ||y^t alpha||_1 over the exact enumeration, each as
+    (alpha^t y beta, SignPair).
 
-    Each high row keeps its values at or above its count-th largest (found
-    with argpartition, so every tie at the cut survives); the survivors are
-    merged by a stable sort in index order.  The first entry is therefore
-    exactly infty_to_one_exact(y).
+    The first entry is infty_to_one_exact(y)'s pair (the tie rule's choice);
+    the others follow by float64 value, exact ties in index order.  They come
+    from the same float32 screen and float64 rescoring, with the cut taken
+    at the count-th largest screened value.
     """
     tables = _SplitTables(y)
-    kept_vals, kept_idx = [], []
-    for h, vals in tables.row_values():
-        j = np.arange(vals.size)
-        if count < vals.size:
-            cut = vals[np.argpartition(vals, vals.size - count)[vals.size - count]]
-            j = j[vals >= cut]
-        kept_vals.append(vals[j])
-        kept_idx.append((h << tables.k) + j)
-    vals, idx = np.concatenate(kept_vals), np.concatenate(kept_idx)
-    order = np.argsort(-vals, kind="stable")[:count]
-    return [tables.pair(y, *divmod(int(i), 1 << tables.k)) for i in idx[order]]
+    return [tables.pair(i) for i in tables.ranked(count)]
 
 
 def infty_to_one_heuristic(a, restarts: int, seed: SeedSpec) -> tuple[float, SignPair]:

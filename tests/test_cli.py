@@ -10,7 +10,8 @@ from randcorr.errors import NumericalError
 from randcorr.experiments import (ExperimentConfig, TrialRecord,
                                   summarize_records, verdicts)
 from randcorr.linalg import write_matrix_csv
-from randcorr.norms import classical_upper_bound, quantum_classical_gap
+from randcorr.norms import (BellFunctional, classical_upper_bound, gap_from_bell,
+                            quantum_classical_gap)
 from randcorr.sampling import SeedSpec, gaussian
 
 
@@ -273,6 +274,47 @@ def test_verify_rejects_edited_results(tmp_path, capsys, kind, edit):
     assert "FAIL results" in capsys.readouterr().out
 
 
+def test_verify_checks_heuristic_lower_above_cap(tmp_path, capsys):
+    # above EXACT_CAP the gap divides by the heuristic lower value, so its
+    # attaining pair must reach it: a lowered value, with the gap recomputed
+    # to match, fails
+    mpath = tmp_path / "g26.csv"
+    write_matrix_csv(mpath, gaussian(26, 26, SeedSpec(13, 1)) / math.sqrt(26))
+    out = str(tmp_path / "gap26.json")
+    assert main(["gap", "--matrix", str(mpath), "--restarts", "2", "--out", out]) == 0
+    assert main(["verify-certificate", out]) == 0
+    doc = json.loads(open(out).read())
+    [payload] = [c["certificate"] for c in doc["certificates"]
+                 if c["claims"] == "bell_functional"]
+    assert payload["exact"] is False
+    payload["heuristic_lower"] *= 0.8
+    bell = BellFunctional(np.asarray(payload["a"]), payload["eps_one_norm"], False,
+                          heuristic_lower=payload["heuristic_lower"])
+    doc["results"]["gap"] = gap_from_bell(np.asarray(doc["matrix"]), bell,
+                                          doc["results"]["gamma2_lower"])
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert "heuristic_lower" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entry", ["results", "certificate"])
+def test_verify_non_numeric_value_is_a_failure(id4, tmp_path, capsys, entry):
+    out = str(tmp_path / "norm.json")
+    assert main(["norm", "--matrix", id4, "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    if entry == "results":
+        doc["results"]["value"] = "abc"
+    else:
+        doc["certificates"][0]["value"] = "abc"
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_uncertified_norm_reports_verify(id4, tmp_path):
     # trace, operator and flatness values carry no certificate to check
     for which in ("trace", "operator", "flatness"):
@@ -284,9 +326,11 @@ def test_uncertified_norm_reports_verify(id4, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["threshold", "--gap", "1/0"], ["threshold", "--gap", "sqrt(-1)"],
     ["threshold", "--gap", "1.5.2"], ["spectral", "--alpha", "ln(0)"],
-    ["spectral", "--alpha", "1e400"], ["norm", "--matrix", "BAD_CSV"]],
+    ["spectral", "--alpha", "1e400"], ["norm", "--matrix", "BAD_CSV"],
+    ["threshold", "--gap", "(" * 2000 + "1" + ")" * 2000],
+    ["threshold", "--gap=" + "-" * 2000 + "1"]],
     ids=["div_by_zero", "sqrt_negative", "two_points", "ln_zero", "overflow",
-         "csv_cell"])
+         "csv_cell", "deep_parentheses", "deep_unary_minus"])
 def test_malformed_numeric_input_exits_2(tmp_path, capsys, argv):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3,x\n")

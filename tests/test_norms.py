@@ -11,7 +11,7 @@ from randcorr.errors import NumericalError, ValidationError
 from randcorr.linalg import trace_norm
 from randcorr.norms import (GAMMA2_RESCALE_TOL, KG_UPPER, BellFunctional,
                             ConvexDecomposition, NormBracket, SignPair,
-                            _top_sign_pairs, bell_functional_from_svd,
+                            _SplitTables, _top_sign_pairs, bell_functional_from_svd,
                             classical_lower_bound, classical_upper_bound, gamma2_bracket,
                             gamma2_oracle, gap_from_bell,
                             infty_to_one_exact, infty_to_one_heuristic,
@@ -39,6 +39,27 @@ def reference_infty_to_one(a):
     partial = alphas @ a
     betas = np.where(partial >= 0.0, 1.0, -1.0)
     return float((partial * betas).sum(axis=1).max())
+
+
+def reference_alphas(n):
+    """Every alpha with alpha_1 = +1, in index order: bit b of the index set
+    means alpha_(b+2) = -1."""
+    idx = np.arange(1 << (n - 1))
+    bits = (idx[:, None] >> np.arange(n - 1)) & 1
+    return np.hstack([np.ones((idx.size, 1)), 1.0 - 2.0 * bits])
+
+
+def reference_ranking(a):
+    """||a^t alpha||_1 for every alpha in index order, and the index the tie
+    rule picks: the first within 1e-12 relative of the maximum."""
+    vals = np.abs(reference_alphas(a.shape[0]) @ a).sum(axis=1)
+    top = vals.max()
+    return vals, int(np.argmax(vals >= top - 1e-12 * top))
+
+
+def alpha_index(alpha):
+    """The index of a sign vector with alpha_1 = +1 (see reference_alphas)."""
+    return int(((1.0 - alpha[1:]) / 2) @ (1 << np.arange(alpha.size - 1)))
 
 
 def sylvester_hadamard(n):
@@ -114,6 +135,169 @@ def test_split_enumeration_matches_reference_hypothesis(n, seed):
     val, pair = infty_to_one_exact(g)
     assert val == pytest.approx(reference_infty_to_one(g), rel=1e-12)
     assert val == pair.pairing(g)
+
+
+# --- float32 screen, float64 rescoring and the tie rule ------------------------
+
+def check_against_reference(a, count=32):
+    """infty_to_one_exact and _top_sign_pairs against reference_ranking: the
+    tie rule's alpha first, then the next best values."""
+    vals, first = reference_ranking(a)
+    val, pair = infty_to_one_exact(a)
+    assert alpha_index(pair.alpha) == first
+    assert np.array_equal(pair.beta, np.where(a.T @ pair.alpha >= 0.0, 1.0, -1.0))
+    assert val == pair.pairing(a)
+    assert val == pytest.approx(vals.max(), rel=1e-12, abs=0.0)
+    top = _top_sign_pairs(a, count)
+    assert len(top) == min(count, vals.size)
+    assert top[0][0] == val and np.array_equal(top[0][1].alpha, pair.alpha)
+    assert len({alpha_index(p.alpha) for _, p in top}) == len(top)
+    want = np.sort(np.delete(vals, first))[::-1][:count - 1]
+    np.testing.assert_allclose([v for v, _ in top[1:]], want, rtol=1e-12, atol=0.0)
+
+
+def mixed_magnitudes(n, seed):
+    """A Gaussian matrix whose entries are scaled by 10^k, k uniform in
+    [-300, 300], independently per entry."""
+    gen = np.random.default_rng(seed)
+    return gen.standard_normal((n, n)) * 10.0 ** gen.integers(-300, 301, size=(n, n))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300, "mixed"])
+def test_screen_matches_reference_across_scales(scale):
+    for n in (1, 2, 3, 7, 13, 14):
+        for t in range(3):
+            if scale == "mixed":
+                a = mixed_magnitudes(n, 1000 * n + t)
+            else:
+                a = scale * gaussian(n, n, SeedSpec(64, 100 * n + t))
+            check_against_reference(a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=13), st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from([-300, -150, 0, 150, 300, "mixed"]))
+def test_screen_matches_reference_hypothesis(n, seed, exponent):
+    if exponent == "mixed":
+        a = mixed_magnitudes(n, seed)
+    else:
+        a = 10.0 ** exponent * gaussian(n, n, SeedSpec(seed, 5))
+    check_against_reference(a)
+
+
+@pytest.mark.parametrize("case", ["zero", "ones", "eye", "hadamard"])
+def test_screen_exact_ties_in_index_order(case):
+    # every value is an integer, so the whole ranking is exact: the first
+    # `count` in (value desc, index asc) order come back
+    for n in (2, 5, 8, 13, 14):
+        a = {"zero": np.zeros((n, n)), "ones": np.ones((n, n)), "eye": np.eye(n),
+             "hadamard": sylvester_hadamard(n)[:n, :n]}[case]
+        vals, first = reference_ranking(a)
+        order = np.lexsort((np.arange(vals.size), -vals))
+        assert first == order[0]
+        top = _top_sign_pairs(a, 32)
+        assert [alpha_index(p.alpha) for _, p in top] == list(order[:32])
+        assert [v for v, _ in top] == list(vals[order[:32]])
+
+
+@pytest.mark.parametrize("n", [4, 9, 14, 17])
+def test_screen_near_tie_needs_rescoring(n):
+    # eye(n) + eps s s^t has value n + eps (alpha . s)^2 to first order: a
+    # unique maximum at alpha = s, about 4 (n - 1) eps = 4e-9 n above the
+    # rest, which float32 (2^-24 relative) cannot resolve; every other
+    # alpha screens within the slack of it
+    gen = np.random.default_rng(n)
+    s = np.concatenate(([1.0], gen.choice([-1.0, 1.0], size=n - 1)))
+    s[1] = -1.0  # never the all-ones alpha, which heads the index order
+    a = np.eye(n) + 1e-9 * np.outer(s, s)
+    val, pair = infty_to_one_exact(a)
+    assert np.array_equal(pair.alpha, s)
+    assert val == pytest.approx(n + 1e-9 * n * n, rel=1e-15)
+    check_against_reference(a)
+
+
+def test_screen_error_within_slack():
+    # every screened value lies within the proved slack of the exact value
+    # (computed here in float64, whose own error is under 1e-13 of the slack)
+    for n, scale in ((2, 1.0), (9, 1e-300), (14, 1e300), (17, 1.0)):
+        for a in (scale * gaussian(n, n, SeedSpec(65, n)), mixed_magnitudes(n, n),
+                  scale * np.eye(n), scale * np.ones((n, n))):
+            tables = _SplitTables(a)
+            buf = np.empty_like(tables.low32)
+            exact = np.concatenate([np.abs(tables.low + row).sum(axis=1)
+                                    for row in tables.high])
+            screened = np.concatenate([tables._screen(h, buf)
+                                       for h in range(tables.high.shape[0])])
+            assert np.abs(screened - exact).max() <= tables.slack
+
+
+def test_tie_band_kept_by_an_exact_screen(monkeypatch):
+    # eye(6) + 2e-14 s s^t puts the all-ones alpha (index 0) 5.1e-14 relative
+    # below the maximum at s: inside the tie band, so the tie rule returns
+    # index 0.  With a screen that has no error at all (float64 values, zero
+    # slack), only the tie margin in the cut keeps index 0 a candidate.
+    def exact_screen(self, h, buf):
+        return np.abs(self.low + self.high[h]).sum(axis=1)
+
+    init = _SplitTables.__init__
+
+    def no_slack(self, m):
+        init(self, m)
+        self.slack = 0.0
+
+    n = 6
+    s = np.array([1.0, -1.0, 1.0, -1.0, 1.0, 1.0])
+    a = np.eye(n) + 2e-14 * np.outer(s, s)
+    vals, first = reference_ranking(a)
+    assert first == 0 and vals.argmax() == alpha_index(s)
+    monkeypatch.setattr(_SplitTables, "_screen", exact_screen)
+    monkeypatch.setattr(_SplitTables, "__init__", no_slack)
+    _, pair = infty_to_one_exact(a)
+    assert alpha_index(pair.alpha) == 0
+    assert alpha_index(_top_sign_pairs(a, 4)[0][1].alpha) == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(["gaussian", "integer"]))
+def test_column_permutation_keeps_alpha(n, seed, kind):
+    # permuting columns permutes the terms of every value: the summation
+    # order changes, but the tie rule picks the same alpha
+    gen = np.random.default_rng(seed)
+    a = (gen.standard_normal((n, n)) if kind == "gaussian"
+         else gen.integers(-2, 3, size=(n, n)).astype(float))
+    perm = gen.permutation(n)
+    val, pair = infty_to_one_exact(a)
+    val_p, pair_p = infty_to_one_exact(a[:, perm])
+    assert np.array_equal(pair_p.alpha, pair.alpha)
+    assert np.array_equal(pair_p.beta, pair.beta[perm])
+    assert val_p == pytest.approx(val, rel=1e-12)
+
+
+def test_column_permutation_keeps_alpha_on_rounded_ties():
+    # many sign vectors of 0.1 H8 tie exactly, and 0.1 is no binary
+    # fraction, so each column order rounds the tied values differently
+    # (taking the first maximum after rounding picks another alpha under 4
+    # of these 10 orders)
+    a = 0.1 * sylvester_hadamard(8)
+    _, pair = infty_to_one_exact(a)
+    for t in range(10):
+        perm = np.random.default_rng(t).permutation(8)
+        _, pair_p = infty_to_one_exact(a[:, perm])
+        assert np.array_equal(pair_p.alpha, pair.alpha)
+        assert np.array_equal(pair_p.beta, pair.beta[perm])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(min_value=-math.pi, max_value=math.pi),
+       st.floats(min_value=1e-3, max_value=1e3))
+def test_rotation_2x2_returns_first_alpha(theta, r):
+    # both alphas of a scaled 2x2 rotation tie at r (|c + s| + |c - s|)
+    c, s = math.cos(theta), math.sin(theta)
+    rot = r * np.array([[c, -s], [s, c]])
+    val, pair = infty_to_one_exact(rot)
+    assert np.array_equal(pair.alpha, [1.0, 1.0])
+    assert val == pytest.approx(2 * r * max(abs(c), abs(s)), rel=1e-12)
 
 
 def test_exact_cap_enforced():
