@@ -19,12 +19,12 @@ import numpy as np
 from . import spectral
 from .errors import NumericalError, ValidationError
 from .linalg import (as_matrix, flatness_ratio, operator_norm, read_matrix_csv,
-                     trace_norm, write_matrix_csv)
+                     svd, trace_norm, write_matrix_csv)
 from .norms import (BellFunctional, ConvexDecomposition, DualWitness,
-                    FactorizationPair, SignPair, bell_functional_from_svd,
-                    classical_lower_bound, classical_upper_bound,
-                    gamma2_bracket, gamma2_oracle, gap_from_bell,
-                    infty_to_one_exact, infty_to_one_heuristic)
+                    FactorizationPair, SignPair, _bell_functional, _gamma2_bracket,
+                    bell_functional_from_svd, classical_lower_bound,
+                    classical_upper_bound, gamma2_bracket, gamma2_oracle,
+                    gap_from_bell, infty_to_one_exact, infty_to_one_heuristic)
 from .sampling import ENSEMBLE_KINDS, EnsembleSpec, SeedSpec
 from .experiments import (ExperimentConfig, TrialRecord, default_config, grid,
                           run_experiment, summarize_records, verdicts)
@@ -273,11 +273,13 @@ def _cmd_classical(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    mat = read_matrix_csv(args.matrix)
-    seed = SeedSpec(args.seed, 0)
-    bell = bell_functional_from_svd(mat, heuristic_restarts=args.restarts,
-                                    seed=seed)
-    bracket = gamma2_bracket(mat)
+    mat = as_matrix(read_matrix_csv(args.matrix), square=True)
+    if not np.any(mat):
+        raise ValidationError("gamma2_bracket requires a nonzero matrix")
+    # one SVD for both the Bell functional and the gamma2 bracket
+    triple = svd(mat)
+    bell = _bell_functional(triple, args.restarts, SeedSpec(args.seed, 0))
+    bracket = _gamma2_bracket(mat, triple)
     gap = gap_from_bell(mat, bell, bracket.lower)
     config = {"subcommand": "gap", "matrix": args.matrix,
               "restarts": args.restarts, "seed": args.seed}
@@ -370,12 +372,22 @@ def _cmd_experiment(args) -> int:
 
 def _verify_single(doc: dict) -> list:
     failures = []
-    mat = as_matrix(doc["matrix"]) if "matrix" in doc else None
+    try:
+        mat = as_matrix(doc["matrix"]) if "matrix" in doc else None
+    except (ValidationError, TypeError, ValueError) as exc:
+        return [f"matrix: not a finite numeric matrix: {exc}"]
+    certs, results = doc.get("certificates", []), doc.get("results", {})
+    if not isinstance(certs, list) or not isinstance(results, dict):
+        return ["`certificates` must be a list and `results` an object"]
     evaluated, bell = {}, None
-    for i, cert in enumerate(doc.get("certificates", [])):
+    for i, cert in enumerate(certs):
+        claims = cert.get("claims") if isinstance(cert, dict) else None
+        label = f"certificate {i} ({claims})"
+        if not isinstance(claims, str) or not isinstance(cert.get("certificate"), dict):
+            failures.append(f"{label}: needs a `claims` name and a `certificate` object")
+            continue
         payload = cert["certificate"]
         kind = payload.get("type")
-        label = f"certificate {i} ({cert['claims']})"
         try:
             claimed = float(cert["value"])
             if kind == "sign_pair":
@@ -417,7 +429,7 @@ def _verify_single(doc: dict) -> list:
                                         f"its attaining pair reaches {reached!r}")
                         continue
                 bell = BellFunctional(a, norm, exact, None if exact else lower)
-                if cert["claims"] == "classical_lower":
+                if claims == "classical_lower":
                     got = float((mat * a).sum()) / norm
                 else:
                     got = norm
@@ -428,7 +440,7 @@ def _verify_single(doc: dict) -> list:
             # a malformed payload (a missing key, a non-numeric entry)
             failures.append(f"{label}: re-evaluation failed: {exc}")
             continue
-        evaluated[cert["claims"]] = got
+        evaluated[claims] = got
         if abs(got - claimed) > _CERT_TOL * max(1.0, abs(claimed)):
             failures.append(f"{label}: re-evaluates to {got!r}, claimed {claimed!r}")
     return failures + _verify_results(doc, mat, evaluated, bell)
@@ -526,6 +538,8 @@ def _verify_experiment(doc: dict) -> list:
 def _cmd_verify(args) -> int:
     with open(args.report, "r", encoding="ascii") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValidationError("a report is a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema version {doc.get('schema_version')!r}")
     if doc.get("kind") == "experiment":
@@ -582,9 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classical", help="projective-norm bracket")
     p.add_argument("--matrix", required=True)
     p.add_argument("--max-atoms", type=int, default=400,
-                   help="bound on master LP solves and on the atoms added to "
-                        "the pool (each solve prices up to 32 atoms; zero-"
-                        "weight atoms are dropped when the pool is full)")
+                   help="bound on master LP solves; the pool starts from the "
+                        "first enumeration's best atoms and holds at most "
+                        "max-atoms + 2 (each solve prices up to 32 atoms; "
+                        "zero-weight atoms are dropped when the pool is full)")
     p.add_argument("--tol", type=float, default=1e-9)
     common(p)
     p.set_defaults(func=_cmd_classical)

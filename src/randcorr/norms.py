@@ -259,6 +259,10 @@ class _SplitTables:
     slack = (3n + 16) u + 8n eta (A < 1) adds 14 u for the second-order
     terms (under n^2 u^2), the float64 tables and the float64 rescoring
     (under 3n 2^-53 each), so it bounds |screened - rescored| as well.
+    slack64 = (10n + 16) 2^-53 + 8n 2^-1074 bounds |rescored - alpha^t m beta|
+    for the pair built from the same alpha: the rescored value errs by
+    under 6n 2^-53 A, and alpha^t m beta by under 4n 2^-53 A (two float64
+    sums of n terms, and beta entries whose sign rounding may flip).
 
     Candidates.  Let top32 be the largest screened value and kth32 the
     count-th largest.  The float64 maximum M is at most top32 + slack, and
@@ -275,7 +279,8 @@ class _SplitTables:
         self.low_signs, self.high_signs = _sign_rows(self.k), _sign_rows(n - 1 - self.k)
         # sum |m_ij| <= n^2 max |m_ij| < n^2 2^e <= 2^-p: A < 1
         e = math.frexp(float(np.abs(m).max()))[1]
-        scaled = np.ldexp(m, -(e + (n * n - 1).bit_length()))
+        self.exp = e + (n * n - 1).bit_length()
+        scaled = np.ldexp(m, -self.exp)
         self.low = self.low_signs @ scaled[1:1 + self.k]
         self.high = scaled[0] + self.high_signs @ scaled[1 + self.k:]
         self.low32 = np.ascontiguousarray(self.low.T, dtype=np.float32)
@@ -284,6 +289,7 @@ class _SplitTables:
         self.low32_sum = self.ones32 @ self.low32
         self.neg_high32_sum = self.neg_high32 @ self.ones32
         self.slack = (3 * n + 16) * 2.0 ** -24 + 8 * n * 2.0 ** -150
+        self.slack64 = (10 * n + 16) * 2.0 ** -53 + 8 * n * 2.0 ** -1074
 
     def _screen(self, h: int, buf: np.ndarray) -> np.ndarray:
         """Float32 values of the 2^k sign vectors in high row h (a new array)."""
@@ -294,8 +300,9 @@ class _SplitTables:
         vals -= self.neg_high32_sum[h]
         return vals
 
-    def ranked(self, count: int) -> list[int]:
-        """Indices of up to `count` sign vectors, best first.
+    def ranked(self, count: int) -> list[tuple[int, float]]:
+        """Up to `count` sign vectors, best first, each as (index, float64
+        value ||m^t alpha||_1 as rescored, un-scaled).
 
         First comes the tie rule's choice: the first index whose float64
         value is within _TIE_RTOL relative of the float64 maximum.  The
@@ -342,8 +349,11 @@ class _SplitTables:
         tie = top64 - _TIE_RTOL * top64
         h = next(h for h, v in row64.items() if v >= tie)
         j, vals = last[1:] if h == last[0] else rescore(h)
-        first = (h << self.k) + int(j[(vals >= tie).argmax()])
-        return [first] + [int(i) for i in best_idx if i != first][:count - 1]
+        at = (vals >= tie).argmax()
+        first = (h << self.k) + int(j[at])
+        ranked = [(first, vals[at])] + [(int(i), v) for i, v in zip(best_idx, best_val)
+                                        if i != first][:count - 1]
+        return [(i, float(np.ldexp(v, self.exp))) for i, v in ranked]
 
     def pair(self, i: int) -> tuple[float, SignPair]:
         """Sign vector i as alpha, beta = sign(m^t alpha), and the value
@@ -380,20 +390,28 @@ def infty_to_one_exact(a) -> tuple[float, SignPair]:
         raise ValidationError(
             f"n={n} exceeds EXACT_CAP={EXACT_CAP}; use infty_to_one_heuristic")
     tables = _SplitTables(m)
-    return tables.pair(tables.ranked(1)[0])
+    return tables.pair(tables.ranked(1)[0][0])
 
 
-def _top_sign_pairs(y: np.ndarray, count: int) -> list[tuple[float, SignPair]]:
+def _top_sign_pairs(y: np.ndarray, count: int,
+                    floor: float = -np.inf) -> list[tuple[float, SignPair]]:
     """The `count` largest ||y^t alpha||_1 over the exact enumeration, each as
-    (alpha^t y beta, SignPair).
+    (alpha^t y beta, SignPair), keeping after the first only those whose
+    alpha^t y beta exceeds `floor`.
 
     The first entry is infty_to_one_exact(y)'s pair (the tie rule's choice);
     the others follow by float64 value, exact ties in index order.  They come
     from the same float32 screen and float64 rescoring, with the cut taken
-    at the count-th largest screened value.
+    at the count-th largest screened value.  A pair is built only when its
+    rescored value is within slack64 of `floor` or above: slack64 bounds
+    how far the rescored value and alpha^t y beta can differ, so the pairs
+    skipped are exactly those that would fail the floor.
     """
     tables = _SplitTables(y)
-    return [tables.pair(i) for i in tables.ranked(count)]
+    ranked = tables.ranked(count)
+    near = floor - float(np.ldexp(tables.slack64, tables.exp))
+    rest = (tables.pair(i) for i, value in ranked[1:] if value > near)
+    return [tables.pair(ranked[0][0])] + [p for p in rest if p[0] > floor]
 
 
 def infty_to_one_heuristic(a, restarts: int, seed: SeedSpec) -> tuple[float, SignPair]:
@@ -664,21 +682,66 @@ def _bell_functional(triple: SvdTriple, heuristic_restarts: int,
                           attaining=h_pair)
 
 
+def _atom_column(pair: SignPair) -> np.ndarray:
+    return np.outer(pair.alpha, pair.beta).ravel()
+
+
+class _AtomPool:
+    """The restricted master's sign atoms, their columns outer(alpha, beta)
+    flattened (one per column of `cols`, in atom order) and the columns'
+    bytes, kept from one round to the next.  The bytes keep any atom from
+    entering twice (outer(alpha, beta) = outer(-alpha, -beta))."""
+
+    def __init__(self, n: int):
+        self.atoms: list[SignPair] = []
+        self.cols = np.empty((n * n, 0))
+        self.keys: set[bytes] = set()
+
+    def fresh(self, pairs) -> list[SignPair]:
+        """The pairs whose atoms are neither pooled nor repeated earlier in
+        `pairs`, in order."""
+        out, seen = [], set(self.keys)
+        for pair in pairs:
+            key = _atom_column(pair).tobytes()
+            if key not in seen:
+                seen.add(key)
+                out.append(pair)
+        return out
+
+    def add(self, pairs: list[SignPair]) -> None:
+        """Append fresh pairs' atoms (a new list, so that a caller's
+        reference to the old one stays as it was)."""
+        cols = [_atom_column(pair) for pair in pairs]
+        self.atoms = self.atoms + pairs
+        self.cols = np.hstack([self.cols, np.array(cols).T])
+        self.keys.update(col.tobytes() for col in cols)
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Keep only the atoms where mask is true."""
+        self.atoms = [a for a, keep_it in zip(self.atoms, mask) if keep_it]
+        self.cols = self.cols[:, mask]
+        self.keys = {col.tobytes() for col in self.cols.T}
+
+
 def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
                           seed: SeedSpec | None = None) -> ConvexDecomposition:
     """Projective-norm upper bound by column generation over sign atoms.
 
     Restricted master: min sum(w) with sum_k w_k outer(alpha_k, beta_k) = t,
-    w >= 0 (elastic slacks keep it feasible while the pool is small).
-    Pricing maximizes the dual pairing over sign matrices; with exact
-    pricing (n <= EXACT_CAP) the result is certified optimal to `tol` via
-    the dual bound sum(w) <= opt * price.  Exact pricing scores every sign
-    vector anyway, so each round adds the price-attaining atom plus up to
-    _PRICING_COLUMNS - 1 further atoms of value above 1 + 1e-9 (multi-column
-    pricing); above EXACT_CAP the heuristic prices one atom per round.
+    w >= 0 (elastic slacks keep it feasible while the pool is small), solved
+    by HiGHS without presolve.  Pricing maximizes the dual pairing over sign
+    matrices; with exact pricing (n <= EXACT_CAP) the result is certified
+    optimal to `tol` via the dual bound sum(w) <= opt * price.  Exact pricing
+    scores every sign vector anyway, so each round adds the price-attaining
+    atom plus up to _PRICING_COLUMNS - 1 further atoms of value above
+    1 + 1e-9 (multi-column pricing); above EXACT_CAP the heuristic prices
+    one atom per round.
 
-    max_atoms bounds the master solves and the pool: it never holds more
-    than max_atoms atoms beyond the two it starts with.  When new atoms
+    The pool starts from the best atoms of the enumeration that the first
+    atom needs anyway (up to min(_PRICING_COLUMNS, max_atoms + 1) of them,
+    best first) plus the all-ones atom; above EXACT_CAP, from the
+    heuristic's atom plus all-ones.  max_atoms bounds the master solves,
+    and the pool never holds more than max_atoms + 2 atoms.  When new atoms
     would overflow it, atoms with zero weight in the current master
     solution are dropped first.
     """
@@ -690,33 +753,33 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
     h_seed = seed if seed is not None else SeedSpec(0, 0)
     b = m.flatten()
     scale = max(1.0, float(np.abs(m).max()))
-    big_m = 1e6 * scale
 
     def price_oracle(y: np.ndarray) -> list[tuple[float, SignPair]]:
         if certified:
-            return _top_sign_pairs(y, _PRICING_COLUMNS)
+            return _top_sign_pairs(y, _PRICING_COLUMNS, floor=1.0 + 1e-9)
         return [infty_to_one_heuristic(y, HEURISTIC_RESTARTS, h_seed)]
 
-    def column(pair: SignPair) -> np.ndarray:
-        return np.outer(pair.alpha, pair.beta).flatten()
-
-    _, pair0 = (infty_to_one_exact(m) if certified
-                else infty_to_one_heuristic(m, HEURISTIC_RESTARTS, h_seed))
-    atoms = [pair0, SignPair(np.ones(n), np.ones(n))]
-    capacity = len(atoms) + max_atoms
+    if certified:
+        start = [pair for _, pair in
+                 _top_sign_pairs(m, min(_PRICING_COLUMNS, max_atoms + 1))]
+    else:
+        start = [infty_to_one_heuristic(m, HEURISTIC_RESTARTS, h_seed)[1]]
+    pool = _AtomPool(n)
+    pool.add(pool.fresh(start + [SignPair(np.ones(n), np.ones(n))]))
+    capacity = max_atoms + 2
     n2 = n * n
-    eye = np.eye(n2)
+    slack_block = np.hstack([np.eye(n2), -np.eye(n2)])
+    slack_cost = np.full(2 * n2, 1e6 * scale)
     dual_bound = None
     for _ in range(max_atoms):
-        a_mat = np.stack([column(p) for p in atoms], axis=1)
-        k = a_mat.shape[1]
-        cost = np.concatenate([np.ones(k), big_m * np.ones(2 * n2)])
-        a_eq = np.hstack([a_mat, eye, -eye])
-        res = linprog(cost, A_eq=a_eq, b_eq=b, bounds=(0, None), method="highs")
+        k = len(pool.atoms)
+        res = linprog(np.concatenate([np.ones(k), slack_cost]),
+                      A_eq=np.hstack([pool.cols, slack_block]), b_eq=b,
+                      bounds=(0, None), method="highs", options={"presolve": False})
         if res.status != 0:
             raise NumericalError(f"master LP failed: {res.message}")
         weights = res.x[:k]
-        solved, live = atoms, weights > 1e-14
+        solved, live = pool.atoms, weights > 1e-14
         slack = float(res.x[k:].sum())
         y = res.eqlin.marginals
         priced = price_oracle(y.reshape(n, n))
@@ -727,18 +790,15 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
         gap = primal - dual_bound if dual_bound is not None else np.inf
         if price <= 1.0 + 1e-9 and slack <= 1e-9 * scale and gap <= tol:
             break
-        pool = {c.tobytes() for c in a_mat.T}
-        if column(priced[0][1]).tobytes() in pool:
+        new = pool.fresh(pair for _, pair in priced)
+        if not new or new[0] is not priced[0][1]:
             break  # pricing stalled on a pooled atom: numerical plateau
-        # priced alphas are distinct with alpha_1 = +1, so their atoms are too
-        new = [pair for i, (value, pair) in enumerate(priced)
-               if (i == 0 or value > 1.0 + 1e-9) and column(pair).tobytes() not in pool]
-        if len(atoms) + len(new) > capacity:
-            atoms = [a for a, keep_it in zip(atoms, live) if keep_it]
-            new = new[:capacity - len(atoms)]
+        if k + len(new) > capacity:
+            pool.keep(live)
+            new = new[:capacity - len(pool.atoms)]
         if not new:
             break  # every pooled atom carries weight
-        atoms = atoms + new
+        pool.add(new)
     kept_atoms = [a for a, keep_it in zip(solved, live) if keep_it]
     kept_w = weights[live]
     dec = ConvexDecomposition(weights=kept_w, atoms=kept_atoms,

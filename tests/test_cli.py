@@ -74,6 +74,29 @@ def test_gap_report_matches_quantum_classical_gap(tmp_path, capsys):
     assert doc["results"]["gap"] == want
 
 
+def test_gap_takes_one_svd_of_the_matrix(tmp_path, monkeypatch):
+    # the Bell functional and the gamma2 bracket share one SVD of t; the
+    # bracket's later SVDs are of rescaled copies
+    import randcorr.cli as cli_mod
+    import randcorr.norms as norms_mod
+    mat = gaussian(8, 8, SeedSpec(3, 2)) / math.sqrt(8)
+    mpath = tmp_path / "g.csv"
+    write_matrix_csv(mpath, mat)
+    seen = []
+
+    def counting(real):
+        def svd(m):
+            seen.append(np.array_equal(m, mat))
+            return real(m)
+        return svd
+
+    # raising=False: the count holds even where cli reaches svd only through norms
+    monkeypatch.setattr(cli_mod, "svd", counting(norms_mod.svd), raising=False)
+    monkeypatch.setattr(norms_mod, "svd", counting(norms_mod.svd))
+    assert main(["gap", "--matrix", str(mpath)]) == 0
+    assert seen.count(True) == 1
+
+
 def test_classical_unconverged_certifies_no_upper_bound(tmp_path, capsys):
     # column generation cut off at 5 atoms still uses elastic slack: its
     # weight sum (0.50) sits below the certified lower bound (1.02)
@@ -313,6 +336,44 @@ def test_verify_non_numeric_value_is_a_failure(id4, tmp_path, capsys, entry):
     capsys.readouterr()
     assert main(["verify-certificate", out]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", ["no_claims", "no_certificate", "payload_not_object",
+                                  "matrix_not_numeric", "certificates_not_list",
+                                  "results_not_object"])
+def test_verify_malformed_report_is_a_failure(id4, tmp_path, capsys, edit):
+    out = str(tmp_path / "norm.json")
+    assert main(["norm", "--matrix", id4, "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    cert = doc["certificates"][0]
+    if edit == "no_claims":
+        del cert["claims"]
+    elif edit == "no_certificate":
+        del cert["certificate"]
+    elif edit == "payload_not_object":
+        cert["certificate"] = [1, -1]
+    elif edit == "matrix_not_numeric":
+        doc["matrix"][0][0] = "abc"
+    elif edit == "certificates_not_list":
+        doc["certificates"] = 5
+    else:
+        doc["results"] = [doc["results"]]
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert capsys.readouterr().out.startswith("FAIL ")
+
+
+def test_verify_report_not_an_object_exits_2(id4, tmp_path, capsys):
+    out = str(tmp_path / "norm.json")
+    assert main(["norm", "--matrix", id4, "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    with open(out, "w") as fh:
+        json.dump([doc], fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "validation"
 
 
 def test_uncertified_norm_reports_verify(id4, tmp_path):

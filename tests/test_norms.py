@@ -720,6 +720,111 @@ def test_upper_bound_pool_bound():
         assert len(dec.atoms) <= 7
 
 
+def capture_masters(monkeypatch):
+    """Record the atom columns of every master LP that classical_upper_bound
+    solves (the columns before the 2 n^2 slack columns)."""
+    import randcorr.norms as norms_mod
+    masters = []
+
+    def capturing(c, A_eq, b_eq, **kwargs):
+        masters.append(A_eq[:, :A_eq.shape[1] - 2 * b_eq.size].copy())
+        return linprog(c, A_eq=A_eq, b_eq=b_eq, **kwargs)
+
+    monkeypatch.setattr(norms_mod, "linprog", capturing)
+    return masters
+
+
+def atom_columns(pairs):
+    return np.array([np.outer(p.alpha, p.beta).ravel() for p in pairs]).T
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_upper_bound_pool_starts_from_top_sign_pairs(monkeypatch, n):
+    masters = capture_masters(monkeypatch)
+    g = small_gaussian(n, 65, n)
+    ones = np.ones((n * n, 1))
+    for max_atoms in (400, 5):
+        masters.clear()
+        classical_upper_bound(g, max_atoms=max_atoms)
+        top = [p for _, p in _top_sign_pairs(g, 32)][:max_atoms + 1]
+        want = atom_columns(top)
+        if not (want == ones).all(axis=0).any():
+            want = np.hstack([want, ones])
+        np.testing.assert_array_equal(masters[0], want)
+        assert masters[0].shape[1] <= max_atoms + 2
+
+
+def eager_top_sign_pairs(y, count, floor=-np.inf):
+    """Reference pricing: builds a SignPair for every ranked sign vector,
+    then keeps the first and those of value above floor."""
+    tables = _SplitTables(y)
+    pairs = [tables.pair(i) for i, _ in tables.ranked(count)]
+    return pairs[:1] + [p for p in pairs[1:] if p[0] > floor]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=10 ** 6))
+def test_lazy_pricing_admits_the_eager_atoms(n, seed):
+    import randcorr.norms as norms_mod
+    g = gaussian(n, n, SeedSpec(seed, 5)) / math.sqrt(n)
+    calls, built = [], []
+    pair = _SplitTables.pair
+
+    def counting_pair(self, i):
+        built[-1] += 1
+        return pair(self, i)
+
+    def recording(y, count, floor=-np.inf):
+        built.append(0)
+        out = _top_sign_pairs(y, count, floor)
+        calls.append((y.copy(), count, floor, out))
+        return out
+
+    norms_mod._top_sign_pairs = recording
+    _SplitTables.pair = counting_pair
+    try:
+        classical_upper_bound(g)
+    finally:
+        norms_mod._top_sign_pairs = _top_sign_pairs
+        _SplitTables.pair = pair
+    assert len(calls) >= 2 and calls[1][2] == 1.0 + 1e-9
+    for (y, count, floor, got), made in zip(calls, built):
+        # a pair is built for the first atom, those that pass the floor and
+        # those whose rescored value is too close to it to rule out
+        tables = _SplitTables(y)
+        margin = np.ldexp(tables.slack64, tables.exp)
+        close = sum(abs(v - floor) <= margin for _, v in tables.ranked(count)[1:])
+        assert len(got) <= made <= len(got) + close
+        want = eager_top_sign_pairs(y, count, floor)
+        assert [v for v, _ in got] == [v for v, _ in want]
+        for (_, p), (_, q) in zip(got, want):
+            assert np.array_equal(p.alpha, q.alpha) and np.array_equal(p.beta, q.beta)
+
+
+@pytest.mark.parametrize("case", ["seeded6", "seeded8_max5", "ones", "eye", "chsh",
+                                  "hadamard8"])
+def test_upper_bound_pool_has_no_repeated_column(monkeypatch, case):
+    masters = capture_masters(monkeypatch)
+    max_atoms = 400
+    if case == "seeded6":
+        t = small_gaussian(6, 66)
+    elif case == "seeded8_max5":
+        t, max_atoms = small_gaussian(8, 66), 5
+    elif case == "ones":
+        t = np.ones((5, 5))
+    elif case == "eye":
+        t = np.eye(5)
+    elif case == "chsh":
+        t = CHSH
+    else:
+        t = sylvester_hadamard(8)
+    classical_upper_bound(t, max_atoms=max_atoms)
+    assert masters
+    for cols in masters:
+        assert np.unique(cols, axis=1).shape[1] == cols.shape[1]
+        assert cols.shape[1] <= max_atoms + 2
+
+
 def test_upper_bound_converges_at_n10_default_max_atoms():
     g = small_gaussian(10, 7)
     dec = classical_upper_bound(g)
