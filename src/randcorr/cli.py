@@ -20,27 +20,16 @@ from . import spectral
 from .errors import NumericalError, ValidationError
 from .linalg import (as_matrix, flatness_ratio, operator_norm, read_matrix_csv,
                      svd, trace_norm, write_matrix_csv)
-from .norms import (BellFunctional, ConvexDecomposition, DualWitness,
-                    FactorizationPair, SignPair, _bell_functional, _gamma2_bracket,
+from .norms import (TOL_DECOMPOSITION_RESIDUAL, _bell_functional, _gamma2_bracket,
                     bell_functional_from_svd, classical_lower_bound,
                     classical_upper_bound, gamma2_bracket, gamma2_oracle,
                     gap_from_bell, infty_to_one_exact, infty_to_one_heuristic)
 from .sampling import ENSEMBLE_KINDS, EnsembleSpec, SeedSpec
-from .experiments import (ExperimentConfig, TrialRecord, default_config, grid,
-                          run_experiment, summarize_records, verdicts)
+from .experiments import ExperimentConfig, default_config, run_experiment
+from .verify import verify_report
 
 SCHEMA_VERSION = "1"
 OUT_ENV = "RANDCORR_OUT"
-_CERT_TOL = 1e-9
-_RECONSTRUCTION_TOL = 1e-6  # max residual of a certified convex decomposition
-# results entries that restate a certificate's claim, by report kind
-_RESULT_CLAIMS = {
-    "gap": {"bell_norm": "bell_functional", "gamma2_lower": "gamma2_lower",
-            "gamma2_upper": "gamma2_upper"},
-    "classical": {"lower": "classical_lower", "upper": "classical_upper"},
-    "gamma2": {"lower": "gamma2_lower", "upper": "gamma2_upper"},
-    "norm": {"value": "infty_to_one_lower"},
-}
 
 
 # --- symbolic constant parser ------------------------------------------------
@@ -171,17 +160,27 @@ def _report(kind: str, config: dict, results: dict, matrix=None,
     return doc
 
 
-def _emit(doc: dict, args, headline: str) -> None:
-    print(headline)
+def _writable(path: str) -> str:
+    """`path`, with its parent directory created."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path
+
+
+def _write_out(args, default_name: str, text: str) -> None:
+    """Write `text` to --out, or to `default_name` under $RANDCORR_OUT."""
     out = args.out
     if out is None and os.environ.get(OUT_ENV):
-        seed = getattr(args, "seed", 0) or 0
-        out = os.path.join(os.environ[OUT_ENV], f"{doc['kind']}-seed{seed}.json")
+        out = os.path.join(os.environ[OUT_ENV], default_name)
     if out:
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(doc, sort_keys=True, indent=2))
-            fh.write("\n")
+        with open(_writable(out), "w", encoding="ascii") as fh:
+            fh.write(text)
+
+
+def _emit(doc: dict, args, headline: str) -> None:
+    print(headline)
+    seed = getattr(args, "seed", 0) or 0
+    _write_out(args, f"{doc['kind']}-seed{seed}.json",
+               json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _certificate(kind: str, claimed: float, payload: dict) -> dict:
@@ -198,7 +197,7 @@ def _cmd_sample(args) -> int:
     mat = spec.sample(SeedSpec(args.seed, args.trial))
     if args.out is None:
         raise ValidationError("sample requires --out for the matrix CSV")
-    write_matrix_csv(args.out, mat)
+    write_matrix_csv(_writable(args.out), mat)
     print(f"wrote {mat.shape[0]}x{mat.shape[1]} matrix to {args.out}")
     return 0
 
@@ -256,7 +255,7 @@ def _cmd_classical(args) -> int:
               "max_atoms": args.max_atoms, "tol": args.tol, "seed": args.seed}
     # a decomposition still using elastic slack does not reconstruct t, so
     # its weight sum bounds nothing
-    upper = dec.weight_sum() if dec.residual <= _RECONSTRUCTION_TOL else None
+    upper = dec.weight_sum() if dec.residual <= TOL_DECOMPOSITION_RESIDUAL else None
     results = {"lower": lower, "upper": upper,
                "converged": dec.converged, "certified": dec.certified,
                "residual": dec.residual}
@@ -308,7 +307,7 @@ def _cmd_spectral(args) -> int:
                "atom_mass": law.atom_mass, "total_mass": law.total_mass(),
                "first_moment": law.first_moment()}
     if args.csv:
-        law.to_csv(args.csv)
+        law.to_csv(_writable(args.csv))
         results["csv"] = args.csv
     if args.ks_n:
         if not args.ks_m:
@@ -339,200 +338,20 @@ def _cmd_experiment(args) -> int:
     else:
         if not args.scenario:
             raise ValidationError("experiment needs --scenario or --config")
-        cfg = default_config(args.scenario, master_seed=args.seed)
-        if args.n:
-            cfg = ExperimentConfig(scenario=cfg.scenario, sizes=args.n,
-                                   trials=args.trials or cfg.trials,
-                                   master_seed=args.seed)
-        elif args.trials:
-            cfg = ExperimentConfig(scenario=cfg.scenario, sizes=cfg.sizes,
-                                   trials=args.trials, master_seed=args.seed)
+        defaults = default_config(args.scenario)
+        cfg = ExperimentConfig(scenario=args.scenario, sizes=args.n or defaults.sizes,
+                               trials=args.trials or defaults.trials,
+                               master_seed=args.seed)
     report = run_experiment(cfg, threads=args.threads)
-    doc = report.to_dict(include_timing=args.timings)
-    lines = [f"scenario {cfg.scenario}: "
-             + ("all verdicts passed" if report.passed() else "VERDICT FAILURE")]
+    _write_out(args, f"experiment-{cfg.scenario}-seed{cfg.master_seed}.json",
+               report.to_csv() if args.format == "csv"
+               else report.to_json(include_timing=args.timings) + "\n")
+    print(f"scenario {cfg.scenario}: "
+          + ("all verdicts passed" if report.passed() else "VERDICT FAILURE"))
     for v in report.verdicts:
-        lines.append(f"  [{'PASS' if v.passed else 'FAIL'}] {v.name}: "
-                     f"value={v.value:.6g} threshold={v.threshold:.6g}")
-    out = args.out
-    if out is None and os.environ.get(OUT_ENV):
-        out = os.path.join(os.environ[OUT_ENV],
-                           f"experiment-{cfg.scenario}-seed{cfg.master_seed}.json")
-    if out:
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        with open(out, "w", encoding="ascii") as fh:
-            if args.format == "csv":
-                fh.write(report.to_csv())
-            else:
-                fh.write(json.dumps(doc, sort_keys=True, indent=2))
-                fh.write("\n")
-    print("\n".join(lines))
+        print(f"  [{'PASS' if v.passed else 'FAIL'}] {v.name}: "
+              f"value={v.value:.6g} threshold={v.threshold:.6g}")
     return 0 if report.passed() else 3
-
-
-def _verify_single(doc: dict) -> list:
-    failures = []
-    try:
-        mat = as_matrix(doc["matrix"]) if "matrix" in doc else None
-    except (ValidationError, TypeError, ValueError) as exc:
-        return [f"matrix: not a finite numeric matrix: {exc}"]
-    certs, results = doc.get("certificates", []), doc.get("results", {})
-    if not isinstance(certs, list) or not isinstance(results, dict):
-        return ["`certificates` must be a list and `results` an object"]
-    evaluated, bell = {}, None
-    for i, cert in enumerate(certs):
-        claims = cert.get("claims") if isinstance(cert, dict) else None
-        label = f"certificate {i} ({claims})"
-        if not isinstance(claims, str) or not isinstance(cert.get("certificate"), dict):
-            failures.append(f"{label}: needs a `claims` name and a `certificate` object")
-            continue
-        payload = cert["certificate"]
-        kind = payload.get("type")
-        try:
-            claimed = float(cert["value"])
-            if kind == "sign_pair":
-                got = SignPair.from_dict(payload).pairing(mat)
-            elif kind == "dual_witness":
-                witness = DualWitness.from_dict(payload)
-                n = witness.a.shape[0]
-                if np.linalg.norm(witness.a @ witness.a.T - np.eye(n)) > 1e-6:
-                    failures.append(f"{label}: witness not orthogonal")
-                    continue
-                got = witness.value(mat)
-            elif kind == "factorization":
-                pair = FactorizationPair.from_dict(payload)
-                if pair.residual(mat) > 1e-6:
-                    failures.append(f"{label}: factorization does not reproduce the matrix")
-                    continue
-                got = pair.value()
-            elif kind == "convex_decomposition":
-                dec = ConvexDecomposition.from_dict(payload)
-                if dec.reconstruction_residual(mat) > _RECONSTRUCTION_TOL:
-                    failures.append(f"{label}: decomposition does not reconstruct the matrix")
-                    continue
-                got = dec.weight_sum()
-            elif kind == "bell_functional":
-                a = as_matrix(payload["a"], square=True)
-                exact = bool(payload.get("exact"))
-                if exact:
-                    norm, _ = infty_to_one_exact(a)
-                else:
-                    # alpha^t a beta <= n ||a||_op for any a, orthogonal or not
-                    norm = a.shape[0] * operator_norm(a)
-                    # gap is computed from the heuristic lower value, so its
-                    # attaining pair must reach it (the ascent stops within
-                    # 1e-12 of the pair's value)
-                    lower = float(payload["heuristic_lower"])
-                    reached = SignPair.from_dict(payload["attaining"]).pairing(a)
-                    if not abs(reached - lower) <= _CERT_TOL * max(1.0, abs(lower)):
-                        failures.append(f"{label}: heuristic_lower {lower!r} stored, "
-                                        f"its attaining pair reaches {reached!r}")
-                        continue
-                bell = BellFunctional(a, norm, exact, None if exact else lower)
-                if claims == "classical_lower":
-                    got = float((mat * a).sum()) / norm
-                else:
-                    got = norm
-            else:
-                failures.append(f"{label}: unknown certificate type {kind!r}")
-                continue
-        except (ValidationError, NumericalError, KeyError, TypeError, ValueError) as exc:
-            # a malformed payload (a missing key, a non-numeric entry)
-            failures.append(f"{label}: re-evaluation failed: {exc}")
-            continue
-        evaluated[claims] = got
-        if abs(got - claimed) > _CERT_TOL * max(1.0, abs(claimed)):
-            failures.append(f"{label}: re-evaluates to {got!r}, claimed {claimed!r}")
-    return failures + _verify_results(doc, mat, evaluated, bell)
-
-
-def _verify_results(doc: dict, mat, evaluated: dict, bell) -> list:
-    """Check a single-matrix report's results against the re-evaluated
-    certificates: each entry that restates a claim must match it, an entry
-    whose certificate is missing must be null (norm's trace, operator and
-    flatness values have none and stay unchecked), and a gap report's `gap`
-    and `bell_norm_exact` must follow from its Bell functional."""
-    failures = []
-    kind, results = doc.get("kind"), doc.get("results", {})
-    for key, claim in _RESULT_CLAIMS.get(kind, {}).items():
-        stored = results.get(key)
-        if claim in evaluated:
-            if stored is None or not _close(stored, evaluated[claim]):
-                failures.append(f"results {key}: {stored!r} stored, certificate "
-                                f"{claim} re-evaluates to {evaluated[claim]!r}")
-        elif stored is not None and kind != "norm":
-            failures.append(f"results {key}: no {claim} certificate backs it")
-    if kind == "gap":
-        if bell is None or "gamma2_lower" not in evaluated:
-            failures.append("results gap: no bell_functional and gamma2_lower "
-                            "certificates to recompute it from")
-        else:
-            stored = results.get("gap")
-            gap = gap_from_bell(mat, bell, evaluated["gamma2_lower"])
-            if stored is None or not _close(stored, gap):
-                failures.append(f"results gap: {stored!r} stored, recomputes to {gap!r}")
-            if results.get("bell_norm_exact") is not bell.exact:
-                failures.append("results bell_norm_exact does not match the "
-                                "bell_functional certificate")
-    return failures
-
-
-def _close(a, b) -> bool:
-    """Stored and re-evaluated numbers agree to 1e-12 relative (equal
-    infinities and two NaNs agree too); a value that is not a number agrees
-    with nothing."""
-    try:
-        a, b = float(a), float(b)
-    except (TypeError, ValueError):
-        return False
-    return a == b or (math.isnan(a) and math.isnan(b)) or (
-        abs(a - b) <= 1e-12 * max(1.0, abs(a)))
-
-
-def _verify_experiment(doc: dict) -> list:
-    failures = []
-    cfg = ExperimentConfig.from_dict(doc["config"])
-    trials = [TrialRecord.from_dict(t) for t in doc["trials"]]
-    # trial i must be the seeded trial at position i of the scenario's grid
-    sizes = grid(cfg)
-    if len(trials) != len(sizes):
-        failures.append(f"trial count mismatch: {len(trials)} stored, "
-                        f"{len(sizes)} in the grid")
-    for i, (t, size) in enumerate(zip(trials, sizes)):
-        if t.trial_index != i:
-            failures.append(f"trial {i}: trial_index {t.trial_index} stored")
-        if t.stream_seed != SeedSpec(cfg.master_seed, i).stream_seed():
-            failures.append(f"trial {i}: stream_seed is not that of "
-                            f"(master_seed, {i})")
-        if t.size != size:
-            failures.append(f"trial {i}: size {t.size} stored where the grid "
-                            f"has {size}")
-    fresh = summarize_records(trials)
-    stored = doc["summaries"]
-    if len(fresh) != len(stored):
-        failures.append("summary count mismatch")
-        return failures
-    for a, b in zip(fresh, stored):
-        for key in ("mean", "std", "q05", "q50", "q95"):
-            if not _close(a[key], b[key]):
-                failures.append(f"summary {a['size']}/{a['stat']}/{key} mismatch")
-    fresh_verdicts = verdicts(cfg, trials, fresh)
-    stored_verdicts = doc["verdicts"]
-    if len(fresh_verdicts) != len(stored_verdicts):
-        failures.append(f"verdict count mismatch: {len(stored_verdicts)} stored, "
-                        f"{len(fresh_verdicts)} re-evaluated")
-        return failures
-    for new, old in zip(fresh_verdicts, stored_verdicts):
-        if new.name != old["name"]:
-            failures.append(f"verdict {old['name']!r} stored where {new.name!r} "
-                            "re-evaluates")
-            continue
-        if bool(new.passed) != bool(old["passed"]):
-            failures.append(f"verdict {new.name} flipped on re-evaluation")
-        for key in ("value", "threshold"):
-            if not _close(getattr(new, key), old[key]):
-                failures.append(f"verdict {new.name}/{key} mismatch")
-    return failures
 
 
 def _cmd_verify(args) -> int:
@@ -542,16 +361,12 @@ def _cmd_verify(args) -> int:
         raise ValidationError("a report is a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema version {doc.get('schema_version')!r}")
-    if doc.get("kind") == "experiment":
-        failures = _verify_experiment(doc)
-    else:
-        failures = _verify_single(doc)
-    if failures:
-        for f in failures:
-            print(f"FAIL {f}")
-        return 1
-    print("all certificates verified")
-    return 0
+    failures = verify_report(doc)
+    for line in failures:
+        print(f"FAIL {line}")
+    if not failures:
+        print("all certificates verified")
+    return 1 if failures else 0
 
 
 # --- argument parsing ---------------------------------------------------------

@@ -29,6 +29,7 @@ GAMMA2_RESCALE_TOL = 3e-3       # stop once upper <= (1 + tol) * rescaled trace 
 GAMMA2_RESCALE_MAX_ITER = 100   # rescaling steps after the plain factorization
 GAMMA2_SCALE_FLOOR = 1e-2       # smallest row/column weight, relative to the largest
 TOL_FACTOR_RESIDUAL = 1e-9      # max reconstruction residual of an upper certificate
+TOL_DECOMPOSITION_RESIDUAL = 1e-6  # max residual of a certified convex decomposition
 _LOW_BITS = 12                  # sign bits in the exact enumeration's low table (2^12 x n)
 _TIE_RTOL = 1e-12               # sign vectors this close (relative) to the maximum tie
 _PRICING_COLUMNS = 32           # atoms priced per column-generation round
@@ -193,6 +194,15 @@ class BellFunctional:
         if self.attaining is not None:
             d["attaining"] = self.attaining.to_dict()
         return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "BellFunctional":
+        lower, attaining = d.get("heuristic_lower"), d.get("attaining")
+        return cls(a=as_matrix(d["a"], square=True),
+                   eps_one_norm=float(d["eps_one_norm"]), exact=bool(d["exact"]),
+                   heuristic_lower=None if lower is None else float(lower),
+                   near_singular=bool(d["near_singular"]),
+                   attaining=None if attaining is None else SignPair.from_dict(attaining))
 
 
 @functools.lru_cache(maxsize=_LOW_BITS + 1)

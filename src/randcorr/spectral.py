@@ -270,10 +270,6 @@ class EmpiricalSpectrum:
     n: int
     m: int
 
-    def ecdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.searchsorted(self.eigenvalues, x, side="right") / self.n
-
 
 def empirical_spectrum(n: int, m: int, seed: SeedSpec) -> EmpiricalSpectrum:
     """Squared singular values of G H^t / sqrt(nm); the min(n, m) rank

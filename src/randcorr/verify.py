@@ -1,0 +1,206 @@
+"""Re-check a report: rebuild what it claims from its own contents, then
+compare the stored report with the rebuild as a whole.
+
+A single-matrix report's certificates are re-evaluated against its embedded
+matrix. Each certificate's claim fixes the payload class; the payload must
+round-trip through that class's from_dict/to_dict unchanged, and the stored
+value must equal the re-evaluated one. The report's `results` are rebuilt
+from the re-evaluated claims. An experiment report is rebuilt from its
+config and its per-trial values, with trial i laid out as the seeded trial
+at position i of the scenario's grid; no trial is re-run.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import NumericalError, ValidationError
+from .experiments import (ExperimentConfig, ExperimentReport, TrialRecord, grid,
+                          summarize_records, verdicts)
+from .linalg import as_matrix, operator_norm
+from .norms import (TOL_DECOMPOSITION_RESIDUAL, TOL_FACTOR_RESIDUAL, BellFunctional,
+                    ConvexDecomposition, DualWitness, FactorizationPair, SignPair,
+                    classical_lower_bound, gap_from_bell, infty_to_one_exact)
+from .sampling import SeedSpec
+
+_REL_TOL = 1e-12            # stored and rebuilt numbers agree to this, relative
+_ORTHOGONALITY_TOL = 1e-6   # max ||a a^t - I||_F of a gamma2 dual witness
+# what a malformed report (a missing key, a non-numeric entry) raises
+_MALFORMED = (ValidationError, NumericalError, KeyError, TypeError, ValueError,
+              AttributeError, IndexError)
+
+
+def _agree(stored, fresh) -> bool:
+    """Two unequal leaves still agree when both are numbers, one at least a
+    float, and both NaN or both finite and within _REL_TOL relative."""
+    if not (all(isinstance(x, (int, float)) for x in (stored, fresh))
+            and (isinstance(stored, float) or isinstance(fresh, float))):
+        return False
+    a, b = float(stored), float(fresh)
+    return (math.isnan(a) and math.isnan(b)) or (
+        math.isfinite(a) and math.isfinite(b)
+        and abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b)))
+
+
+def _diff(stored, fresh, path: str = "") -> list[str]:
+    """One line per place where `stored` differs from its rebuild `fresh`:
+    objects need the same keys, lists the same length, and leaves must be
+    equal or _agree. Equal subtrees are skipped at C speed."""
+    if stored == fresh:
+        return []
+    if isinstance(stored, dict) and isinstance(fresh, dict):
+        if stored.keys() != fresh.keys():
+            return [f"{path or 'report'}: keys {sorted(stored.keys() - fresh.keys())} "
+                    f"stored but not rebuilt, {sorted(fresh.keys() - stored.keys())} missing"]
+        return [line for key in fresh
+                for line in _diff(stored[key], fresh[key], f"{path}.{key}" if path else key)]
+    if isinstance(stored, list) and isinstance(fresh, list):
+        if len(stored) != len(fresh):
+            return [f"{path}: {len(stored)} entries stored, {len(fresh)} rebuilt"]
+        return [line for i, (a, b) in enumerate(zip(stored, fresh))
+                for line in _diff(a, b, f"{path}[{i}]")]
+    return [] if _agree(stored, fresh) else [
+        f"{path}: {stored!r} stored, re-evaluates to {fresh!r}"]
+
+
+# --- certificate re-evaluation, one function per claim ------------------------
+
+def _witness_value(witness: DualWitness, t) -> float:
+    n = witness.a.shape[0]
+    if not np.linalg.norm(witness.a @ witness.a.T - np.eye(n)) <= _ORTHOGONALITY_TOL:
+        raise ValidationError("witness not orthogonal")
+    return witness.value(t)
+
+
+def _factorization_value(pair: FactorizationPair, t) -> float:
+    if not pair.residual(t) <= TOL_FACTOR_RESIDUAL:
+        raise ValidationError("factorization does not reproduce the matrix")
+    return pair.value()
+
+
+def _decomposition_value(dec: ConvexDecomposition, t) -> float:
+    if not dec.reconstruction_residual(t) <= TOL_DECOMPOSITION_RESIDUAL:
+        raise ValidationError("decomposition does not reconstruct the matrix")
+    return dec.weight_sum()
+
+
+def _bell_norm(bell: BellFunctional, t=None) -> float:
+    """The functional's inf->1 norm: enumerated when exact, else n ||a||_op
+    (alpha^t a beta <= n ||a||_op for any a, orthogonal or not). The stored
+    eps_one_norm must agree with it, and the attaining pair must reach the
+    value a gap divides by: the norm, or heuristic_lower above EXACT_CAP."""
+    a = bell.a
+    norm = infty_to_one_exact(a)[0] if bell.exact else a.shape[0] * operator_norm(a)
+    reached = "eps_one_norm" if bell.exact else "heuristic_lower"
+    problems = (_diff(bell.eps_one_norm, norm, "eps_one_norm")
+                + _diff(getattr(bell, reached), bell.attaining.pairing(a),
+                        f"{reached} (its attaining pair)"))
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return norm
+
+
+def _classical_lower(bell: BellFunctional, t) -> float:
+    _bell_norm(bell)
+    return classical_lower_bound(t, bell)
+
+
+# claim: (payload class, re-evaluation of the claimed value against t)
+_CERTIFICATES = {
+    "infty_to_one_lower": (SignPair, SignPair.pairing),
+    "gamma2_lower": (DualWitness, _witness_value),
+    "gamma2_upper": (FactorizationPair, _factorization_value),
+    "classical_lower": (BellFunctional, _classical_lower),
+    "classical_upper": (ConvexDecomposition, _decomposition_value),
+    "bell_functional": (BellFunctional, _bell_norm),
+}
+# results entries that restate a certificate's claim, by report kind
+_RESULT_CLAIMS = {
+    "gap": {"bell_norm": "bell_functional", "gamma2_lower": "gamma2_lower",
+            "gamma2_upper": "gamma2_upper"},
+    "classical": {"lower": "classical_lower", "upper": "classical_upper"},
+    "gamma2": {"lower": "gamma2_lower", "upper": "gamma2_upper"},
+    "norm": {"value": "infty_to_one_lower"},
+}
+
+
+def _verify_single(doc: dict) -> list[str]:
+    """Each certificate is re-evaluated and rebuilt. In `results`, an entry
+    that restates a claim takes the re-evaluated value, or null where the
+    report has no certificate for it (norm's trace, operator and flatness
+    values have none and are kept as stored); a gap report's `gap` and
+    `bell_norm_exact` follow from its Bell functional and gamma2_lower."""
+    try:
+        mat = as_matrix(doc["matrix"]) if "matrix" in doc else None
+    except _MALFORMED as exc:
+        return [f"matrix: not a finite numeric matrix: {exc}"]
+    certs, results = doc.get("certificates", []), doc.get("results", {})
+    if not isinstance(certs, list) or not isinstance(results, dict):
+        return ["`certificates` must be a list and `results` an object"]
+    failures, values, payloads = [], {}, {}
+    for i, cert in enumerate(certs):
+        claims = cert.get("claims") if isinstance(cert, dict) else None
+        label = f"certificate {i} ({claims})"
+        entry = _CERTIFICATES.get(claims) if isinstance(claims, str) else None
+        if entry is None or not isinstance(cert.get("certificate"), dict):
+            failures.append(f"{label}: needs a known `claims` name and a "
+                            "`certificate` object")
+            continue
+        cls, evaluate = entry
+        try:
+            payload = cls.from_dict(cert["certificate"])
+            value = evaluate(payload, mat)
+        except _MALFORMED as exc:
+            failures.append(f"{label}: re-evaluation failed: {exc}")
+            continue
+        values[claims], payloads[claims] = value, payload
+        failures += _diff(cert, {"claims": claims, "value": value,
+                                 "certificate": payload.to_dict()}, label)
+    kind, fresh_results = doc.get("kind"), dict(results)
+    for key, claim in _RESULT_CLAIMS.get(kind, {}).items():
+        if claim in values or kind != "norm":
+            fresh_results[key] = values.get(claim)
+    if kind == "gap":
+        bell = payloads.get("bell_functional")
+        if bell is None or "gamma2_lower" not in values:
+            failures.append("results gap: no bell_functional and gamma2_lower "
+                            "certificates to recompute it from")
+        else:
+            fresh_results["gap"] = gap_from_bell(mat, bell, values["gamma2_lower"])
+            fresh_results["bell_norm_exact"] = bell.exact
+    fresh = {key: doc[key] for key in
+             ("schema_version", "kind", "config", "matrix", "certificates") if key in doc}
+    fresh["results"] = fresh_results
+    return failures + _diff(doc, fresh)
+
+
+def _verify_experiment(doc: dict) -> list[str]:
+    """The report must equal its rebuild from its config and the values of
+    its trials: trial i is given trial_index i, the stream_seed of
+    (master_seed, i) and the size grid(cfg)[i], and the summaries and
+    verdicts are recomputed from those trials."""
+    try:
+        cfg = ExperimentConfig.from_dict(doc["config"])
+        stored = [TrialRecord.from_dict(t) for t in doc["trials"]]
+        sizes = grid(cfg)
+        if len(stored) != len(sizes):
+            return [f"trial count mismatch: {len(stored)} stored, "
+                    f"{len(sizes)} in the grid"]
+        trials = [TrialRecord(i, SeedSpec(cfg.master_seed, i).stream_seed(), size,
+                              t.values) for i, (t, size) in enumerate(zip(stored, sizes))]
+        summaries = summarize_records(trials)
+        fresh = ExperimentReport(cfg, trials, summaries,
+                                 verdicts(cfg, trials, summaries),
+                                 doc.get("wall_clock_s", 0.0))
+    except _MALFORMED as exc:
+        return [f"report cannot be rebuilt: {exc!r}"]
+    return _diff(doc, fresh.to_dict(include_timing="wall_clock_s" in doc))
+
+
+def verify_report(doc: dict) -> list[str]:
+    """What fails to verify in a report, one line each; empty when every
+    certificate and every rebuilt entry matches."""
+    if doc.get("kind") == "experiment":
+        return _verify_experiment(doc)
+    return _verify_single(doc)

@@ -9,9 +9,9 @@ from randcorr.cli import main, parse_scalar
 from randcorr.errors import NumericalError
 from randcorr.experiments import (ExperimentConfig, TrialRecord,
                                   summarize_records, verdicts)
-from randcorr.linalg import write_matrix_csv
-from randcorr.norms import (BellFunctional, classical_upper_bound, gap_from_bell,
-                            quantum_classical_gap)
+from randcorr.linalg import read_matrix_csv, write_matrix_csv
+from randcorr.norms import (BellFunctional, FactorizationPair, classical_upper_bound,
+                            gap_from_bell, quantum_classical_gap)
 from randcorr.sampling import SeedSpec, gaussian
 
 
@@ -178,6 +178,18 @@ def test_spectral_subcommand_with_csv(tmp_path, capsys):
     assert os.path.exists(csv)
 
 
+def test_spectral_csv_creates_its_directory(tmp_path):
+    csv = tmp_path / "new" / "dir" / "law.csv"
+    assert main(["spectral", "--alpha", "1", "--grid-points", "500", "--csv", str(csv)]) == 0
+    assert csv.read_text().count("\n") > 500
+
+
+def test_sample_out_creates_its_directory(tmp_path):
+    out = tmp_path / "new" / "dir" / "g.csv"
+    assert main(["sample", "--kind", "gaussian", "--n", "3", "--out", str(out)]) == 0
+    assert read_matrix_csv(out).shape == (3, 3)
+
+
 def test_sample_subcommand_round_trip(tmp_path):
     out = str(tmp_path / "h.csv")
     assert main(["sample", "--kind", "haar_orthogonal", "--n", "5",
@@ -218,7 +230,8 @@ def test_experiment_report_verifies(tmp_path):
     assert main(["verify-certificate", out]) == 1
 
 
-@pytest.mark.parametrize("edit", ["emptied", "truncated", "renamed", "value", "threshold"])
+@pytest.mark.parametrize("edit", ["emptied", "truncated", "renamed", "value", "threshold",
+                                  "detail"])
 def test_verify_rejects_edited_verdicts(tmp_path, capsys, edit):
     out = str(tmp_path / "exp.json")
     assert main(["experiment", "--scenario", "tau_approximation", "--trials",
@@ -234,6 +247,8 @@ def test_verify_rejects_edited_verdicts(tmp_path, capsys, edit):
         verdicts[1]["name"] = "bound_cap_m9999"
     elif edit == "value":
         verdicts[1]["value"] *= 1.0 + 1e-9  # verdict still passes
+    elif edit == "detail":
+        verdicts[1]["detail"] += " (edited)"
     else:
         verdicts[1]["threshold"] = 0.25
     with open(out, "w") as fh:
@@ -241,6 +256,49 @@ def test_verify_rejects_edited_verdicts(tmp_path, capsys, edit):
     capsys.readouterr()
     assert main(["verify-certificate", out]) == 1
     assert "FAIL verdict" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", [
+    "summary_count", "summary_stat", "summary_size", "scenario", "extra_key",
+    "no_trials", "no_summaries", "trial_not_object", "config_not_object"])
+def test_verify_rejects_edited_or_malformed_experiment(tmp_path, capsys, edit):
+    # the report is compared whole against its rebuild, so every field counts,
+    # and a malformed report is a FAIL line, not a traceback
+    out = str(tmp_path / "exp.json")
+    assert main(["experiment", "--scenario", "tau_approximation", "--trials",
+                 "3", "--seed", "11", "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    if edit == "summary_count":
+        doc["summaries"][0]["count"] += 1
+    elif edit == "summary_stat":
+        doc["summaries"][0]["stat"] = "tau_gap"
+    elif edit == "summary_size":
+        doc["summaries"][0]["size"] = {"m": 1}
+    elif edit == "scenario":
+        doc["scenario"] = "qc_gap"
+    elif edit == "extra_key":
+        doc["note"] = "all verdicts passed"
+    elif edit == "no_trials":
+        del doc["trials"]
+    elif edit == "no_summaries":
+        del doc["summaries"]
+    elif edit == "trial_not_object":
+        doc["trials"][0] = 5
+    else:
+        doc["config"] = [doc["config"]]
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert capsys.readouterr().out.startswith("FAIL ")
+
+
+def test_timed_experiment_report_verifies(tmp_path):
+    out = str(tmp_path / "exp.json")
+    assert main(["experiment", "--scenario", "tau_approximation", "--trials",
+                 "3", "--seed", "11", "--timings", "--out", out]) == 0
+    assert "wall_clock_s" in json.loads(open(out).read())
+    assert main(["verify-certificate", out]) == 0
 
 
 @pytest.mark.parametrize("edit", ["stream_seed", "trial_index", "dropped", "swapped"])
@@ -322,15 +380,16 @@ def test_verify_checks_heuristic_lower_above_cap(tmp_path, capsys):
     assert "heuristic_lower" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("entry", ["results", "certificate"])
+@pytest.mark.parametrize("entry", ["results", "certificate", "NaN", "Infinity"])
 def test_verify_non_numeric_value_is_a_failure(id4, tmp_path, capsys, entry):
+    # NaN and Infinity (json writes them bare) are set as the certificate's value
     out = str(tmp_path / "norm.json")
     assert main(["norm", "--matrix", id4, "--out", out]) == 0
     doc = json.loads(open(out).read())
     if entry == "results":
         doc["results"]["value"] = "abc"
     else:
-        doc["certificates"][0]["value"] = "abc"
+        doc["certificates"][0]["value"] = "abc" if entry == "certificate" else float(entry)
     with open(out, "w") as fh:
         json.dump(doc, fh)
     capsys.readouterr()
@@ -358,6 +417,83 @@ def test_verify_malformed_report_is_a_failure(id4, tmp_path, capsys, edit):
         doc["certificates"] = 5
     else:
         doc["results"] = [doc["results"]]
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert capsys.readouterr().out.startswith("FAIL ")
+
+
+def hadamard8():
+    h = np.ones((1, 1))
+    for _ in range(3):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def test_verify_rejects_factorization_off_by_5e_7(tmp_path, capsys):
+    # gamma2_bracket keeps only factorizations reproducing t to 1e-9; one
+    # scaled by 1 - 5e-7, with its value and results updated, would put the
+    # upper bound below gamma2(H8) = sqrt(8) = the certified lower bound
+    mpath = tmp_path / "h8.csv"
+    write_matrix_csv(mpath, hadamard8())
+    out = str(tmp_path / "gamma2.json")
+    assert main(["gamma2", "--matrix", str(mpath), "--out", out]) == 0
+    assert main(["verify-certificate", out]) == 0
+    doc = json.loads(open(out).read())
+    [cert] = [c for c in doc["certificates"] if c["claims"] == "gamma2_upper"]
+    x = np.asarray(cert["certificate"]["x"]) * (1.0 - 5e-7)
+    cert["certificate"]["x"] = x.tolist()
+    cert["value"] = FactorizationPair(x, np.asarray(cert["certificate"]["y"])).value()
+    doc["results"]["upper"] = cert["value"]
+    assert doc["results"]["upper"] < doc["results"]["lower"] == pytest.approx(math.sqrt(8))
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert "does not reproduce the matrix" in capsys.readouterr().out
+
+
+def test_verify_claim_fixes_the_payload_class(tmp_path, capsys):
+    # a sign pair's value is no gamma2 upper bound: a gamma2_upper claim backed
+    # by one fails, even with the value and results made to match
+    mpath = tmp_path / "g.csv"
+    write_matrix_csv(mpath, gaussian(6, 6, SeedSpec(13, 0)) / math.sqrt(6))
+    norm_out, out = str(tmp_path / "norm.json"), str(tmp_path / "gamma2.json")
+    assert main(["norm", "--matrix", str(mpath), "--out", norm_out]) == 0
+    assert main(["gamma2", "--matrix", str(mpath), "--out", out]) == 0
+    [sign_cert] = json.loads(open(norm_out).read())["certificates"]
+    doc = json.loads(open(out).read())
+    [cert] = [c for c in doc["certificates"] if c["claims"] == "gamma2_upper"]
+    cert["certificate"], cert["value"] = sign_cert["certificate"], sign_cert["value"]
+    doc["results"]["upper"] = sign_cert["value"]
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert "FAIL certificate 1 (gamma2_upper)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", ["eps_one_norm", "attaining", "payload_key",
+                                  "certificate_key", "report_key"])
+def test_verify_rejects_edits_outside_the_claimed_value(tmp_path, capsys, edit):
+    mpath = tmp_path / "g.csv"
+    write_matrix_csv(mpath, gaussian(6, 6, SeedSpec(3, 0)) / math.sqrt(6))
+    out = str(tmp_path / "gap.json")
+    assert main(["gap", "--matrix", str(mpath), "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    [cert] = [c for c in doc["certificates"] if c["claims"] == "bell_functional"]
+    payload = cert["certificate"]
+    if edit == "eps_one_norm":
+        payload["eps_one_norm"] *= 1.5
+    elif edit == "attaining":
+        payload["attaining"]["alpha"][1] *= -1
+    elif edit == "payload_key":
+        payload["note"] = 1
+    elif edit == "certificate_key":
+        cert["note"] = 1
+    else:
+        doc["note"] = 1
     with open(out, "w") as fh:
         json.dump(doc, fh)
     capsys.readouterr()
