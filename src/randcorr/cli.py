@@ -18,17 +18,15 @@ import numpy as np
 
 from . import spectral
 from .errors import NumericalError, ValidationError
-from .linalg import (as_matrix, flatness_ratio, operator_norm, read_matrix_csv,
-                     svd, trace_norm, write_matrix_csv)
-from .norms import (TOL_DECOMPOSITION_RESIDUAL, _bell_functional, _gamma2_bracket,
-                    bell_functional_from_svd, classical_lower_bound,
+from .linalg import SPECTRAL_VALUES, as_matrix, read_matrix_csv, svd, write_matrix_csv
+from .norms import (HEURISTIC_RESTARTS, TOL_DECOMPOSITION_RESIDUAL, _bell_functional,
+                    _gamma2_bracket, bell_functional_from_svd, classical_lower_bound,
                     classical_upper_bound, gamma2_bracket, gamma2_oracle,
                     gap_from_bell, infty_to_one_exact, infty_to_one_heuristic)
 from .sampling import ENSEMBLE_KINDS, EnsembleSpec, SeedSpec
-from .experiments import ExperimentConfig, default_config, run_experiment
+from .experiments import SCHEMA_VERSION, ExperimentConfig, default_config, run_experiment
 from .verify import verify_report
 
-SCHEMA_VERSION = "1"
 OUT_ENV = "RANDCORR_OUT"
 
 
@@ -214,12 +212,8 @@ def _cmd_norm(args) -> int:
         value, pair = infty_to_one_heuristic(mat, args.restarts,
                                              SeedSpec(args.seed, 0))
         certs.append(_certificate("infty_to_one_lower", value, pair.to_dict()))
-    elif args.which == "trace":
-        value = trace_norm(mat)
-    elif args.which == "operator":
-        value = operator_norm(mat)
     else:
-        value = flatness_ratio(mat)
+        value = SPECTRAL_VALUES[args.which](mat)
     doc = _report("norm", config, {"value": value}, matrix=mat,
                   certificates=certs or None)
     _emit(doc, args, format(value, ".12g"))
@@ -395,9 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="matrix norms")
     p.add_argument("--matrix", required=True)
     p.add_argument("--which", default="infty-to-one",
-                   choices=("infty-to-one", "infty-to-one-heuristic", "trace",
-                            "operator", "flatness"))
-    p.add_argument("--restarts", type=int, default=50)
+                   choices=("infty-to-one", "infty-to-one-heuristic", *SPECTRAL_VALUES))
+    p.add_argument("--restarts", type=int, default=HEURISTIC_RESTARTS)
     common(p)
     p.set_defaults(func=_cmd_norm)
 
@@ -421,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="classical/quantum norm ratio estimate")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--restarts", type=int, default=50)
+    p.add_argument("--restarts", type=int, default=HEURISTIC_RESTARTS)
     common(p)
     p.set_defaults(func=_cmd_gap)
 

@@ -20,14 +20,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import flatness_from_sigma, svd, trace_norm
-from .norms import (EXACT_CAP, _gamma2_bracket, bell_functional_from_svd,
-                    classical_lower_bound, infty_to_one_exact,
-                    quantum_classical_gap, tau_gap_bound)
+from .linalg import flatness_from_sigma, svd
+from .norms import (EXACT_CAP, HEURISTIC_RESTARTS, _bell_functional, _gamma2_bracket,
+                    bell_functional_from_svd, classical_lower_bound, gap_from_bell,
+                    infty_to_one_exact, quantum_classical_gap, tau_gap_bound)
 from .sampling import (SeedSpec, bi_invariant, gaussian, haar_orthogonal,
                        unit_rows_correlation)
 from .spectral import alpha_threshold
 
+SCHEMA_VERSION = "1"  # of every report, experiment or single-matrix
 SQRT_16_15 = math.sqrt(16.0 / 15.0)
 SQRT_15_16 = math.sqrt(15.0 / 16.0)
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
@@ -138,7 +139,7 @@ class ExperimentReport:
         return all(v.passed for v in self.verdicts)
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        d = {"schema_version": "1", "kind": "experiment",
+        d = {"schema_version": SCHEMA_VERSION, "kind": "experiment",
              "scenario": self.config.scenario,
              "config": self.config.to_dict(),
              "trials": [t.to_dict() for t in self.trials],
@@ -220,6 +221,14 @@ def _stat(summaries: list[dict], size: dict, name: str, field_name: str) -> floa
     raise KeyError(f"no summary for size={size} stat={name}")
 
 
+def _frequency_verdict(cfg, summaries: list[dict], size: dict, stat: str,
+                       name: str, detail: str) -> Verdict:
+    """The mean of the indicator `stat` at `size` must reach freq_min."""
+    freq = _stat(summaries, size, stat, "mean")
+    return Verdict(name=name, passed=freq >= cfg.thresholds["freq_min"], value=freq,
+                   threshold=cfg.thresholds["freq_min"], detail=detail)
+
+
 def monte_carlo_se(freq: float, count: int) -> float:
     """Normal-approximation standard error with the 1/count continuity guard."""
     se = math.sqrt(max(freq * (1.0 - freq), 0.0) / count)
@@ -251,14 +260,10 @@ def _trial_orthogonal_norm_band(cfg, size, seed):
 
 
 def _verdict_orthogonal_norm_band(cfg, trials, summaries):
-    out = []
-    for n in cfg.sizes:
-        freq = _stat(summaries, {"n": n}, "in_band_event", "mean")
-        out.append(Verdict(
-            name=f"band_frequency_n{n}", passed=freq >= cfg.thresholds["freq_min"],
-            value=freq, threshold=cfg.thresholds["freq_min"],
-            detail=f"fraction of ||O||/n inside the slack band at n={n}"))
-    return out
+    return [_frequency_verdict(cfg, summaries, {"n": n}, "in_band_event",
+                               f"band_frequency_n{n}",
+                               f"fraction of ||O||/n inside the slack band at n={n}")
+            for n in cfg.sizes]
 
 
 def _trial_quantum_norm_convergence(cfg, size, seed):
@@ -309,23 +314,17 @@ def _trial_qc_gap(cfg, size, seed):
         # the all-ones matrix is an extreme classical point
         gap = quantum_classical_gap(np.ones((n, n)))
         return {"gap": gap, "control_event": float(gap <= 1.0 + 1e-9)}
-    t = gaussian(n, n, seed) / math.sqrt(n)
-    restarts = int(cfg.params.get("heuristic_restarts", 50))
-    gap = quantum_classical_gap(t, heuristic_restarts=restarts, seed=seed)
+    gap = quantum_classical_gap(gaussian(n, n, seed) / math.sqrt(n), seed=seed)
     return {"gap": gap, "gap_gt_1_event": float(gap > 1.0),
             "exact_mode": float(n <= EXACT_CAP)}
 
 
 def _verdict_qc_gap(cfg, trials, summaries):
-    out = []
-    for n in cfg.sizes:
-        if n > EXACT_CAP:
-            continue  # heuristic sizes are report-only
-        freq = _stat(summaries, {"n": n}, "gap_gt_1_event", "mean")
-        out.append(Verdict(
-            name=f"gap_frequency_n{n}", passed=freq >= cfg.thresholds["freq_min"],
-            value=freq, threshold=cfg.thresholds["freq_min"],
-            detail=f"frequency of quantum_classical_gap > 1 at n={n}"))
+    # heuristic sizes (n > EXACT_CAP) are report-only
+    out = [_frequency_verdict(cfg, summaries, {"n": n}, "gap_gt_1_event",
+                              f"gap_frequency_n{n}",
+                              f"frequency of quantum_classical_gap > 1 at n={n}")
+           for n in cfg.sizes if n <= EXACT_CAP]
     control = _stat(summaries, {"n": min(cfg.sizes), "control": "all_ones"},
                     "control_event", "mean")
     out.append(Verdict(name="all_ones_control", passed=control == 1.0,
@@ -346,52 +345,43 @@ def _trial_nonlocality_sweep(cfg, size, seed):
     tau = unit_rows_correlation(n, m, seed)
     bell = bell_functional_from_svd(tau, seed=seed)
     lower = classical_lower_bound(tau, bell)
-    slack_mult = cfg.thresholds.get("tau_slack", 0.0)
-    slack = slack_mult * tau_gap_bound(n, m, seed) if slack_mult else 0.0
     return {"classical_lower": lower,
-            "certificate_event": float(lower > 1.0 + slack),
+            "certificate_event": float(lower > 1.0),
             "exact_mode": float(bell.exact)}
 
 
 def _verdict_nonlocality_sweep(cfg, trials, summaries):
-    out = []
+    # the sizes of the trials at the first n, in order of alpha = m / n
     n = cfg.sizes[0]
-    alphas = sorted({t.size["alpha"] for t in trials})
-    lo_alpha, hi_alpha = alphas[0], alphas[-1]
-    freq_lo = _stat(summaries, {"n": n, "m": max(1, round(lo_alpha * n)),
-                                "alpha": lo_alpha}, "certificate_event", "mean")
-    freq_hi = _stat(summaries, {"n": n, "m": max(1, round(hi_alpha * n)),
-                                "alpha": hi_alpha}, "certificate_event", "mean")
-    out.append(Verdict(name=f"nonlocal_frequency_alpha{lo_alpha:g}",
-                       passed=freq_lo >= cfg.thresholds["freq_nonlocal_min"],
-                       value=freq_lo, threshold=cfg.thresholds["freq_nonlocal_min"],
-                       detail="certificate rate deep in the non-local regime"))
-    out.append(Verdict(name=f"local_control_alpha{hi_alpha:g}",
-                       passed=freq_hi <= cfg.thresholds["freq_local_max"],
-                       value=freq_hi, threshold=cfg.thresholds["freq_local_max"],
-                       detail="certificate rate at the local-regime control point"))
+    sizes = sorted({t.size["alpha"]: t.size for t in trials if t.size["n"] == n}.items())
+    freqs = [(_stat(summaries, size, "certificate_event", "mean"), a) for a, size in sizes]
+    (freq_lo, lo_alpha), (freq_hi, hi_alpha) = freqs[0], freqs[-1]
     # informational: empirical transition vs the asymptotic threshold
-    freqs = []
-    for a in alphas:
-        freqs.append((_stat(summaries, {"n": n, "m": max(1, round(a * n)),
-                                        "alpha": a}, "certificate_event", "mean"), a))
     transition = next((a for f, a in freqs if f < 0.5), hi_alpha)
-    out.append(Verdict(name="transition_logged", passed=True,
-                       value=transition, threshold=alpha_threshold(SQRT_16_15),
-                       detail="first alpha with certificate rate < 1/2 (informational; "
-                              "finite-n transition need not match the asymptote)"))
-    return out
+    return [
+        Verdict(name=f"nonlocal_frequency_alpha{lo_alpha:g}",
+                passed=freq_lo >= cfg.thresholds["freq_nonlocal_min"],
+                value=freq_lo, threshold=cfg.thresholds["freq_nonlocal_min"],
+                detail="certificate rate deep in the non-local regime"),
+        Verdict(name=f"local_control_alpha{hi_alpha:g}",
+                passed=freq_hi <= cfg.thresholds["freq_local_max"],
+                value=freq_hi, threshold=cfg.thresholds["freq_local_max"],
+                detail="certificate rate at the local-regime control point"),
+        Verdict(name="transition_logged", passed=True,
+                value=transition, threshold=alpha_threshold(SQRT_16_15),
+                detail="first alpha with certificate rate < 1/2 (informational; "
+                       "finite-n transition need not match the asymptote)"),
+    ]
 
 
 def _trial_mean_width(cfg, size, seed):
     n = size["n"]
-    restarts = int(cfg.params.get("heuristic_restarts", 50))
     g = gaussian(n, n, seed)
-    tn = trace_norm(g)
-    bell = bell_functional_from_svd(g, heuristic_restarts=restarts, seed=seed)
-    norm_est = bell.eps_one_norm if bell.exact else bell.heuristic_lower
-    classical = float((g * bell.a).sum()) / norm_est
-    return {"quantum_width_scaled": tn / n ** 1.5,
+    triple = svd(g)  # one SVD gives the trace norm and the functional UV^t
+    bell = _bell_functional(triple, HEURISTIC_RESTARTS, seed)
+    # <g, a> over the Bell norm a gap divides by: gap_from_bell with denominator 1
+    classical = gap_from_bell(g, bell, 1.0)
+    return {"quantum_width_scaled": float(triple.sigma.sum()) / n ** 1.5,
             "classical_width_scaled": classical / math.sqrt(n)}
 
 
@@ -565,19 +555,18 @@ _TABLE = {
     "qc_gap": Scenario(
         sizes=[20], trials=200,
         thresholds={"freq_min": 0.9},
-        params={"heuristic_restarts": 50},
+        params={},
         grid=_grid_qc_gap, trial=_trial_qc_gap, verdicts=_verdict_qc_gap),
     "nonlocality_sweep": Scenario(
         sizes=[16], trials=60,
-        thresholds={"freq_nonlocal_min": 0.6, "freq_local_max": 0.1,
-                    "tau_slack": 0.0},
+        thresholds={"freq_nonlocal_min": 0.6, "freq_local_max": 0.1},
         params={"alphas": [0.125, 0.25, 0.5, 1.0, 2.0, 4.0]},
         grid=_grid_nonlocality_sweep, trial=_trial_nonlocality_sweep,
         verdicts=_verdict_nonlocality_sweep),
     "mean_width": Scenario(
         sizes=[200], trials=50,
         thresholds={"width_tol": 0.02, "ratio_min": 1.02},
-        params={"heuristic_restarts": 50},
+        params={},
         grid=_per_size, trial=_trial_mean_width, verdicts=_verdict_mean_width),
     "levy_tails": Scenario(
         sizes=[20, 50], trials=1,
@@ -604,13 +593,13 @@ _TABLE = {
 SCENARIOS = tuple(_TABLE)
 
 
-def default_config(scenario: str, master_seed: int = 2024) -> ExperimentConfig:
+def default_config(scenario: str) -> ExperimentConfig:
     """Pilot-calibrated default configuration for each scenario."""
     if scenario not in _TABLE:
         raise ValidationError(f"unknown scenario {scenario!r}")
     base = _TABLE[scenario]
     return ExperimentConfig(scenario=scenario, sizes=list(base.sizes),
-                            trials=base.trials, master_seed=master_seed)
+                            trials=base.trials, master_seed=2024)
 
 
 def grid(cfg: ExperimentConfig) -> list[dict]:

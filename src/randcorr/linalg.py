@@ -105,6 +105,11 @@ def flatness_from_sigma(sigma: np.ndarray) -> float:
     return float(sigma.size * sigma[0] / total)
 
 
+# the values `randcorr norm --which` computes from the singular values alone
+SPECTRAL_VALUES = {"trace": trace_norm, "operator": operator_norm,
+                   "flatness": flatness_ratio}
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Read a headerless CSV matrix (rows of comma-separated decimals)."""
     rows = []

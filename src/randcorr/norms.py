@@ -662,7 +662,7 @@ def classical_lower_bound(t, bell: BellFunctional) -> float:
 
 
 def bell_functional_from_svd(t, heuristic_restarts: int = HEURISTIC_RESTARTS,
-                             seed: SeedSpec | None = None) -> BellFunctional:
+                             seed: SeedSpec = SeedSpec(0, 0)) -> BellFunctional:
     """The orthogonal functional UV^t from the SVD of t.
 
     For n <= EXACT_CAP the inf->1 norm is computed exactly; above the cap
@@ -675,18 +675,24 @@ def bell_functional_from_svd(t, heuristic_restarts: int = HEURISTIC_RESTARTS,
     return _bell_functional(svd(m), heuristic_restarts, seed)
 
 
+def _near_singular(sigma: np.ndarray) -> bool:
+    """The Bell functional's warning flag, from the descending singular
+    values of t: the smallest is within 1e-10 (relative) of zero, so UV^t
+    is not unique."""
+    return bool(sigma[-1] <= 1e-10 * max(sigma[0], 1e-300))
+
+
 def _bell_functional(triple: SvdTriple, heuristic_restarts: int,
-                     seed: SeedSpec | None) -> BellFunctional:
+                     seed: SeedSpec) -> BellFunctional:
     """bell_functional_from_svd on the SVD triple of t."""
     a = triple.u @ triple.v.T
     n = a.shape[0]
-    near_singular = bool(triple.sigma[-1] <= 1e-10 * max(triple.sigma[0], 1e-300))
+    near_singular = _near_singular(triple.sigma)
     if n <= EXACT_CAP:
         value, pair = infty_to_one_exact(a)
         return BellFunctional(a=a, eps_one_norm=value, exact=True,
                               near_singular=near_singular, attaining=pair)
-    h_seed = seed if seed is not None else SeedSpec(0, 0)
-    h_val, h_pair = infty_to_one_heuristic(a, heuristic_restarts, h_seed)
+    h_val, h_pair = infty_to_one_heuristic(a, heuristic_restarts, seed)
     return BellFunctional(a=a, eps_one_norm=float(n), exact=False,
                           heuristic_lower=h_val, near_singular=near_singular,
                           attaining=h_pair)
@@ -734,7 +740,7 @@ class _AtomPool:
 
 
 def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
-                          seed: SeedSpec | None = None) -> ConvexDecomposition:
+                          seed: SeedSpec = SeedSpec(0, 0)) -> ConvexDecomposition:
     """Projective-norm upper bound by column generation over sign atoms.
 
     Restricted master: min sum(w) with sum_k w_k outer(alpha_k, beta_k) = t,
@@ -760,20 +766,19 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
         raise ValidationError("max_atoms must be >= 1")
     n = m.shape[0]
     certified = n <= EXACT_CAP
-    h_seed = seed if seed is not None else SeedSpec(0, 0)
     b = m.flatten()
     scale = max(1.0, float(np.abs(m).max()))
 
     def price_oracle(y: np.ndarray) -> list[tuple[float, SignPair]]:
         if certified:
             return _top_sign_pairs(y, _PRICING_COLUMNS, floor=1.0 + 1e-9)
-        return [infty_to_one_heuristic(y, HEURISTIC_RESTARTS, h_seed)]
+        return [infty_to_one_heuristic(y, HEURISTIC_RESTARTS, seed)]
 
     if certified:
         start = [pair for _, pair in
                  _top_sign_pairs(m, min(_PRICING_COLUMNS, max_atoms + 1))]
     else:
-        start = [infty_to_one_heuristic(m, HEURISTIC_RESTARTS, h_seed)[1]]
+        start = [infty_to_one_heuristic(m, HEURISTIC_RESTARTS, seed)[1]]
     pool = _AtomPool(n)
     pool.add(pool.fresh(start + [SignPair(np.ones(n), np.ones(n))]))
     capacity = max_atoms + 2
@@ -819,7 +824,7 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
 
 
 def quantum_classical_gap(t, heuristic_restarts: int = HEURISTIC_RESTARTS,
-                          seed: SeedSpec | None = None) -> float:
+                          seed: SeedSpec = SeedSpec(0, 0)) -> float:
     """Estimated ratio of classical to quantum norm of t.
 
     Numerator: the certified classical lower bound <t, UV^t>/||UV^t||.

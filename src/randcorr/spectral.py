@@ -21,11 +21,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NumericalError, ValidationError
+from .linalg import singular_values
 from .sampling import SeedSpec, gaussian_product
 
 DEFAULT_GRID_POINTS = 4000
 _EDGE_POINTS = 2500  # graded points resolving the hard edge at 0 (worst at alpha=1)
 _EPS_CAP = 1e-6
+_ALPHA_LO = 0.01  # lower end of alpha_threshold's bracket
 
 
 def _cubic_coeffs(alpha: float, z):
@@ -60,6 +62,17 @@ def _roots_batch(alpha: float, zs: np.ndarray) -> np.ndarray:
     safe = np.abs(dp) > 1e-30
     roots = np.where(safe, roots - p / np.where(safe, dp, 1.0), roots)
     return roots
+
+
+def _follow(roots: np.ndarray, start: complex) -> np.ndarray:
+    """The branch through the rows of `roots` (three cubic roots each), in
+    row order: in each row the root nearest the one before, starting from
+    the root nearest `start`."""
+    branch = np.empty(len(roots), dtype=complex)
+    s = start
+    for k, row in enumerate(roots):
+        s = branch[k] = row[np.argmin(np.abs(row - s))]
+    return branch
 
 
 def ac_support_edges(alpha: float) -> tuple[float, float]:
@@ -97,9 +110,7 @@ def stieltjes(alpha: float, z: complex) -> complex:
     path = z + (anchor - z) * ts
     path = np.append(path, z)
     roots = _roots_batch(alpha, path)
-    s = -1.0 / path[0]
-    for k in range(len(path)):
-        s = roots[k, np.argmin(np.abs(roots[k] - s))]
+    s = _follow(roots, -1.0 / path[0])[-1]
     if s.imag <= 0:
         raise NumericalError("no upper-half-plane root found",
                              detail={"z": z, "roots": roots[-1].tolist()})
@@ -159,12 +170,8 @@ def _density_arrays(alpha: float, grid_points: int, eps_cap: float):
     zs = xs + 1j * eps
     roots = _roots_batch(alpha, zs)
     atom = max(0.0, 1.0 - alpha)
-    s_vals = np.empty(len(xs), dtype=complex)
-    prev = -1.0 / zs[-1] - 1.0 / zs[-1] ** 2
-    for i in range(len(xs) - 1, -1, -1):
-        k = int(np.argmin(np.abs(roots[i] - prev)))
-        s_vals[i] = roots[i, k]
-        prev = s_vals[i]
+    # tracked down the real axis from the right, where s ~ -1/z - 1/z^2
+    s_vals = _follow(roots[::-1], -1.0 / zs[-1] - 1.0 / zs[-1] ** 2)[::-1]
     f = s_vals.imag / np.pi - atom * (eps / np.pi) / (xs * xs + eps * eps)
     f = np.maximum(f, 0.0)
     f[xs > x_hi] = 0.0
@@ -185,12 +192,7 @@ def _scan_upper_edge(alpha: float, x_hi_hint: float) -> tuple[float, float]:
     xs = np.linspace(0.5 * x_hi_hint, over, 512)
     eps = 1e-9
     roots = _roots_batch(alpha, xs + 1j * eps)
-    prev = -1.0 / complex(xs[-1], eps)
-    prof = np.empty(len(xs))
-    for i in range(len(xs) - 1, -1, -1):
-        k = int(np.argmin(np.abs(roots[i] - prev)))
-        prev = roots[i, k]
-        prof[i] = prev.imag / np.pi
+    prof = _follow(roots[::-1], -1.0 / complex(xs[-1], eps))[::-1].imag / np.pi
     floor = max(1e-7, 1e-3 * prof.max())
     above = np.nonzero(prof > floor)[0]
     edge = xs[above[-1]] if len(above) else xs[0]
@@ -234,16 +236,16 @@ def c_alpha(alpha: float, grid_points: int = DEFAULT_GRID_POINTS,
     return density(alpha, grid_points, eps_cap).c_alpha
 
 
-def alpha_threshold(gap_constant: float, lo: float = 0.01, hi: float = 1.0,
-                    tol: float = 1e-4,
+def alpha_threshold(gap_constant: float, hi: float = 1.0, tol: float = 1e-4,
                     grid_points: int = DEFAULT_GRID_POINTS,
                     eps_cap: float = _EPS_CAP) -> float:
     """The aspect ratio where gap_constant * C_alpha / sqrt(alpha) crosses 1.
 
-    C_alpha/sqrt(alpha) decreases in alpha (checked at the bracket ends),
-    so the crossing is the single root on the bracket, found by Brent's
-    method to within tol.  Each objective value costs one density
-    inversion; the bracket ends are evaluated once and shared with Brent.
+    C_alpha/sqrt(alpha) decreases in alpha (checked at the ends of the
+    bracket [_ALPHA_LO, hi]), so the crossing is the single root on the
+    bracket, found by Brent's method to within tol.  Each objective value
+    costs one density inversion; the bracket ends are evaluated once and
+    shared with Brent.
     """
     if gap_constant <= 0:
         raise ValidationError("gap_constant must be positive")
@@ -252,14 +254,14 @@ def alpha_threshold(gap_constant: float, lo: float = 0.01, hi: float = 1.0,
     def objective(a: float) -> float:
         return gap_constant * c_alpha(a, grid_points, eps_cap) / np.sqrt(a) - 1.0
 
-    f_lo, f_hi = objective(lo), objective(hi)
+    f_lo, f_hi = objective(_ALPHA_LO), objective(hi)
     if f_lo <= f_hi:
         raise NumericalError("C_alpha/sqrt(alpha) not decreasing on bracket",
                              detail={"lo": f_lo, "hi": f_hi})
     if f_lo < 0 or f_hi > 0:
         raise NumericalError("no sign change on the initial bracket",
                              detail={"f(lo)": f_lo, "f(hi)": f_hi})
-    return float(brentq(objective, lo, hi, xtol=tol))
+    return float(brentq(objective, _ALPHA_LO, hi, xtol=tol))
 
 
 @dataclass
@@ -276,11 +278,7 @@ def empirical_spectrum(n: int, m: int, seed: SeedSpec) -> EmpiricalSpectrum:
     deficiency makes the trailing eigenvalues exact zeros."""
     if n < 1 or m < 1:
         raise ValidationError("empirical_spectrum requires n, m >= 1")
-    prod = gaussian_product(n, m, seed)
-    try:
-        sv = np.linalg.svd(prod, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"SVD failed: {exc}") from exc
+    sv = singular_values(gaussian_product(n, m, seed))
     lam = sv * sv / (n * m)
     rank_tol = lam.max() * n * np.finfo(float).eps if lam.size else 0.0
     lam[lam < rank_tol] = 0.0

@@ -3,11 +3,13 @@ compare the stored report with the rebuild as a whole.
 
 A single-matrix report's certificates are re-evaluated against its embedded
 matrix. Each certificate's claim fixes the payload class; the payload must
-round-trip through that class's from_dict/to_dict unchanged, and the stored
-value must equal the re-evaluated one. The report's `results` are rebuilt
-from the re-evaluated claims. An experiment report is rebuilt from its
-config and its per-trial values, with trial i laid out as the seeded trial
-at position i of the scenario's grid; no trial is re-run.
+round-trip through that class's from_dict/to_dict unchanged, with the
+entries the matrix fixes (a Bell functional's near_singular flag, a
+decomposition's residual) rebuilt from it, and the stored value must equal
+the re-evaluated one. The report's `results` are rebuilt from the
+re-evaluated claims and from the matrix. An experiment report is rebuilt
+from its config and its per-trial values, with trial i laid out as the
+seeded trial at position i of the scenario's grid; no trial is re-run.
 """
 from __future__ import annotations
 
@@ -18,10 +20,11 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .experiments import (ExperimentConfig, ExperimentReport, TrialRecord, grid,
                           summarize_records, verdicts)
-from .linalg import as_matrix, operator_norm
+from .linalg import SPECTRAL_VALUES, as_matrix, operator_norm, svd
 from .norms import (TOL_DECOMPOSITION_RESIDUAL, TOL_FACTOR_RESIDUAL, BellFunctional,
                     ConvexDecomposition, DualWitness, FactorizationPair, SignPair,
-                    classical_lower_bound, gap_from_bell, infty_to_one_exact)
+                    _near_singular, classical_lower_bound, gap_from_bell,
+                    infty_to_one_exact)
 from .sampling import SeedSpec
 
 _REL_TOL = 1e-12            # stored and rebuilt numbers agree to this, relative
@@ -80,29 +83,34 @@ def _factorization_value(pair: FactorizationPair, t) -> float:
 
 
 def _decomposition_value(dec: ConvexDecomposition, t) -> float:
-    if not dec.reconstruction_residual(t) <= TOL_DECOMPOSITION_RESIDUAL:
+    """The weight sum; the payload's residual is rebuilt as the
+    reconstruction's, which must be within TOL_DECOMPOSITION_RESIDUAL."""
+    dec.residual = dec.reconstruction_residual(t)
+    if not dec.residual <= TOL_DECOMPOSITION_RESIDUAL:
         raise ValidationError("decomposition does not reconstruct the matrix")
     return dec.weight_sum()
 
 
-def _bell_norm(bell: BellFunctional, t=None) -> float:
+def _bell_norm(bell: BellFunctional, t) -> float:
     """The functional's inf->1 norm: enumerated when exact, else n ||a||_op
     (alpha^t a beta <= n ||a||_op for any a, orthogonal or not). The stored
-    eps_one_norm must agree with it, and the attaining pair must reach the
-    value a gap divides by: the norm, or heuristic_lower above EXACT_CAP."""
+    eps_one_norm must agree with it, the attaining pair must reach the
+    value a gap divides by (the norm, or heuristic_lower above EXACT_CAP),
+    and near_singular must be the flag the singular values of t give."""
     a = bell.a
     norm = infty_to_one_exact(a)[0] if bell.exact else a.shape[0] * operator_norm(a)
     reached = "eps_one_norm" if bell.exact else "heuristic_lower"
     problems = (_diff(bell.eps_one_norm, norm, "eps_one_norm")
                 + _diff(getattr(bell, reached), bell.attaining.pairing(a),
-                        f"{reached} (its attaining pair)"))
+                        f"{reached} (its attaining pair)")
+                + _diff(bell.near_singular, _near_singular(svd(t).sigma), "near_singular"))
     if problems:
         raise ValidationError("; ".join(problems))
     return norm
 
 
 def _classical_lower(bell: BellFunctional, t) -> float:
-    _bell_norm(bell)
+    _bell_norm(bell, t)
     return classical_lower_bound(t, bell)
 
 
@@ -128,9 +136,11 @@ _RESULT_CLAIMS = {
 def _verify_single(doc: dict) -> list[str]:
     """Each certificate is re-evaluated and rebuilt. In `results`, an entry
     that restates a claim takes the re-evaluated value, or null where the
-    report has no certificate for it (norm's trace, operator and flatness
-    values have none and are kept as stored); a gap report's `gap` and
-    `bell_norm_exact` follow from its Bell functional and gamma2_lower."""
+    report has no certificate for it. Norm's trace, operator and flatness
+    values are recomputed from the matrix, classical's residual is the
+    decomposition's (kept as stored without one), and a gap report's `gap`
+    and `bell_norm_exact` follow from its Bell functional and gamma2_lower.
+    Other entries are kept as stored."""
     try:
         mat = as_matrix(doc["matrix"]) if "matrix" in doc else None
     except _MALFORMED as exc:
@@ -159,8 +169,14 @@ def _verify_single(doc: dict) -> list[str]:
                                  "certificate": payload.to_dict()}, label)
     kind, fresh_results = doc.get("kind"), dict(results)
     for key, claim in _RESULT_CLAIMS.get(kind, {}).items():
-        if claim in values or kind != "norm":
-            fresh_results[key] = values.get(claim)
+        fresh_results[key] = values.get(claim)
+    if kind == "classical" and "classical_upper" in payloads:
+        fresh_results["residual"] = payloads["classical_upper"].residual
+    try:
+        if kind == "norm" and doc["config"]["which"] in SPECTRAL_VALUES:
+            fresh_results["value"] = SPECTRAL_VALUES[doc["config"]["which"]](mat)
+    except _MALFORMED as exc:
+        failures.append(f"results value: re-evaluation failed: {exc!r}")
     if kind == "gap":
         bell = payloads.get("bell_functional")
         if bell is None or "gamma2_lower" not in values:

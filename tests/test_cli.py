@@ -7,7 +7,7 @@ import pytest
 
 from randcorr.cli import main, parse_scalar
 from randcorr.errors import NumericalError
-from randcorr.experiments import (ExperimentConfig, TrialRecord,
+from randcorr.experiments import (ExperimentConfig, TrialRecord, default_config,
                                   summarize_records, verdicts)
 from randcorr.linalg import read_matrix_csv, write_matrix_csv
 from randcorr.norms import (BellFunctional, FactorizationPair, classical_upper_bound,
@@ -353,6 +353,54 @@ def test_verify_rejects_edited_results(tmp_path, capsys, kind, edit):
     capsys.readouterr()
     assert main(["verify-certificate", out]) == 1
     assert "FAIL results" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("gap", "near_singular"), ("classical", "near_singular"),
+    ("norm --which trace", "value"), ("norm --which operator", "value"),
+    ("norm --which flatness", "value"), ("classical", "residual"),
+    ("classical", "payload_residual")])
+def test_verify_rebuilds_what_the_matrix_fixes(tmp_path, capsys, command, edit):
+    # the Bell functional's near_singular flag, the trace, operator and
+    # flatness values and a decomposition's residual follow from the matrix
+    mpath = tmp_path / "g.csv"
+    write_matrix_csv(mpath, gaussian(6, 6, SeedSpec(13, 0)) / math.sqrt(6))
+    out = str(tmp_path / "report.json")
+    assert main(command.split() + ["--matrix", str(mpath), "--out", out]) == 0
+    assert main(["verify-certificate", out]) == 0
+    doc = json.loads(open(out).read())
+    payloads = {c["claims"]: c["certificate"] for c in doc.get("certificates", [])}
+    if edit == "near_singular":
+        bell = payloads["bell_functional" if command == "gap" else "classical_lower"]
+        bell["near_singular"] = not bell["near_singular"]
+    elif edit == "value":
+        doc["results"]["value"] *= 2.0
+    elif edit == "residual":
+        assert doc["results"]["upper"] is not None  # the decomposition is kept
+        doc["results"]["residual"] = 0.5
+    else:
+        payloads["classical_upper"]["residual"] = 0.5
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert capsys.readouterr().out.startswith("FAIL ")
+
+
+@pytest.mark.parametrize("scenario, group, key, value", [
+    ("qc_gap", "params", "heuristic_restarts", 50),
+    ("mean_width", "params", "heuristic_restarts", 50),
+    ("nonlocality_sweep", "thresholds", "tau_slack", 0.0)])
+def test_reports_with_retired_settings_verify(tmp_path, scenario, group, key, value):
+    # reports written while these settings existed still carry them
+    cfg = default_config(scenario).to_dict()
+    cfg.update(sizes=[8], trials=2)
+    cfg[group][key] = value
+    cfg_path, out = tmp_path / "cfg.json", str(tmp_path / "exp.json")
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(cfg_path), "--out", out]) in (0, 3)
+    assert json.loads(open(out).read())["config"][group][key] == value
+    assert main(["verify-certificate", out]) == 0
 
 
 def test_verify_checks_heuristic_lower_above_cap(tmp_path, capsys):

@@ -188,6 +188,52 @@ def test_nonlocality_sweep_controls():
     assert freqs[0.125] > freqs[1.0]
 
 
+def test_nonlocality_sweep_judges_the_first_size():
+    # the grid rounds alpha * n to m per size, so alpha = 0.125 is m = 1 at
+    # n = 8 and m = 2 (alpha 1/6) at n = 12: the verdicts read the n = 8 trials
+    from randcorr.verify import verify_report
+    rep = run_experiment(small("nonlocality_sweep", sizes=[8, 12], trials=2))
+    lo, hi, transition = rep.verdicts
+    assert (lo.name, hi.name) == ("nonlocal_frequency_alpha0.125", "local_control_alpha4")
+    rates = {s["size"]["alpha"]: s["mean"] for s in rep.summaries
+             if s["stat"] == "certificate_event" and s["size"]["n"] == 8}
+    assert (lo.value, hi.value) == (rates[0.125], rates[4.0])
+    assert transition.value in rates
+    assert verify_report(rep.to_dict()) == []
+
+
+def test_mean_width_one_svd_per_trial(monkeypatch):
+    # each trial takes one SVD of its matrix for the trace norm and the
+    # functional, and no values-only SVD (so no trace_norm)
+    import randcorr.experiments as experiments_mod
+    import randcorr.linalg as linalg_mod
+    import randcorr.norms as norms_mod
+    from randcorr.linalg import trace_norm
+    from randcorr.norms import bell_functional_from_svd, gap_from_bell
+    from randcorr.sampling import SeedSpec
+    matrices = []
+    real_svd = linalg_mod.svd
+
+    def recording_svd(m):
+        matrices.append(m.copy())
+        return real_svd(m)
+
+    monkeypatch.setattr(experiments_mod, "svd", recording_svd)
+    monkeypatch.setattr(norms_mod, "svd", recording_svd)
+    monkeypatch.setattr(linalg_mod, "singular_values", None)  # no values-only SVD
+    cfg = small("mean_width", sizes=[8, 30], trials=2)
+    rep = run_experiment(cfg)
+    monkeypatch.undo()
+    assert len(matrices) == len(rep.trials) == 4
+    for g, trial in zip(matrices, rep.trials):
+        n = trial.size["n"]
+        bell = bell_functional_from_svd(g, seed=SeedSpec(cfg.master_seed, trial.trial_index))
+        assert trial.values["quantum_width_scaled"] == pytest.approx(
+            trace_norm(g) / n ** 1.5, rel=1e-12)
+        assert trial.values["classical_width_scaled"] == \
+            gap_from_bell(g, bell, 1.0) / math.sqrt(n)
+
+
 def test_mean_width_scenario():
     rep = run_experiment(small("mean_width", trials=12))
     by_name = {v.name: v for v in rep.verdicts}

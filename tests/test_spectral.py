@@ -62,6 +62,18 @@ def test_support_edges_against_discriminant_roots():
             assert lo == pytest.approx(lo_oracle, rel=1e-6)
 
 
+@pytest.mark.parametrize("alpha", (0.5, 1.0, 4.0))
+def test_density_matches_stieltjes_inside_the_support(alpha):
+    # two trackings of one branch: density follows the roots along the real
+    # axis from the right, stieltjes down from far up the imaginary axis
+    law = density(alpha)
+    lo, hi = ac_support_edges(alpha)
+    inside = lo + (hi - lo) * np.array([0.1, 0.25, 0.5, 0.75, 0.9])
+    for i in np.searchsorted(law.grid, inside):
+        ref = stieltjes(alpha, law.grid[i] + 1e-9j).imag / math.pi
+        assert law.density[i] == pytest.approx(ref, rel=1e-4)
+
+
 def test_alpha_one_support_is_fuss_catalan_edge():
     law = density(1.0)
     grid_step = law.grid[-1] - law.grid[-2]
