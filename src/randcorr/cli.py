@@ -9,6 +9,7 @@ multiplication.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -365,7 +366,10 @@ def _cmd_verify(args) -> int:
 
 # --- argument parsing ---------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: it costs about 2 ms, more than some commands
+    # take, and parse_args keeps no state from one call to the next
     parser = argparse.ArgumentParser(
         prog="randcorr",
         description="Random correlation matrices: quantum/classical norms, "
@@ -461,9 +465,8 @@ def _jsonable(obj):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(json.dumps({"error": "validation", "message": str(exc)}),

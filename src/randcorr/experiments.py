@@ -26,10 +26,12 @@ from .norms import (EXACT_CAP, HEURISTIC_RESTARTS, _bell_functional, _gamma2_bra
                     infty_to_one_exact, quantum_classical_gap, tau_gap_bound)
 from .sampling import (SeedSpec, bi_invariant, gaussian, haar_orthogonal,
                        unit_rows_correlation)
-from .spectral import alpha_threshold
 
 SCHEMA_VERSION = "1"  # of every report, experiment or single-matrix
 SQRT_16_15 = math.sqrt(16.0 / 15.0)
+# spectral.alpha_threshold(SQRT_16_15), the asymptotic non-locality threshold
+# alpha0; a test pins it to that call, which costs several density inversions
+ALPHA0 = 0.12701629337147366
 SQRT_15_16 = math.sqrt(15.0 / 16.0)
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
 GAUSS_TRACE_CONST = 8.0 / (3.0 * math.pi)
@@ -368,7 +370,7 @@ def _verdict_nonlocality_sweep(cfg, trials, summaries):
                 value=freq_hi, threshold=cfg.thresholds["freq_local_max"],
                 detail="certificate rate at the local-regime control point"),
         Verdict(name="transition_logged", passed=True,
-                value=transition, threshold=alpha_threshold(SQRT_16_15),
+                value=transition, threshold=ALPHA0,
                 detail="first alpha with certificate rate < 1/2 (informational; "
                        "finite-n transition need not match the asymptote)"),
     ]

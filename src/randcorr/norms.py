@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .errors import NumericalError, ValidationError
 from .linalg import SvdTriple, as_matrix, svd
@@ -702,16 +702,50 @@ def _atom_column(pair: SignPair) -> np.ndarray:
     return np.outer(pair.alpha, pair.beta).ravel()
 
 
-class _AtomPool:
-    """The restricted master's sign atoms, their columns outer(alpha, beta)
-    flattened (one per column of `cols`, in atom order) and the columns'
-    bytes, kept from one round to the next.  The bytes keep any atom from
-    entering twice (outer(alpha, beta) = outer(-alpha, -beta))."""
+_MASTER_OPTIONS = (("output_flag", False), ("presolve", "off"),
+                   ("simplex_strategy", 4))  # 4: primal simplex
 
-    def __init__(self, n: int):
+
+def linprog(highs: _Highs) -> tuple[np.ndarray, np.ndarray]:
+    """Re-optimise the master model from its last basis; return its column
+    values and its row duals (the signs of scipy's `eqlin.marginals`).
+
+    The one HiGHS solve of each column-generation round.  It is named
+    `linprog` because the span tracer in `perfbench/tracing.py` times the
+    master solves by rebinding `randcorr.norms.linprog` as its `norms.lp`
+    span; under another name its installation fails."""
+    highs.run()
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise NumericalError(f"master LP failed: {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    return np.asarray(solution.col_value), np.asarray(solution.row_dual)
+
+
+class _AtomPool:
+    """The restricted master, kept from one round to the next: its sign
+    atoms, the bytes of their columns outer(alpha, beta) flattened, and the
+    HiGHS model.  The model has one equality row per entry of b and its
+    columns are the 2 n^2 elastic slacks +-e_i (cost slack_cost each)
+    followed by the atoms' columns (cost 1 each) in pool order.  The bytes
+    keep any atom from entering twice (outer(alpha, beta) =
+    outer(-alpha, -beta))."""
+
+    def __init__(self, b: np.ndarray, slack_cost: float):
+        n2 = b.size
         self.atoms: list[SignPair] = []
-        self.cols = np.empty((n * n, 0))
         self.keys: set[bytes] = set()
+        self.slacks = 2 * n2
+        self.highs = _Highs()
+        for option, value in _MASTER_OPTIONS:
+            self.highs.setOptionValue(option, value)
+        no_index = np.empty(0, dtype=np.int32)
+        self.highs.addRows(n2, b, b, 0, no_index, no_index, np.empty(0))
+        entries = np.arange(self.slacks, dtype=np.int32)
+        self.highs.addCols(self.slacks, np.full(self.slacks, slack_cost),
+                           np.zeros(self.slacks), np.full(self.slacks, np.inf),
+                           self.slacks, entries, entries % n2,
+                           np.repeat([1.0, -1.0], n2))
 
     def fresh(self, pairs) -> list[SignPair]:
         """The pairs whose atoms are neither pooled nor repeated earlier in
@@ -726,17 +760,22 @@ class _AtomPool:
 
     def add(self, pairs: list[SignPair]) -> None:
         """Append fresh pairs' atoms (a new list, so that a caller's
-        reference to the old one stays as it was)."""
+        reference to the old one stays as it was) and their columns."""
         cols = [_atom_column(pair) for pair in pairs]
+        k, n2 = len(cols), cols[0].size
+        self.highs.addCols(k, np.ones(k), np.zeros(k), np.full(k, np.inf), k * n2,
+                           np.arange(0, k * n2, n2, dtype=np.int32),
+                           np.tile(np.arange(n2, dtype=np.int32), k),
+                           np.concatenate(cols))
         self.atoms = self.atoms + pairs
-        self.cols = np.hstack([self.cols, np.array(cols).T])
         self.keys.update(col.tobytes() for col in cols)
 
     def keep(self, mask: np.ndarray) -> None:
         """Keep only the atoms where mask is true."""
+        drop = self.slacks + np.flatnonzero(~mask).astype(np.int32)
+        self.highs.deleteCols(drop.size, drop)
         self.atoms = [a for a, keep_it in zip(self.atoms, mask) if keep_it]
-        self.cols = self.cols[:, mask]
-        self.keys = {col.tobytes() for col in self.cols.T}
+        self.keys = {_atom_column(a).tobytes() for a in self.atoms}
 
 
 def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
@@ -744,8 +783,11 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
     """Projective-norm upper bound by column generation over sign atoms.
 
     Restricted master: min sum(w) with sum_k w_k outer(alpha_k, beta_k) = t,
-    w >= 0 (elastic slacks keep it feasible while the pool is small), solved
-    by HiGHS without presolve.  Pricing maximizes the dual pairing over sign
+    w >= 0 (elastic slacks keep it feasible while the pool is small).  One
+    HiGHS model lives across the rounds: atoms enter and leave it as
+    columns, and each round re-optimises it without presolve by primal
+    simplex from the last basis, which stays primal feasible when columns
+    are added.  Pricing maximizes the dual pairing over sign
     matrices; with exact pricing (n <= EXACT_CAP) the result is certified
     optimal to `tol` via the dual bound sum(w) <= opt * price.  Exact pricing
     scores every sign vector anyway, so each round adds the price-attaining
@@ -779,24 +821,16 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
                  _top_sign_pairs(m, min(_PRICING_COLUMNS, max_atoms + 1))]
     else:
         start = [infty_to_one_heuristic(m, HEURISTIC_RESTARTS, seed)[1]]
-    pool = _AtomPool(n)
+    pool = _AtomPool(b, 1e6 * scale)
     pool.add(pool.fresh(start + [SignPair(np.ones(n), np.ones(n))]))
     capacity = max_atoms + 2
-    n2 = n * n
-    slack_block = np.hstack([np.eye(n2), -np.eye(n2)])
-    slack_cost = np.full(2 * n2, 1e6 * scale)
     dual_bound = None
     for _ in range(max_atoms):
         k = len(pool.atoms)
-        res = linprog(np.concatenate([np.ones(k), slack_cost]),
-                      A_eq=np.hstack([pool.cols, slack_block]), b_eq=b,
-                      bounds=(0, None), method="highs", options={"presolve": False})
-        if res.status != 0:
-            raise NumericalError(f"master LP failed: {res.message}")
-        weights = res.x[:k]
+        x, y = linprog(pool.highs)
+        weights = x[pool.slacks:]
         solved, live = pool.atoms, weights > 1e-14
-        slack = float(res.x[k:].sum())
-        y = res.eqlin.marginals
+        slack = float(x[:pool.slacks].sum())
         priced = price_oracle(y.reshape(n, n))
         price = priced[0][0]
         primal = float(weights.sum())

@@ -125,6 +125,21 @@ def test_classical_unconverged_certifies_no_upper_bound(tmp_path, capsys):
     assert "does not reconstruct" in capsys.readouterr().out
 
 
+def test_parser_built_once_keeps_no_state_between_calls(tmp_path):
+    # main reuses one parser per process: an option given to one call must
+    # not become a default of the next
+    mat = gaussian(6, 6, SeedSpec(7, 1)) / math.sqrt(6)
+    mpath = tmp_path / "g6.csv"
+    write_matrix_csv(mpath, mat)
+    configs = []
+    for i, extra in enumerate((["--max-atoms", "5"], [])):
+        out = str(tmp_path / f"classical{i}.json")
+        assert main(["classical", "--matrix", str(mpath), *extra, "--out", out]) == 0
+        configs.append(json.loads(open(out).read())["config"])
+    assert configs[0]["max_atoms"] == 5
+    assert configs[1]["max_atoms"] == 400
+
+
 def test_verify_detects_tampered_decomposition(tmp_path, capsys):
     mat = np.array([[1.0, 1.0], [1.0, -1.0]])
     mpath = tmp_path / "chsh.csv"

@@ -202,6 +202,15 @@ def test_nonlocality_sweep_judges_the_first_size():
     assert verify_report(rep.to_dict()) == []
 
 
+def test_alpha0_is_the_computed_threshold():
+    # the sweep's informational threshold is stored as a constant, so that
+    # building its verdicts costs no density inversion
+    from randcorr.experiments import ALPHA0, SQRT_16_15
+    from randcorr.spectral import alpha_threshold
+    tol = 1e-4
+    assert abs(ALPHA0 - alpha_threshold(SQRT_16_15, tol=tol)) <= tol
+
+
 def test_mean_width_one_svd_per_trial(monkeypatch):
     # each trial takes one SVD of its matrix for the trace norm and the
     # functional, and no values-only SVD (so no trace_norm)

@@ -720,15 +720,29 @@ def test_upper_bound_pool_bound():
         assert len(dec.atoms) <= 7
 
 
+def model_atom_columns(highs):
+    """The atom columns of a master model (its columns after the 2 n^2
+    slack columns), dense, one per column."""
+    n2 = highs.getNumRow()
+    k = highs.getNumCol() - 2 * n2
+    _, starts, index, value = highs.getColsEntries(
+        k, np.arange(2 * n2, 2 * n2 + k, dtype=np.int32))
+    cols = np.zeros((n2, k))
+    for j, (lo, hi) in enumerate(zip(starts, [*starts[1:], len(index)])):
+        cols[index[lo:hi], j] = value[lo:hi]
+    return cols
+
+
 def capture_masters(monkeypatch):
-    """Record the atom columns of every master LP that classical_upper_bound
-    solves (the columns before the 2 n^2 slack columns)."""
+    """Record the atom columns of the model at every master solve of
+    classical_upper_bound, read from the model just before it is solved."""
     import randcorr.norms as norms_mod
     masters = []
+    solve = norms_mod.linprog
 
-    def capturing(c, A_eq, b_eq, **kwargs):
-        masters.append(A_eq[:, :A_eq.shape[1] - 2 * b_eq.size].copy())
-        return linprog(c, A_eq=A_eq, b_eq=b_eq, **kwargs)
+    def capturing(highs):
+        masters.append(model_atom_columns(highs))
+        return solve(highs)
 
     monkeypatch.setattr(norms_mod, "linprog", capturing)
     return masters
@@ -823,6 +837,70 @@ def test_upper_bound_pool_has_no_repeated_column(monkeypatch, case):
     for cols in masters:
         assert np.unique(cols, axis=1).shape[1] == cols.shape[1]
         assert cols.shape[1] <= max_atoms + 2
+
+
+@pytest.mark.parametrize("n, max_atoms", [(4, 400), (6, 400), (8, 400), (8, 5), (10, 5)])
+def test_model_columns_follow_the_pool(monkeypatch, n, max_atoms):
+    # after every solve the model holds the 2 n^2 slacks +-e_i, then the
+    # pool's atoms in pool order, also after atoms were dropped (max_atoms=5)
+    import randcorr.norms as norms_mod
+    pools, pooled = [], []
+
+    class RecordedPool(norms_mod._AtomPool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pools.append(self)
+
+    solve = norms_mod.linprog
+
+    def checking(highs):
+        out = solve(highs)
+        pool, = pools
+        assert highs is pool.highs
+        np.testing.assert_array_equal(model_atom_columns(highs), atom_columns(pool.atoms))
+        _, starts, index, value = highs.getColsEntries(
+            2 * n * n, np.arange(2 * n * n, dtype=np.int32))
+        np.testing.assert_array_equal(starts, np.arange(2 * n * n))
+        np.testing.assert_array_equal(index, np.tile(np.arange(n * n), 2))
+        np.testing.assert_array_equal(value, np.repeat([1.0, -1.0], n * n))
+        pooled.append([id(a) for a in pool.atoms])
+        return out
+
+    monkeypatch.setattr(norms_mod, "_AtomPool", RecordedPool)
+    monkeypatch.setattr(norms_mod, "linprog", checking)
+    classical_upper_bound(small_gaussian(n, 67, n), max_atoms=max_atoms)
+    assert len(pooled) >= 2
+    if max_atoms == 5:
+        assert any(b[:len(a)] != a for a, b in zip(pooled, pooled[1:])), "no atom left"
+
+
+def cold_master_value(cols, t):
+    """Independent reference: min sum(w) over cols @ w = t, w >= 0, solved
+    from scratch by scipy's linprog."""
+    res = linprog(np.ones(cols.shape[1]), A_eq=cols, b_eq=t.ravel(),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+def check_warm_master_matches_cold(t):
+    with pytest.MonkeyPatch.context() as mp:
+        masters = capture_masters(mp)
+        dec = classical_upper_bound(t)
+    assert dec.converged and dec.certified
+    assert dec.weight_sum() == pytest.approx(cold_master_value(masters[-1], t), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_warm_master_matches_cold_solve_of_final_pool(n):
+    for trial in range(3):
+        check_warm_master_matches_cold(small_gaussian(n, 68, trial))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=10 ** 6))
+def test_warm_master_matches_cold_solve_of_final_pool_hypothesis(n, seed):
+    check_warm_master_matches_cold(gaussian(n, n, SeedSpec(seed, 6)) / math.sqrt(n))
 
 
 def test_upper_bound_converges_at_n10_default_max_atoms():
