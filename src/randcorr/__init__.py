@@ -11,7 +11,7 @@ from .linalg import (SvdTriple, as_matrix, flatness_ratio, operator_norm,
                      read_matrix_csv, svd, trace_norm, write_matrix_csv)
 from .sampling import (EnsembleSpec, SeedSpec, bi_invariant, gaussian,
                        gaussian_product, haar_orthogonal, splitmix64,
-                       uniform_sphere, unit_rows_correlation)
+                       unit_rows_correlation)
 from .norms import (KG_UPPER, BellFunctional, ConvexDecomposition,
                     NormBracket, SignPair, bell_functional_from_svd,
                     classical_lower_bound, classical_upper_bound,
@@ -39,6 +39,6 @@ __all__ = [
     "haar_orthogonal", "infty_to_one_exact", "infty_to_one_heuristic",
     "ks_distance", "operator_norm", "quantum_classical_gap",
     "read_matrix_csv", "run_experiment", "splitmix64", "stieltjes", "svd",
-    "tau_gap_bound", "trace_norm", "uniform_sphere", "unit_rows_correlation",
+    "tau_gap_bound", "trace_norm", "unit_rows_correlation",
     "write_matrix_csv",
 ]

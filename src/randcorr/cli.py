@@ -19,9 +19,9 @@ import numpy as np
 
 from . import spectral
 from .errors import NumericalError, ValidationError
-from .linalg import SPECTRAL_VALUES, as_matrix, read_matrix_csv, svd, write_matrix_csv
-from .norms import (HEURISTIC_RESTARTS, TOL_DECOMPOSITION_RESIDUAL, _bell_functional,
-                    _gamma2_bracket, bell_functional_from_svd, classical_lower_bound,
+from .linalg import SPECTRAL_VALUES, read_matrix_csv, svd, write_matrix_csv
+from .norms import (HEURISTIC_RESTARTS, TOL_DECOMPOSITION_RESIDUAL,
+                    bell_functional_from_svd, classical_lower_bound,
                     classical_upper_bound, gamma2_bracket, gamma2_oracle,
                     gap_from_bell, infty_to_one_exact, infty_to_one_heuristic)
 from .sampling import ENSEMBLE_KINDS, EnsembleSpec, SeedSpec
@@ -189,13 +189,13 @@ def _certificate(kind: str, claimed: float, payload: dict) -> dict:
 # --- subcommand handlers -----------------------------------------------------
 
 def _cmd_sample(args) -> int:
+    if args.out is None:
+        raise ValidationError("sample requires --out for the matrix CSV")
     spectrum = None
     if args.spectrum:
         spectrum = [parse_scalar(tok) for tok in args.spectrum.split(",")]
     spec = EnsembleSpec(kind=args.kind, n=args.n, m=args.m, spectrum=spectrum)
     mat = spec.sample(SeedSpec(args.seed, args.trial))
-    if args.out is None:
-        raise ValidationError("sample requires --out for the matrix CSV")
     write_matrix_csv(_writable(args.out), mat)
     print(f"wrote {mat.shape[0]}x{mat.shape[1]} matrix to {args.out}")
     return 0
@@ -267,13 +267,11 @@ def _cmd_classical(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    mat = as_matrix(read_matrix_csv(args.matrix), square=True)
-    if not np.any(mat):
-        raise ValidationError("gamma2_bracket requires a nonzero matrix")
-    # one SVD for both the Bell functional and the gamma2 bracket
+    mat = read_matrix_csv(args.matrix)
+    # one SVD for both the gamma2 bracket and the Bell functional
     triple = svd(mat)
-    bell = _bell_functional(triple, args.restarts, SeedSpec(args.seed, 0))
-    bracket = _gamma2_bracket(mat, triple)
+    bracket = gamma2_bracket(mat, triple)
+    bell = bell_functional_from_svd(mat, args.restarts, SeedSpec(args.seed, 0), triple)
     gap = gap_from_bell(mat, bell, bracket.lower)
     config = {"subcommand": "gap", "matrix": args.matrix,
               "restarts": args.restarts, "seed": args.seed}
@@ -334,9 +332,11 @@ def _cmd_experiment(args) -> int:
         if not args.scenario:
             raise ValidationError("experiment needs --scenario or --config")
         defaults = default_config(args.scenario)
-        cfg = ExperimentConfig(scenario=args.scenario, sizes=args.n or defaults.sizes,
-                               trials=args.trials or defaults.trials,
-                               master_seed=args.seed)
+        cfg = ExperimentConfig(
+            scenario=args.scenario,
+            sizes=defaults.sizes if args.n is None else args.n,
+            trials=defaults.trials if args.trials is None else args.trials,
+            master_seed=args.seed)
     report = run_experiment(cfg, threads=args.threads)
     _write_out(args, f"experiment-{cfg.scenario}-seed{cfg.master_seed}.json",
                report.to_csv() if args.format == "csv"

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import flatness_from_sigma, svd
-from .norms import (EXACT_CAP, HEURISTIC_RESTARTS, _bell_functional, _gamma2_bracket,
-                    bell_functional_from_svd, classical_lower_bound, gap_from_bell,
+from .norms import (EXACT_CAP, HEURISTIC_RESTARTS, bell_functional_from_svd,
+                    classical_lower_bound, gamma2_bracket, gap_from_bell,
                     infty_to_one_exact, quantum_classical_gap, tau_gap_bound)
 from .sampling import (SeedSpec, bi_invariant, gaussian, haar_orthogonal,
                        unit_rows_correlation)
@@ -283,7 +283,7 @@ def _trial_quantum_norm_convergence(cfg, size, seed):
     if flat > flat_max:
         raise ValidationError(
             f"flatness precondition failed: {flat:.3f} > {flat_max}")
-    bracket = _gamma2_bracket(t, triple)
+    bracket = gamma2_bracket(t, triple)
     return {"bracket_ratio": bracket.ratio(), "flatness": flat}
 
 
@@ -380,7 +380,7 @@ def _trial_mean_width(cfg, size, seed):
     n = size["n"]
     g = gaussian(n, n, seed)
     triple = svd(g)  # one SVD gives the trace norm and the functional UV^t
-    bell = _bell_functional(triple, HEURISTIC_RESTARTS, seed)
+    bell = bell_functional_from_svd(g, HEURISTIC_RESTARTS, seed, triple)
     # <g, a> over the Bell norm a gap divides by: gap_from_bell with denominator 1
     classical = gap_from_bell(g, bell, 1.0)
     return {"quantum_width_scaled": float(triple.sigma.sum()) / n ** 1.5,
@@ -627,6 +627,8 @@ def verdicts(cfg: ExperimentConfig, trials: list[TrialRecord],
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Execute a scenario: independent seeded trials, order-independent
     aggregation, verdicts from records and thresholds only."""
+    if threads < 1:
+        raise ValidationError("threads must be >= 1")
     sizes = grid(cfg)
     start = time.perf_counter()
     args = (itertools.repeat(cfg), range(len(sizes)), sizes)

@@ -33,6 +33,7 @@ TOL_DECOMPOSITION_RESIDUAL = 1e-6  # max residual of a certified convex decompos
 _LOW_BITS = 12                  # sign bits in the exact enumeration's low table (2^12 x n)
 _TIE_RTOL = 1e-12               # sign vectors this close (relative) to the maximum tie
 _PRICING_COLUMNS = 32           # atoms priced per column-generation round
+_PRICE_CAP = 1.0 + 1e-9         # a dual whose best atom prices at most this is feasible
 HEURISTIC_RESTARTS = 50         # alternating-ascent starts above EXACT_CAP
 
 
@@ -504,7 +505,7 @@ def _log_step(d: np.ndarray, d_next: np.ndarray, live: np.ndarray) -> np.ndarray
     return np.log(d_next[live] / d[live])
 
 
-def gamma2_bracket(t) -> NormBracket:
+def gamma2_bracket(t, triple: SvdTriple | None = None) -> NormBracket:
     """Two-sided gamma2 bracket.
 
     lower = ||t||_tr / n, witnessed by the orthogonal dual functional UV^t
@@ -532,15 +533,15 @@ def gamma2_bracket(t) -> NormBracket:
     one.  Iteration stops once the upper bound is within a factor
     1 + GAMMA2_RESCALE_TOL of the largest dual seen (itself a lower bound on
     gamma2), or after GAMMA2_RESCALE_MAX_ITER steps.
+
+    `triple` is the SVD of t when the caller already holds it (a gap takes
+    the Bell functional from the same SVD); without it the bracket takes
+    its own.  Either way the first iterate is that SVD.
     """
     m = as_matrix(t, square=True)
     if not np.any(m):
         raise ValidationError("gamma2_bracket requires a nonzero matrix")
-    return _gamma2_bracket(m, svd(m))
-
-
-def _gamma2_bracket(m: np.ndarray, triple: SvdTriple) -> NormBracket:
-    """gamma2_bracket on a nonzero square m and its SVD triple."""
+    triple = svd(m) if triple is None else triple
     n = m.shape[0]
     lower = float(triple.sigma.sum() / n)
     witness = DualWitness(triple.u @ triple.v.T)
@@ -661,20 +662,6 @@ def classical_lower_bound(t, bell: BellFunctional) -> float:
     return float((m * bell.a).sum() / bell.eps_one_norm)
 
 
-def bell_functional_from_svd(t, heuristic_restarts: int = HEURISTIC_RESTARTS,
-                             seed: SeedSpec = SeedSpec(0, 0)) -> BellFunctional:
-    """The orthogonal functional UV^t from the SVD of t.
-
-    For n <= EXACT_CAP the inf->1 norm is computed exactly; above the cap
-    the certified upper bound n is stored (alpha^t a beta <= n ||a||_op,
-    and a is orthogonal) and the alternating-ascent estimate is reported
-    separately.  Near-singular inputs keep the (non-unique) UV^t and set a
-    warning flag.
-    """
-    m = as_matrix(t, square=True)
-    return _bell_functional(svd(m), heuristic_restarts, seed)
-
-
 def _near_singular(sigma: np.ndarray) -> bool:
     """The Bell functional's warning flag, from the descending singular
     values of t: the smallest is within 1e-10 (relative) of zero, so UV^t
@@ -682,9 +669,20 @@ def _near_singular(sigma: np.ndarray) -> bool:
     return bool(sigma[-1] <= 1e-10 * max(sigma[0], 1e-300))
 
 
-def _bell_functional(triple: SvdTriple, heuristic_restarts: int,
-                     seed: SeedSpec) -> BellFunctional:
-    """bell_functional_from_svd on the SVD triple of t."""
+def bell_functional_from_svd(t, heuristic_restarts: int = HEURISTIC_RESTARTS,
+                             seed: SeedSpec = SeedSpec(0, 0),
+                             triple: SvdTriple | None = None) -> BellFunctional:
+    """The orthogonal functional UV^t from the SVD of t.
+
+    For n <= EXACT_CAP the inf->1 norm is computed exactly; above the cap
+    the certified upper bound n is stored (alpha^t a beta <= n ||a||_op,
+    and a is orthogonal) and the alternating-ascent estimate is reported
+    separately.  Near-singular inputs keep the (non-unique) UV^t and set a
+    warning flag.  `triple` is the SVD of t when the caller already holds
+    it (a gap also reads its trace norm); without it one is taken here.
+    """
+    m = as_matrix(t, square=True)
+    triple = svd(m) if triple is None else triple
     a = triple.u @ triple.v.T
     n = a.shape[0]
     near_singular = _near_singular(triple.sigma)
@@ -792,8 +790,8 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
     optimal to `tol` via the dual bound sum(w) <= opt * price.  Exact pricing
     scores every sign vector anyway, so each round adds the price-attaining
     atom plus up to _PRICING_COLUMNS - 1 further atoms of value above
-    1 + 1e-9 (multi-column pricing); above EXACT_CAP the heuristic prices
-    one atom per round.
+    _PRICE_CAP = 1 + 1e-9 (multi-column pricing); above EXACT_CAP the
+    heuristic prices one atom per round.
 
     The pool starts from the best atoms of the enumeration that the first
     atom needs anyway (up to min(_PRICING_COLUMNS, max_atoms + 1) of them,
@@ -811,16 +809,15 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
     b = m.flatten()
     scale = max(1.0, float(np.abs(m).max()))
 
-    def price_oracle(y: np.ndarray) -> list[tuple[float, SignPair]]:
+    def best_atoms(y: np.ndarray, count: int,
+                   floor: float = -np.inf) -> list[tuple[float, SignPair]]:
+        # the exact enumeration up to EXACT_CAP, the alternating ascent's
+        # one atom above it
         if certified:
-            return _top_sign_pairs(y, _PRICING_COLUMNS, floor=1.0 + 1e-9)
+            return _top_sign_pairs(y, count, floor)
         return [infty_to_one_heuristic(y, HEURISTIC_RESTARTS, seed)]
 
-    if certified:
-        start = [pair for _, pair in
-                 _top_sign_pairs(m, min(_PRICING_COLUMNS, max_atoms + 1))]
-    else:
-        start = [infty_to_one_heuristic(m, HEURISTIC_RESTARTS, seed)[1]]
+    start = [pair for _, pair in best_atoms(m, min(_PRICING_COLUMNS, max_atoms + 1))]
     pool = _AtomPool(b, 1e6 * scale)
     pool.add(pool.fresh(start + [SignPair(np.ones(n), np.ones(n))]))
     capacity = max_atoms + 2
@@ -831,13 +828,14 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
         weights = x[pool.slacks:]
         solved, live = pool.atoms, weights > 1e-14
         slack = float(x[:pool.slacks].sum())
-        priced = price_oracle(y.reshape(n, n))
+        priced = best_atoms(y.reshape(n, n), _PRICING_COLUMNS, _PRICE_CAP)
         price = priced[0][0]
+        dual_feasible, no_slack = price <= _PRICE_CAP, slack <= 1e-9 * scale
         primal = float(weights.sum())
         if price > 0:
             dual_bound = float(y @ b) / price
         gap = primal - dual_bound if dual_bound is not None else np.inf
-        if price <= 1.0 + 1e-9 and slack <= 1e-9 * scale and gap <= tol:
+        if dual_feasible and no_slack and gap <= tol:
             break
         new = pool.fresh(pair for _, pair in priced)
         if not new or new[0] is not priced[0][1]:
@@ -851,8 +849,8 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
     kept_atoms = [a for a, keep_it in zip(solved, live) if keep_it]
     kept_w = weights[live]
     dec = ConvexDecomposition(weights=kept_w, atoms=kept_atoms,
-                              converged=bool(price <= 1.0 + 1e-9 and slack <= 1e-9 * scale),
-                              certified=certified and bool(price <= 1.0 + 1e-9))
+                              converged=dual_feasible and no_slack,
+                              certified=certified and dual_feasible)
     dec.residual = dec.reconstruction_residual(m)
     return dec
 
@@ -873,7 +871,7 @@ def quantum_classical_gap(t, heuristic_restarts: int = HEURISTIC_RESTARTS,
     if not np.any(m):
         raise ValidationError("quantum_classical_gap requires a nonzero matrix")
     triple = svd(m)
-    bell = _bell_functional(triple, heuristic_restarts, seed)
+    bell = bell_functional_from_svd(m, heuristic_restarts, seed, triple)
     return gap_from_bell(m, bell, float(triple.sigma.sum() / m.shape[0]))
 
 

@@ -171,16 +171,3 @@ def unit_rows_correlation(n: int, m: int, seed: SeedSpec) -> np.ndarray:
         gn = np.linalg.norm(g, axis=1)
         hn = np.linalg.norm(h, axis=1)
     return (g / gn[:, None]) @ (h / hn[:, None]).T
-
-
-def uniform_sphere(n: int, seed: SeedSpec) -> np.ndarray:
-    """Uniform unit vector on S^{n-1}."""
-    if n < 1:
-        raise ValidationError("uniform_sphere requires n >= 1")
-    gen = seed.generator()
-    for _ in range(3):
-        g = gen.standard_normal(n)
-        nrm = np.linalg.norm(g)
-        if nrm > 1e-300:
-            return g / nrm
-    raise NumericalError("degenerate Gaussian draw for the sphere")  # pragma: no cover

@@ -88,11 +88,6 @@ def ac_support_edges(alpha: float) -> tuple[float, float]:
     return float(x_lo), float(x_hi)
 
 
-def support_overestimate(alpha: float) -> float:
-    """Generous scan bound, never returned as a result."""
-    return 10.0 * (1.0 + 1.0 / np.sqrt(alpha)) ** 2
-
-
 def stieltjes(alpha: float, z: complex) -> complex:
     """The Stieltjes transform at a single z with Im z > 0.
 
@@ -173,6 +168,15 @@ def _density_arrays(alpha: float, grid_points: int, eps_cap: float):
     # tracked down the real axis from the right, where s ~ -1/z - 1/z^2
     s_vals = _follow(roots[::-1], -1.0 / zs[-1] - 1.0 / zs[-1] ** 2)[::-1]
     f = s_vals.imag / np.pi - atom * (eps / np.pi) / (xs * xs + eps * eps)
+    # the tracked profile must end where the discriminant puts the edge:
+    # support past it would leave the profile above the floor at the top
+    floor = max(1e-7, 1e-3 * f[xs >= 0.5 * x_hi].max())
+    above = np.flatnonzero(f > floor)
+    edge = float(xs[above[-1]]) if above.size else 0.0
+    if abs(edge - x_hi) > max(3.0 * top / grid_points, 0.02 * x_hi):
+        raise NumericalError(
+            "tracked density edge disagrees with the discriminant edge",
+            detail={"tracked": edge, "discriminant": x_hi})
     f = np.maximum(f, 0.0)
     f[xs > x_hi] = 0.0
     # below-grid tail of a hard edge at 0: local power-law extrapolation
@@ -184,40 +188,23 @@ def _density_arrays(alpha: float, grid_points: int, eps_cap: float):
     return xs, f, atom, tail, x_hi
 
 
-def _scan_upper_edge(alpha: float, x_hi_hint: float) -> tuple[float, float]:
-    """Scan downward from the overestimate for the point where the tracked
-    density first rises above the numerical floor.  The floor is relative to
-    the bulk density scale, which is O(alpha/width) for small alpha."""
-    over = max(support_overestimate(alpha), 1.05 * x_hi_hint)
-    xs = np.linspace(0.5 * x_hi_hint, over, 512)
-    eps = 1e-9
-    roots = _roots_batch(alpha, xs + 1j * eps)
-    prof = _follow(roots[::-1], -1.0 / complex(xs[-1], eps))[::-1].imag / np.pi
-    floor = max(1e-7, 1e-3 * prof.max())
-    above = np.nonzero(prof > floor)[0]
-    edge = xs[above[-1]] if len(above) else xs[0]
-    return float(edge), float(xs[1] - xs[0])
-
-
 def density(alpha: float, grid_points: int = DEFAULT_GRID_POINTS,
             eps_cap: float = _EPS_CAP) -> SpectralLaw:
     """Stieltjes inversion of the cubic on a graded grid.
 
-    The grid is uniform over the support with geometric refinement near
+    The grid is uniform over [0, 1.08 x_hi] with geometric refinement near
     zero; the inversion offset eps is min(eps_cap, local step / 10).  The
-    reported support edge comes from scanning downward from the
-    overestimate, refined to the discriminant zero of the cubic.
+    reported support edge x_hi is the discriminant zero of the cubic.  It
+    is checked on the tracked profile itself: the last grid point where the
+    density stands above max(1e-7, 1e-3 times its largest value over
+    x >= x_hi/2) must lie within max(3 grid steps, 0.02 x_hi) of x_hi, and
+    the total mass within 1e-3 of 1.
     """
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
     if grid_points < 100:
         raise ValidationError("grid_points must be >= 100")
     xs, f, atom, tail, x_hi = _density_arrays(alpha, grid_points, eps_cap)
-    detected, scan_step = _scan_upper_edge(alpha, x_hi)
-    if abs(detected - x_hi) > max(3.0 * scan_step, 0.02 * x_hi):
-        raise NumericalError(
-            "edge scan disagrees with the discriminant edge",
-            detail={"scanned": detected, "discriminant": x_hi})
     c_val = float(np.trapezoid(f * np.sqrt(xs), xs))
     law = SpectralLaw(alpha=float(alpha), grid=xs, density=f,
                       support_upper=float(x_hi), c_alpha=c_val,

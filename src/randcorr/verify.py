@@ -137,10 +137,10 @@ def _verify_single(doc: dict) -> list[str]:
     """Each certificate is re-evaluated and rebuilt. In `results`, an entry
     that restates a claim takes the re-evaluated value, or null where the
     report has no certificate for it. Norm's trace, operator and flatness
-    values are recomputed from the matrix, classical's residual is the
-    decomposition's (kept as stored without one), and a gap report's `gap`
-    and `bell_norm_exact` follow from its Bell functional and gamma2_lower.
-    Other entries are kept as stored."""
+    values are recomputed from the matrix, classical's residual, converged
+    and certified are the decomposition's (kept as stored without one), and
+    a gap report's `gap` and `bell_norm_exact` follow from its Bell
+    functional and gamma2_lower. Other entries are kept as stored."""
     try:
         mat = as_matrix(doc["matrix"]) if "matrix" in doc else None
     except _MALFORMED as exc:
@@ -171,7 +171,9 @@ def _verify_single(doc: dict) -> list[str]:
     for key, claim in _RESULT_CLAIMS.get(kind, {}).items():
         fresh_results[key] = values.get(claim)
     if kind == "classical" and "classical_upper" in payloads:
-        fresh_results["residual"] = payloads["classical_upper"].residual
+        dec = payloads["classical_upper"]
+        fresh_results.update(residual=dec.residual, converged=dec.converged,
+                             certified=dec.certified)
     try:
         if kind == "norm" and doc["config"]["which"] in SPECTRAL_VALUES:
             fresh_results["value"] = SPECTRAL_VALUES[doc["config"]["which"]](mat)

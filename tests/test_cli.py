@@ -348,7 +348,8 @@ def test_verify_rejects_edited_layout(tmp_path, capsys, edit):
 @pytest.mark.parametrize("kind, edit", [
     ("gap", "gap"), ("gap", "gamma2_upper"), ("classical", "lower"),
     ("classical", "upper"), ("gamma2", "lower"), ("norm", "value"),
-    ("gap", "bell_norm_exact"), ("classical", "upper_certificate_dropped")])
+    ("gap", "bell_norm_exact"), ("classical", "upper_certificate_dropped"),
+    ("classical", "converged"), ("classical", "certified")])
 def test_verify_rejects_edited_results(tmp_path, capsys, kind, edit):
     mpath = tmp_path / "g.csv"
     write_matrix_csv(mpath, gaussian(6, 6, SeedSpec(13, 0)) / math.sqrt(6))
@@ -356,7 +357,7 @@ def test_verify_rejects_edited_results(tmp_path, capsys, kind, edit):
     assert main([kind, "--matrix", str(mpath), "--out", out]) == 0
     assert main(["verify-certificate", out]) == 0
     doc = json.loads(open(out).read())
-    if edit == "bell_norm_exact":
+    if edit in ("bell_norm_exact", "converged", "certified"):
         doc["results"][edit] = not doc["results"][edit]
     elif edit == "upper_certificate_dropped":
         doc["certificates"] = [c for c in doc["certificates"]
@@ -606,6 +607,29 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert json.loads(err.strip())["error"] == "validation"
     assert main(["experiment"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--scenario", "levy_tails", "--trials", "0"],
+    ["experiment", "--scenario", "levy_tails", "--n"],
+    ["experiment", "--scenario", "levy_tails", "--threads", "0"],
+    ["sample", "--kind", "gaussian", "--n", "3"]],
+    ids=["zero_trials", "no_sizes", "zero_threads", "sample_without_out"])
+def test_bad_input_is_rejected_not_defaulted(tmp_path, monkeypatch, capsys, argv):
+    # no default stands in for the value given, and nothing is drawn first
+    import randcorr.cli as cli_mod
+    import randcorr.experiments as experiments_mod
+    monkeypatch.setattr(cli_mod, "EnsembleSpec",
+                        lambda **kw: pytest.fail("sample drew before checking --out"))
+    monkeypatch.setattr(experiments_mod, "run_trial",
+                        lambda *a: pytest.fail("a trial ran"))
+    if argv[0] == "experiment":
+        argv = argv + ["--out", str(tmp_path / "report.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    assert json.loads(err)["error"] == "validation"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_numerical_error_detail_on_stderr(id4, monkeypatch, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from randcorr.errors import NumericalError, ValidationError
-from randcorr.linalg import trace_norm
+from randcorr.linalg import svd, trace_norm
 from randcorr.norms import (GAMMA2_RESCALE_TOL, KG_UPPER, BellFunctional,
                             ConvexDecomposition, NormBracket, SignPair,
                             _SplitTables, _top_sign_pairs, bell_functional_from_svd,
@@ -592,6 +592,31 @@ def test_bell_functional_heuristic_above_cap():
     assert bell.eps_one_norm == pytest.approx(min(30, 30 * np.linalg.svd(bell.a, compute_uv=False)[0]))
     assert bell.heuristic_lower is not None
     assert bell.heuristic_lower <= bell.eps_one_norm + 1e-9
+
+
+def _bracket_parts(bracket):
+    return (bracket.lower, bracket.upper, bracket.lower_certificate.to_dict(),
+            bracket.upper_certificate.to_dict())
+
+
+def _same_on_a_callers_svd(t):
+    # given svd(t), the bracket and the functional return exactly what they
+    # compute from t alone
+    triple = svd(t)
+    assert _bracket_parts(gamma2_bracket(t, triple)) == _bracket_parts(gamma2_bracket(t))
+    assert (bell_functional_from_svd(t, triple=triple).to_dict()
+            == bell_functional_from_svd(t).to_dict())
+
+
+@pytest.mark.parametrize("n", (2, 6, 8, 30))
+def test_norms_on_a_callers_svd_seeded(n):
+    _same_on_a_callers_svd(small_gaussian(n, 60 + n))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10 ** 6))
+def test_norms_on_a_callers_svd_hypothesis(n, seed):
+    _same_on_a_callers_svd(gaussian(n, n, SeedSpec(seed, 5)))
 
 
 # --- column generation ----------------------------------------------------------

@@ -8,7 +8,7 @@ from randcorr.linalg import flatness_ratio, svd
 from randcorr.norms import KG_UPPER, tau_gap_bound
 from randcorr.sampling import (EnsembleSpec, SeedSpec, bi_invariant, gaussian,
                                gaussian_product, haar_orthogonal, splitmix64,
-                               uniform_sphere, unit_rows_correlation)
+                               unit_rows_correlation)
 
 
 def test_seedspec_streams_are_deterministic_and_distinct():
@@ -131,15 +131,6 @@ def test_unit_rows_coupling_with_gaussian_product():
     prod = gaussian_product(n, m, seed) / m
     bound = tau_gap_bound(n, m, seed) / KG_UPPER
     assert np.abs(tau - prod).max() <= bound + 1e-12
-
-
-def test_uniform_sphere():
-    psi = uniform_sphere(50, SeedSpec(24, 0))
-    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
-    draws = np.array([uniform_sphere(400, SeedSpec(25, t)) for t in range(200)])
-    l1 = np.abs(draws).sum(axis=1) / 20.0
-    assert np.mean(l1) == pytest.approx(math.sqrt(2 / math.pi), abs=0.01)
-    assert abs(draws.sum(axis=1).mean()) <= 0.25  # symmetry: E sum psi_i = 0
 
 
 def test_ensemble_spec_validation_and_dispatch():

@@ -178,6 +178,32 @@ def test_ks_distance_decreases_with_n():
     assert np.median(large) < np.median(small)
 
 
+def test_density_tracks_the_branch_once(monkeypatch):
+    import randcorr.spectral as spectral_mod
+    calls = []
+    real = spectral_mod._roots_batch
+
+    def counting(alpha, zs):
+        calls.append(len(zs))
+        return real(alpha, zs)
+
+    monkeypatch.setattr(spectral_mod, "_roots_batch", counting)
+    density(0.5)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scale", (0.97, 1.03))
+@pytest.mark.parametrize("alpha", (0.1, 0.5, 1.0, 4.0))
+def test_density_rejects_a_moved_discriminant_edge(alpha, scale, monkeypatch):
+    # the tracked profile ends at the true edge, 3% away from the one given
+    import randcorr.spectral as spectral_mod
+    x_lo, x_hi = ac_support_edges(alpha)
+    monkeypatch.setattr(spectral_mod, "ac_support_edges",
+                        lambda a: (x_lo, scale * x_hi))
+    with pytest.raises(NumericalError, match="edge"):
+        density(alpha)
+
+
 def test_density_validation():
     with pytest.raises(ValidationError):
         density(-1.0)
