@@ -20,7 +20,7 @@ from .norms import (KG_UPPER, BellFunctional, ConvexDecomposition,
                     tau_gap_bound)
 from .spectral import (EmpiricalSpectrum, SpectralLaw, ac_support_edges,
                        alpha_threshold, c_alpha, density, empirical_spectrum,
-                       ks_distance, stieltjes)
+                       ks_distance)
 from .experiments import (ExperimentConfig, ExperimentReport, default_config,
                           run_experiment)
 
@@ -38,7 +38,7 @@ __all__ = [
     "gamma2_oracle", "gaussian", "gaussian_product",
     "haar_orthogonal", "infty_to_one_exact", "infty_to_one_heuristic",
     "ks_distance", "operator_norm", "quantum_classical_gap",
-    "read_matrix_csv", "run_experiment", "splitmix64", "stieltjes", "svd",
+    "read_matrix_csv", "run_experiment", "splitmix64", "svd",
     "tau_gap_bound", "trace_norm", "unit_rows_correlation",
     "write_matrix_csv",
 ]

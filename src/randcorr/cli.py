@@ -242,12 +242,12 @@ def _cmd_gamma2(args) -> int:
 
 def _cmd_classical(args) -> int:
     mat = read_matrix_csv(args.matrix)
-    bell = bell_functional_from_svd(mat, seed=SeedSpec(args.seed, 0))
+    # first, so that n > EXACT_CAP is refused before the Bell functional's SVD
+    dec = classical_upper_bound(mat, max_atoms=args.max_atoms, tol=args.tol)
+    bell = bell_functional_from_svd(mat)
     lower = classical_lower_bound(mat, bell)
-    dec = classical_upper_bound(mat, max_atoms=args.max_atoms, tol=args.tol,
-                                seed=SeedSpec(args.seed, 0))
     config = {"subcommand": "classical", "matrix": args.matrix,
-              "max_atoms": args.max_atoms, "tol": args.tol, "seed": args.seed}
+              "max_atoms": args.max_atoms, "tol": args.tol}
     # a decomposition still using elastic slack does not reconstruct t, so
     # its weight sum bounds nothing
     upper = dec.weight_sum() if dec.residual <= TOL_DECOMPOSITION_RESIDUAL else None
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "max-atoms + 2 (each solve prices up to 32 atoms; "
                         "zero-weight atoms are dropped when the pool is full)")
     p.add_argument("--tol", type=float, default=1e-9)
-    common(p)
+    p.add_argument("--out", default=None, help="report path")
     p.set_defaults(func=_cmd_classical)
 
     p = sub.add_parser("gap", help="classical/quantum norm ratio estimate")

@@ -776,48 +776,43 @@ class _AtomPool:
         self.keys = {_atom_column(a).tobytes() for a in self.atoms}
 
 
-def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
-                          seed: SeedSpec = SeedSpec(0, 0)) -> ConvexDecomposition:
-    """Projective-norm upper bound by column generation over sign atoms.
+def classical_upper_bound(t, max_atoms: int = 400,
+                          tol: float = 1e-9) -> ConvexDecomposition:
+    """Projective-norm upper bound by column generation over sign atoms,
+    priced by the exact enumeration, so n <= EXACT_CAP.
 
     Restricted master: min sum(w) with sum_k w_k outer(alpha_k, beta_k) = t,
     w >= 0 (elastic slacks keep it feasible while the pool is small).  One
     HiGHS model lives across the rounds: atoms enter and leave it as
     columns, and each round re-optimises it without presolve by primal
     simplex from the last basis, which stays primal feasible when columns
-    are added.  Pricing maximizes the dual pairing over sign
-    matrices; with exact pricing (n <= EXACT_CAP) the result is certified
-    optimal to `tol` via the dual bound sum(w) <= opt * price.  Exact pricing
-    scores every sign vector anyway, so each round adds the price-attaining
-    atom plus up to _PRICING_COLUMNS - 1 further atoms of value above
-    _PRICE_CAP = 1 + 1e-9 (multi-column pricing); above EXACT_CAP the
-    heuristic prices one atom per round.
+    are added.  Pricing maximizes the dual pairing over all sign matrices;
+    a dual whose best atom prices at most _PRICE_CAP = 1 + 1e-9 is
+    feasible, and the result is certified optimal to `tol` via the dual
+    bound sum(w) <= opt * price.  The enumeration scores every sign vector
+    anyway, so each round adds the price-attaining atom plus up to
+    _PRICING_COLUMNS - 1 further atoms priced above _PRICE_CAP
+    (multi-column pricing).
 
-    The pool starts from the best atoms of the enumeration that the first
-    atom needs anyway (up to min(_PRICING_COLUMNS, max_atoms + 1) of them,
-    best first) plus the all-ones atom; above EXACT_CAP, from the
-    heuristic's atom plus all-ones.  max_atoms bounds the master solves,
-    and the pool never holds more than max_atoms + 2 atoms.  When new atoms
-    would overflow it, atoms with zero weight in the current master
-    solution are dropped first.
+    The pool starts from the best atoms of the enumeration of t (up to
+    min(_PRICING_COLUMNS, max_atoms + 1) of them, best first) plus the
+    all-ones atom.  max_atoms bounds the master solves, and the pool never
+    holds more than max_atoms + 2 atoms.  When new atoms would overflow it,
+    atoms with zero weight in the current master solution are dropped
+    first.  Above EXACT_CAP nothing could be certified, so the bound is
+    refused with a ValidationError before any work.
     """
     m = as_matrix(t, square=True)
+    n = m.shape[0]
+    if n > EXACT_CAP:
+        raise ValidationError(
+            f"n={n} exceeds EXACT_CAP={EXACT_CAP}, the limit of exact pricing")
     if max_atoms < 1:
         raise ValidationError("max_atoms must be >= 1")
-    n = m.shape[0]
-    certified = n <= EXACT_CAP
     b = m.flatten()
     scale = max(1.0, float(np.abs(m).max()))
 
-    def best_atoms(y: np.ndarray, count: int,
-                   floor: float = -np.inf) -> list[tuple[float, SignPair]]:
-        # the exact enumeration up to EXACT_CAP, the alternating ascent's
-        # one atom above it
-        if certified:
-            return _top_sign_pairs(y, count, floor)
-        return [infty_to_one_heuristic(y, HEURISTIC_RESTARTS, seed)]
-
-    start = [pair for _, pair in best_atoms(m, min(_PRICING_COLUMNS, max_atoms + 1))]
+    start = [pair for _, pair in _top_sign_pairs(m, min(_PRICING_COLUMNS, max_atoms + 1))]
     pool = _AtomPool(b, 1e6 * scale)
     pool.add(pool.fresh(start + [SignPair(np.ones(n), np.ones(n))]))
     capacity = max_atoms + 2
@@ -828,7 +823,7 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
         weights = x[pool.slacks:]
         solved, live = pool.atoms, weights > 1e-14
         slack = float(x[:pool.slacks].sum())
-        priced = best_atoms(y.reshape(n, n), _PRICING_COLUMNS, _PRICE_CAP)
+        priced = _top_sign_pairs(y.reshape(n, n), _PRICING_COLUMNS, _PRICE_CAP)
         price = priced[0][0]
         dual_feasible, no_slack = price <= _PRICE_CAP, slack <= 1e-9 * scale
         primal = float(weights.sum())
@@ -850,7 +845,7 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9,
     kept_w = weights[live]
     dec = ConvexDecomposition(weights=kept_w, atoms=kept_atoms,
                               converged=dual_feasible and no_slack,
-                              certified=certified and dual_feasible)
+                              certified=dual_feasible)
     dec.residual = dec.reconstruction_residual(m)
     return dec
 

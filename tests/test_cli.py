@@ -140,6 +140,50 @@ def test_parser_built_once_keeps_no_state_between_calls(tmp_path):
     assert configs[1]["max_atoms"] == 400
 
 
+def test_classical_refuses_above_exact_cap_after_reading_the_csv(tmp_path, monkeypatch,
+                                                                  capsys):
+    # no SVD, enumeration, ascent or LP runs before the size is refused
+    import randcorr.norms as norms_mod
+    calls = []
+    for name in ("svd", "_top_sign_pairs", "infty_to_one_heuristic", "linprog"):
+        monkeypatch.setattr(norms_mod, name,
+                            lambda *a, _name=name, **k: calls.append(_name)
+                            or pytest.fail(f"{_name} ran"))
+    mpath = tmp_path / "g25.csv"
+    write_matrix_csv(mpath, gaussian(25, 25, SeedSpec(7, 0)))
+    out = tmp_path / "classical.json"
+    assert main(["classical", "--matrix", str(mpath), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    line = json.loads(err)
+    assert line["error"] == "validation" and "EXACT_CAP" in line["message"]
+    assert calls == [] and not out.exists()
+
+
+def test_classical_takes_no_seed(tmp_path, capsys):
+    mpath = tmp_path / "chsh.csv"
+    write_matrix_csv(mpath, np.array([[1.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(SystemExit) as exc:
+        main(["classical", "--matrix", str(mpath), "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_classical_config_has_no_seed_and_stored_seeds_still_verify(tmp_path,
+                                                                    monkeypatch):
+    # reports written while classical took --seed carry it in their config
+    monkeypatch.setenv("RANDCORR_OUT", str(tmp_path / "reports"))
+    mpath = tmp_path / "g6.csv"
+    write_matrix_csv(mpath, gaussian(6, 6, SeedSpec(7, 1)) / math.sqrt(6))
+    assert main(["classical", "--matrix", str(mpath)]) == 0
+    out = tmp_path / "reports" / "classical-seed0.json"
+    doc = json.loads(out.read_text())
+    assert "seed" not in doc["config"]
+    doc["config"]["seed"] = 0
+    out.write_text(json.dumps(doc))
+    assert main(["verify-certificate", str(out)]) == 0
+
+
 def test_verify_detects_tampered_decomposition(tmp_path, capsys):
     mat = np.array([[1.0, 1.0], [1.0, -1.0]])
     mpath = tmp_path / "chsh.csv"

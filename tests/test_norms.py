@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 
 from randcorr.errors import NumericalError, ValidationError
 from randcorr.linalg import svd, trace_norm
-from randcorr.norms import (GAMMA2_RESCALE_TOL, KG_UPPER, BellFunctional,
+from randcorr.norms import (EXACT_CAP, GAMMA2_RESCALE_TOL, KG_UPPER, BellFunctional,
                             ConvexDecomposition, NormBracket, SignPair,
                             _SplitTables, _top_sign_pairs, bell_functional_from_svd,
                             classical_lower_bound, classical_upper_bound, gamma2_bracket,
@@ -934,6 +934,20 @@ def test_upper_bound_converges_at_n10_default_max_atoms():
     assert dec.converged and dec.certified
     assert dec.residual <= 1e-9
     assert classical_lower_bound(g, bell_functional_from_svd(g)) <= dec.weight_sum() + 1e-9
+
+
+def test_upper_bound_refuses_above_exact_cap_before_any_work(monkeypatch):
+    # only exact pricing can certify a decomposition, so above the cap the
+    # bound is refused before any SVD, enumeration, ascent or LP runs
+    import randcorr.norms as norms_mod
+    calls = []
+    for name in ("svd", "_top_sign_pairs", "infty_to_one_heuristic", "linprog"):
+        monkeypatch.setattr(norms_mod, name,
+                            lambda *a, _name=name, **k: calls.append(_name)
+                            or pytest.fail(f"{_name} ran"))
+    with pytest.raises(ValidationError, match="EXACT_CAP"):
+        classical_upper_bound(small_gaussian(EXACT_CAP + 1, 7))
+    assert calls == []
 
 
 # --- gap and tau bound -----------------------------------------------------------

@@ -6,10 +6,10 @@ from scipy.optimize import brentq
 
 from randcorr.errors import NumericalError, ValidationError
 from randcorr.sampling import SeedSpec
-from randcorr.spectral import (EmpiricalSpectrum, ac_support_edges,
-                               alpha_threshold, c_alpha, cubic_residual,
-                               density, empirical_spectrum, ks_distance,
-                               stieltjes)
+from randcorr.spectral import (MIN_GRID_POINTS, EmpiricalSpectrum,
+                               ac_support_edges, alpha_threshold, c_alpha,
+                               density, empirical_spectrum, ks_distance)
+from stieltjes_reference import cubic_residual, stieltjes
 
 ALPHAS = (0.05, 0.1269, 0.5, 1.0, 4.0, 16.0)
 
@@ -209,10 +209,22 @@ def test_density_validation():
         density(-1.0)
     with pytest.raises(ValidationError):
         density(1.0, grid_points=10)
+    # 200 points fail the mass check at alpha = 0.3138 (total mass 0.998811)
+    for alpha in (1.0, 0.3138):
+        with pytest.raises(ValidationError, match="grid_points"):
+            density(alpha, grid_points=MIN_GRID_POINTS - 1)
+
+
+def test_density_at_the_grid_floor_passes_its_checks():
+    # density raises if the tracked edge or the total mass is off, so every
+    # grid_points it accepts must pass both across the range of alpha
+    for alpha in np.geomspace(0.005, 200.0, 65):
+        law = density(alpha, grid_points=MIN_GRID_POINTS)
+        assert abs(law.total_mass() - 1.0) <= 1e-3
 
 
 def test_law_csv_export(tmp_path):
-    law = density(1.0, grid_points=200)
+    law = density(1.0, grid_points=MIN_GRID_POINTS)
     path = tmp_path / "law.csv"
     law.to_csv(path)
     rows = [line.split(",") for line in path.read_text().strip().splitlines()]
