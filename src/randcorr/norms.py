@@ -362,17 +362,33 @@ class _SplitTables:
         j, vals = last[1:] if h == last[0] else rescore(h)
         at = (vals >= tie).argmax()
         first = (h << self.k) + int(j[at])
-        ranked = [(first, vals[at])] + [(int(i), v) for i, v in zip(best_idx, best_val)
-                                        if i != first][:count - 1]
-        return [(i, float(np.ldexp(v, self.exp))) for i, v in ranked]
+        rest = best_idx != first
+        indices = np.concatenate(([first], best_idx[rest][:count - 1]))
+        values = np.ldexp(np.concatenate(([vals[at]], best_val[rest][:count - 1])), self.exp)
+        return list(zip(indices.tolist(), values.tolist()))
+
+    def pairs(self, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sign vectors `indices` as alphas, their betas = sign(m^t alpha) and
+        the values alpha^t m beta recomputed from each pair: a float64 array
+        and two (len(indices) x n) blocks of +-1, one row per index.
+
+        The products are stacked matrix-vector products, one per row, so
+        each row's beta and value are bit for bit m^t alpha and
+        alpha @ m @ beta taken for that pair alone, whatever the batch."""
+        h, j = np.divmod(np.asarray(indices, dtype=np.int64), 1 << self.k)
+        alphas = np.hstack((np.ones((h.size, 1)), self.low_signs[j], self.high_signs[h]))
+        partial = np.matmul(alphas[:, None, :], self.m)
+        betas = _sign(partial[:, 0])
+        values = np.matmul(partial, betas[:, :, None])[:, 0, 0]
+        if not ((np.abs(alphas) == 1.0).all() and (np.abs(betas) == 1.0).all()):
+            raise ValidationError("sign vectors must have entries exactly +-1")
+        return values, alphas, betas
 
     def pair(self, i: int) -> tuple[float, SignPair]:
         """Sign vector i as alpha, beta = sign(m^t alpha), and the value
         alpha^t m beta recomputed from the pair."""
-        h, j = divmod(i, 1 << self.k)
-        alpha = np.concatenate(([1.0], self.low_signs[j], self.high_signs[h]))
-        beta = _sign(self.m.T @ alpha)
-        return float(alpha @ self.m @ beta), SignPair(alpha, beta)
+        values, alphas, betas = self.pairs([i])
+        return float(values[0]), SignPair(alphas[0], betas[0])
 
 
 def _largest(vals: np.ndarray, count: int) -> np.ndarray:
@@ -404,25 +420,28 @@ def infty_to_one_exact(a) -> tuple[float, SignPair]:
     return tables.pair(tables.ranked(1)[0][0])
 
 
-def _top_sign_pairs(y: np.ndarray, count: int,
-                    floor: float = -np.inf) -> list[tuple[float, SignPair]]:
-    """The `count` largest ||y^t alpha||_1 over the exact enumeration, each as
-    (alpha^t y beta, SignPair), keeping after the first only those whose
-    alpha^t y beta exceeds `floor`.
+def _top_atoms(y: np.ndarray, count: int, floor: float = -np.inf
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `count` largest ||y^t alpha||_1 over the exact enumeration, as
+    _SplitTables.pairs gives them (values alpha^t y beta, alphas, betas),
+    keeping after the first only those whose value exceeds `floor`.
 
-    The first entry is infty_to_one_exact(y)'s pair (the tie rule's choice);
+    The first row is infty_to_one_exact(y)'s pair (the tie rule's choice);
     the others follow by float64 value, exact ties in index order.  They come
     from the same float32 screen and float64 rescoring, with the cut taken
-    at the count-th largest screened value.  A pair is built only when its
+    at the count-th largest screened value.  A row is built only when its
     rescored value is within slack64 of `floor` or above: slack64 bounds
-    how far the rescored value and alpha^t y beta can differ, so the pairs
+    how far the rescored value and alpha^t y beta can differ, so the rows
     skipped are exactly those that would fail the floor.
     """
     tables = _SplitTables(y)
     ranked = tables.ranked(count)
     near = floor - float(np.ldexp(tables.slack64, tables.exp))
-    rest = (tables.pair(i) for i, value in ranked[1:] if value > near)
-    return [tables.pair(ranked[0][0])] + [p for p in rest if p[0] > floor]
+    values, alphas, betas = tables.pairs(
+        [ranked[0][0]] + [i for i, value in ranked[1:] if value > near])
+    keep = values > floor
+    keep[0] = True
+    return values[keep], alphas[keep], betas[keep]
 
 
 def infty_to_one_heuristic(a, restarts: int, seed: SeedSpec) -> tuple[float, SignPair]:
@@ -696,10 +715,6 @@ def bell_functional_from_svd(t, heuristic_restarts: int = HEURISTIC_RESTARTS,
                           attaining=h_pair)
 
 
-def _atom_column(pair: SignPair) -> np.ndarray:
-    return np.outer(pair.alpha, pair.beta).ravel()
-
-
 _MASTER_OPTIONS = (("output_flag", False), ("presolve", "off"),
                    ("simplex_strategy", 4))  # 4: primal simplex
 
@@ -720,19 +735,29 @@ def linprog(highs: _Highs) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(solution.col_value), np.asarray(solution.row_dual)
 
 
+def _atom_codes(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """One integer per row from the sign bits of alpha and beta (2n <= 48
+    bits at n <= EXACT_CAP).  Every atom priced here has alpha_1 = +1, so
+    the code tells apart exactly the atoms whose columns outer(alpha, beta)
+    differ."""
+    signs = np.hstack((alphas, betas)) < 0.0
+    return signs @ (1 << np.arange(signs.shape[1], dtype=np.int64))
+
+
 class _AtomPool:
     """The restricted master, kept from one round to the next: its sign
-    atoms, the bytes of their columns outer(alpha, beta) flattened, and the
-    HiGHS model.  The model has one equality row per entry of b and its
-    columns are the 2 n^2 elastic slacks +-e_i (cost slack_cost each)
-    followed by the atoms' columns (cost 1 each) in pool order.  The bytes
-    keep any atom from entering twice (outer(alpha, beta) =
-    outer(-alpha, -beta))."""
+    atoms as two (k x n) blocks of +-1, alphas and betas, one atom per row,
+    their codes (see _atom_codes) and the HiGHS model.  The model has one
+    equality row per entry of b and its columns are the 2 n^2 elastic
+    slacks +-e_i (cost slack_cost each) followed by the atoms' columns
+    outer(alpha, beta) flattened (cost 1 each) in pool order.  The codes
+    keep any atom from entering twice."""
 
     def __init__(self, b: np.ndarray, slack_cost: float):
         n2 = b.size
-        self.atoms: list[SignPair] = []
-        self.keys: set[bytes] = set()
+        n = math.isqrt(n2)
+        self.alphas, self.betas = np.empty((0, n)), np.empty((0, n))
+        self.codes = np.empty(0, dtype=np.int64)
         self.slacks = 2 * n2
         self.highs = _Highs()
         for option, value in _MASTER_OPTIONS:
@@ -745,35 +770,35 @@ class _AtomPool:
                            self.slacks, entries, entries % n2,
                            np.repeat([1.0, -1.0], n2))
 
-    def fresh(self, pairs) -> list[SignPair]:
-        """The pairs whose atoms are neither pooled nor repeated earlier in
-        `pairs`, in order."""
-        out, seen = [], set(self.keys)
-        for pair in pairs:
-            key = _atom_column(pair).tobytes()
-            if key not in seen:
-                seen.add(key)
-                out.append(pair)
-        return out
+    def fresh(self, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        """The rows whose atoms are neither pooled nor repeated in an
+        earlier row, in order."""
+        out, seen = [], set(self.codes.tolist())
+        for row, code in enumerate(_atom_codes(alphas, betas).tolist()):
+            if code not in seen:
+                seen.add(code)
+                out.append(row)
+        return np.array(out, dtype=np.intp)
 
-    def add(self, pairs: list[SignPair]) -> None:
-        """Append fresh pairs' atoms (a new list, so that a caller's
-        reference to the old one stays as it was) and their columns."""
-        cols = [_atom_column(pair) for pair in pairs]
-        k, n2 = len(cols), cols[0].size
+    def add(self, alphas: np.ndarray, betas: np.ndarray) -> None:
+        """Append fresh atoms (new blocks, so that a caller's reference to
+        the old ones stays as it was) and their columns."""
+        k, n = alphas.shape
+        n2 = n * n
+        cols = alphas[:, :, None] * betas[:, None, :]
         self.highs.addCols(k, np.ones(k), np.zeros(k), np.full(k, np.inf), k * n2,
                            np.arange(0, k * n2, n2, dtype=np.int32),
-                           np.tile(np.arange(n2, dtype=np.int32), k),
-                           np.concatenate(cols))
-        self.atoms = self.atoms + pairs
-        self.keys.update(col.tobytes() for col in cols)
+                           np.tile(np.arange(n2, dtype=np.int32), k), cols.ravel())
+        self.alphas = np.vstack((self.alphas, alphas))
+        self.betas = np.vstack((self.betas, betas))
+        self.codes = np.concatenate((self.codes, _atom_codes(alphas, betas)))
 
     def keep(self, mask: np.ndarray) -> None:
         """Keep only the atoms where mask is true."""
         drop = self.slacks + np.flatnonzero(~mask).astype(np.int32)
         self.highs.deleteCols(drop.size, drop)
-        self.atoms = [a for a, keep_it in zip(self.atoms, mask) if keep_it]
-        self.keys = {_atom_column(a).tobytes() for a in self.atoms}
+        self.alphas, self.betas = self.alphas[mask], self.betas[mask]
+        self.codes = self.codes[mask]
 
 
 def classical_upper_bound(t, max_atoms: int = 400,
@@ -812,19 +837,22 @@ def classical_upper_bound(t, max_atoms: int = 400,
     b = m.flatten()
     scale = max(1.0, float(np.abs(m).max()))
 
-    start = [pair for _, pair in _top_sign_pairs(m, min(_PRICING_COLUMNS, max_atoms + 1))]
+    ones = np.ones((1, n))
+    _, alphas, betas = _top_atoms(m, min(_PRICING_COLUMNS, max_atoms + 1))
+    alphas, betas = np.vstack((alphas, ones)), np.vstack((betas, ones))
     pool = _AtomPool(b, 1e6 * scale)
-    pool.add(pool.fresh(start + [SignPair(np.ones(n), np.ones(n))]))
+    new = pool.fresh(alphas, betas)
+    pool.add(alphas[new], betas[new])
     capacity = max_atoms + 2
     dual_bound = None
     for _ in range(max_atoms):
-        k = len(pool.atoms)
+        k = len(pool.alphas)
         x, y = linprog(pool.highs)
         weights = x[pool.slacks:]
-        solved, live = pool.atoms, weights > 1e-14
+        solved, live = (pool.alphas, pool.betas), weights > 1e-14
         slack = float(x[:pool.slacks].sum())
-        priced = _top_sign_pairs(y.reshape(n, n), _PRICING_COLUMNS, _PRICE_CAP)
-        price = priced[0][0]
+        values, alphas, betas = _top_atoms(y.reshape(n, n), _PRICING_COLUMNS, _PRICE_CAP)
+        price = float(values[0])
         dual_feasible, no_slack = price <= _PRICE_CAP, slack <= 1e-9 * scale
         primal = float(weights.sum())
         if price > 0:
@@ -832,16 +860,17 @@ def classical_upper_bound(t, max_atoms: int = 400,
         gap = primal - dual_bound if dual_bound is not None else np.inf
         if dual_feasible and no_slack and gap <= tol:
             break
-        new = pool.fresh(pair for _, pair in priced)
-        if not new or new[0] is not priced[0][1]:
+        new = pool.fresh(alphas, betas)
+        if not new.size or new[0] != 0:
             break  # pricing stalled on a pooled atom: numerical plateau
-        if k + len(new) > capacity:
+        if k + new.size > capacity:
             pool.keep(live)
-            new = new[:capacity - len(pool.atoms)]
-        if not new:
+            new = new[:capacity - len(pool.alphas)]
+        if not new.size:
             break  # every pooled atom carries weight
-        pool.add(new)
-    kept_atoms = [a for a, keep_it in zip(solved, live) if keep_it]
+        pool.add(alphas[new], betas[new])
+    kept_atoms = [SignPair(alpha, beta)
+                  for alpha, beta in zip(solved[0][live], solved[1][live])]
     kept_w = weights[live]
     dec = ConvexDecomposition(weights=kept_w, atoms=kept_atoms,
                               converged=dual_feasible and no_slack,

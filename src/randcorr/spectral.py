@@ -29,6 +29,8 @@ MIN_GRID_POINTS = 250  # coarser grids fail the 1e-3 mass check (200: at alpha 0
 _EDGE_POINTS = 2500  # graded points resolving the hard edge at 0 (worst at alpha=1)
 _EPS_CAP = 1e-6
 _ALPHA_LO = 0.01  # lower end of alpha_threshold's bracket
+BRENT_RTOL = 4 * np.finfo(float).eps  # brentq's relative tolerance (its default)
+_CUBE_ROOTS_OF_ONE = np.exp(2j * np.pi / 3.0 * np.arange(3))
 
 
 def _cubic_coeffs(alpha: float, z):
@@ -37,18 +39,39 @@ def _cubic_coeffs(alpha: float, z):
             -np.ones_like(z))
 
 
+def _aligned_sqrt(square: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The square root of `square` whose sum with `ref` has no cancellation
+    (their real inner product is >= 0)."""
+    root = np.sqrt(square)
+    return np.where((ref.conjugate() * root).real >= 0.0, root, -root)
+
+
 def _roots_batch(alpha: float, zs: np.ndarray) -> np.ndarray:
-    """All three cubic roots per z, via batched companion eigenvalues,
-    polished with one Newton step."""
+    """All three cubic roots per z in closed form, each polished with one
+    Newton step.
+
+    With the cubic monic, s^3 + b s^2 + c s + d, Cardano gives the roots
+    -(b + C + D0/C)/3 over the three cube roots C of (D1 + R)/2, where
+    D0 = b^2 - 3c, D1 = 2b^3 - 9bc + 27d and R = +-sqrt(D1^2 - 4 D0^3) takes
+    the sign that adds to D1 without cancellation.  Only the largest root r
+    is taken from it; the other two solve the deflated quadratic
+    s^2 + (b + r) s - d/r by the stable formula (one root from the sum with
+    no cancellation, the other from the product)."""
     a3, a2, a1, a0 = _cubic_coeffs(alpha, zs)
-    n = len(zs)
-    comp = np.zeros((n, 3, 3), dtype=complex)
-    comp[:, 1, 0] = 1.0
-    comp[:, 2, 1] = 1.0
-    comp[:, 0, 2] = -a0 / a3
-    comp[:, 1, 2] = -a1 / a3
-    comp[:, 2, 2] = -a2 / a3
-    roots = np.linalg.eigvals(comp)
+    b, c, d = a2 / a3, a1 / a3, a0 / a3
+    d0 = b * b - 3.0 * c
+    d1 = (2.0 * b * b - 9.0 * c) * b + 27.0 * d
+    root = _aligned_sqrt(d1 * d1 - 4.0 * d0 ** 3, d1)
+    cubes = ((d1 + root) / 2.0) ** (1.0 / 3.0) * _CUBE_ROOTS_OF_ONE[:, None]
+    # C = 0 only at a triple root, where D0 = 0 too and each root is -b/3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = np.where(cubes != 0.0, d0 / cubes, 0.0)
+    cardano = -(b + cubes + quotient) / 3.0
+    r = cardano[np.abs(cardano).argmax(axis=0), np.arange(cardano.shape[1])]
+    # d = -alpha/z^2 is never 0, so neither is any root
+    e1, e0 = b + r, -d / r
+    q = -(e1 + _aligned_sqrt(e1 * e1 - 4.0 * e0, e1)) / 2.0
+    roots = np.stack([r, q, e0 / q], axis=1)
     a3c, a2c, a1c = a3[:, None], a2[:, None], a1[:, None]
     p = a3c * roots**3 + a2c * roots**2 + a1c * roots + a0[:, None]
     dp = 3 * a3c * roots**2 + 2 * a2c * roots + a1c
@@ -60,12 +83,21 @@ def _roots_batch(alpha: float, zs: np.ndarray) -> np.ndarray:
 def _follow(roots: np.ndarray, start: complex) -> np.ndarray:
     """The branch through the rows of `roots` (three cubic roots each), in
     row order: in each row the root nearest the one before, starting from
-    the root nearest `start`."""
-    branch = np.empty(len(roots), dtype=complex)
-    s = start
-    for k, row in enumerate(roots):
-        s = branch[k] = row[np.argmin(np.abs(row - s))]
-    return branch
+    the root nearest `start`.
+
+    Which root of row k is nearest depends only on which root of row k - 1
+    was taken, so each step is a map of {0, 1, 2} to itself, read off the
+    row-to-row distances by argmin (first index on ties).  The maps are
+    composed by doubling: after the pass with offset d, row k holds the
+    composition of the maps of rows k - 2d + 1 .. k."""
+    maps = np.empty(roots.shape, dtype=np.intp)
+    maps[0] = np.argmin(np.abs(roots[0] - start))
+    maps[1:] = np.argmin(np.abs(roots[1:, None, :] - roots[:-1, :, None]), axis=2)
+    step = 1
+    while step < len(roots):
+        maps[step:] = np.take_along_axis(maps[step:], maps[:-step], axis=1)
+        step *= 2
+    return roots[np.arange(len(roots)), maps[:, 0]]
 
 
 def ac_support_edges(alpha: float) -> tuple[float, float]:
@@ -188,6 +220,14 @@ def c_alpha(alpha: float, grid_points: int = DEFAULT_GRID_POINTS,
     return density(alpha, grid_points, eps_cap).c_alpha
 
 
+def threshold_objective(gap_constant: float, alpha: float,
+                        grid_points: int = DEFAULT_GRID_POINTS,
+                        eps_cap: float = _EPS_CAP) -> float:
+    """gap_constant * C_alpha / sqrt(alpha) - 1: positive below the
+    threshold, negative above it."""
+    return gap_constant * c_alpha(alpha, grid_points, eps_cap) / np.sqrt(alpha) - 1.0
+
+
 def alpha_threshold(gap_constant: float, hi: float = 1.0, tol: float = 1e-4,
                     grid_points: int = DEFAULT_GRID_POINTS,
                     eps_cap: float = _EPS_CAP) -> float:
@@ -195,16 +235,17 @@ def alpha_threshold(gap_constant: float, hi: float = 1.0, tol: float = 1e-4,
 
     C_alpha/sqrt(alpha) decreases in alpha (checked at the ends of the
     bracket [_ALPHA_LO, hi]), so the crossing is the single root on the
-    bracket, found by Brent's method to within tol.  Each objective value
-    costs one density inversion; the bracket ends are evaluated once and
-    shared with Brent.
+    bracket, found by Brent's method: the root of threshold_objective lies
+    within tol + BRENT_RTOL * alpha0 of the returned alpha0.  Each objective
+    value costs one density inversion; the bracket ends are evaluated once
+    and shared with Brent.
     """
     if gap_constant <= 0:
         raise ValidationError("gap_constant must be positive")
 
     @functools.lru_cache(maxsize=None)
     def objective(a: float) -> float:
-        return gap_constant * c_alpha(a, grid_points, eps_cap) / np.sqrt(a) - 1.0
+        return threshold_objective(gap_constant, a, grid_points, eps_cap)
 
     f_lo, f_hi = objective(_ALPHA_LO), objective(hi)
     if f_lo <= f_hi:
@@ -213,7 +254,7 @@ def alpha_threshold(gap_constant: float, hi: float = 1.0, tol: float = 1e-4,
     if f_lo < 0 or f_hi > 0:
         raise NumericalError("no sign change on the initial bracket",
                              detail={"f(lo)": f_lo, "f(hi)": f_hi})
-    return float(brentq(objective, _ALPHA_LO, hi, xtol=tol))
+    return float(brentq(objective, _ALPHA_LO, hi, xtol=tol, rtol=BRENT_RTOL))
 
 
 @dataclass

@@ -26,6 +26,7 @@ from .norms import (TOL_DECOMPOSITION_RESIDUAL, TOL_FACTOR_RESIDUAL, BellFunctio
                     _near_singular, classical_lower_bound, gap_from_bell,
                     infty_to_one_exact)
 from .sampling import SeedSpec
+from .spectral import BRENT_RTOL, density, threshold_objective
 
 _REL_TOL = 1e-12            # stored and rebuilt numbers agree to this, relative
 _ORTHOGONALITY_TOL = 1e-6   # max ||a a^t - I||_F of a gamma2 dual witness
@@ -133,14 +134,42 @@ _RESULT_CLAIMS = {
 }
 
 
+def _spectral_results(config: dict) -> dict:
+    """The law's numbers, rebuilt from one density at the config's alpha
+    and grid."""
+    law = density(config["alpha"], config["grid_points"])
+    return {"support_upper": law.support_upper, "c_alpha": law.c_alpha,
+            "atom_mass": law.atom_mass, "total_mass": law.total_mass(),
+            "first_moment": law.first_moment()}
+
+
+def _threshold_failures(config: dict, alpha0) -> list[str]:
+    """alpha_threshold's objective must change sign across alpha0 -+ w,
+    w = tol + BRENT_RTOL |alpha0|, the interval Brent's method puts the root
+    in: two densities instead of the search's four."""
+    width = config["tol"] + BRENT_RTOL * abs(alpha0)
+    ends = [threshold_objective(config["gap_constant"], alpha0 + side * width)
+            for side in (-1.0, 1.0)]
+    if ends[0] >= 0.0 >= ends[1]:
+        return []
+    return [f"results.alpha0: {alpha0!r} stored, but gap C_alpha/sqrt(alpha) - 1 "
+            f"is {ends[0]:.3g} and {ends[1]:.3g} at alpha0 -+ {width:.3g}, "
+            "with no root between"]
+
+
 def _verify_single(doc: dict) -> list[str]:
     """Each certificate is re-evaluated and rebuilt. In `results`, an entry
     that restates a claim takes the re-evaluated value, or null where the
     report has no certificate for it. Norm's trace, operator and flatness
     values are recomputed from the matrix, classical's residual, converged
-    and certified are the decomposition's (kept as stored without one), and
-    a gap report's `gap` and `bell_norm_exact` follow from its Bell
-    functional and gamma2_lower. Other entries are kept as stored."""
+    and certified are the decomposition's (kept as stored without one), a
+    gap report's `gap` and `bell_norm_exact` follow from its Bell
+    functional and gamma2_lower, and a spectral report's law numbers come
+    from one density. A threshold's alpha0 is checked, not rebuilt: the
+    objective must change sign across alpha0 -+ (tol + BRENT_RTOL alpha0).
+    Other entries are kept as stored, among them a spectral report's
+    ks_distance, whose draw (--ks-n, --ks-m, --seed) the config does not
+    record."""
     try:
         mat = as_matrix(doc["matrix"]) if "matrix" in doc else None
     except _MALFORMED as exc:
@@ -177,8 +206,12 @@ def _verify_single(doc: dict) -> list[str]:
     try:
         if kind == "norm" and doc["config"]["which"] in SPECTRAL_VALUES:
             fresh_results["value"] = SPECTRAL_VALUES[doc["config"]["which"]](mat)
+        elif kind == "spectral":
+            fresh_results.update(_spectral_results(doc["config"]))
+        elif kind == "threshold":
+            failures += _threshold_failures(doc["config"], results["alpha0"])
     except _MALFORMED as exc:
-        failures.append(f"results value: re-evaluation failed: {exc!r}")
+        failures.append(f"results: re-evaluation failed: {exc!r}")
     if kind == "gap":
         bell = payloads.get("bell_functional")
         if bell is None or "gamma2_lower" not in values:

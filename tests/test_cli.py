@@ -125,6 +125,24 @@ def test_classical_unconverged_certifies_no_upper_bound(tmp_path, capsys):
     assert "does not reconstruct" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n, max_atoms", [(2, 400), (6, 400), (10, 5)])
+def test_classical_flags_are_python_bools_and_the_report_serialises(tmp_path, n, max_atoms):
+    # numpy bools in the decomposition would make json.dumps of the report fail
+    mat = (np.array([[1.0, 1.0], [1.0, -1.0]]) if n == 2
+           else gaussian(n, n, SeedSpec(7, 0)) / math.sqrt(n))
+    dec = classical_upper_bound(mat, max_atoms=max_atoms)
+    assert type(dec.converged) is bool and type(dec.certified) is bool
+    mpath = tmp_path / "m.csv"
+    write_matrix_csv(mpath, mat)
+    out = str(tmp_path / "classical.json")
+    assert main(["classical", "--matrix", str(mpath), "--max-atoms", str(max_atoms),
+                 "--out", out]) == 0
+    results = json.loads(open(out).read())["results"]
+    assert results["converged"] is dec.converged and results["certified"] is dec.certified
+    assert results["converged"] is (max_atoms == 400)
+    assert main(["verify-certificate", out]) == 0
+
+
 def test_parser_built_once_keeps_no_state_between_calls(tmp_path):
     # main reuses one parser per process: an option given to one call must
     # not become a default of the next
@@ -145,7 +163,7 @@ def test_classical_refuses_above_exact_cap_after_reading_the_csv(tmp_path, monke
     # no SVD, enumeration, ascent or LP runs before the size is refused
     import randcorr.norms as norms_mod
     calls = []
-    for name in ("svd", "_top_sign_pairs", "infty_to_one_heuristic", "linprog"):
+    for name in ("svd", "_top_atoms", "infty_to_one_heuristic", "linprog"):
         monkeypatch.setattr(norms_mod, name,
                             lambda *a, _name=name, **k: calls.append(_name)
                             or pytest.fail(f"{_name} ran"))
@@ -408,6 +426,48 @@ def test_verify_rejects_edited_results(tmp_path, capsys, kind, edit):
                                if c["claims"] != "classical_upper"]
     else:
         doc["results"][edit] *= 1.5
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert "FAIL results" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("threshold --gap sqrt(16/15)", "alpha0=0.5"),
+    ("threshold --gap sqrt(16/15)", "alpha0+3tol"),
+    ("threshold --gap sqrt(16/15)", "alpha0-3tol"),
+    ("threshold --gap sqrt(16/15) --tol 1e-6", "alpha0+3tol"),
+    ("threshold --gap sqrt(16/15)", "gap_constant"),
+    ("spectral --alpha 0.5", "c_alpha"), ("spectral --alpha 0.5", "support_upper"),
+    ("spectral --alpha 0.5", "atom_mass"), ("spectral --alpha 0.5", "total_mass"),
+    ("spectral --alpha 0.5", "first_moment"), ("spectral --alpha 4", "alpha"),
+    ("spectral --alpha 4 --grid-points 300", "grid_points")],
+    ids=["threshold-alpha0_0.5", "threshold-alpha0_up", "threshold-alpha0_down",
+         "threshold_tol1e-6-alpha0_up", "threshold-gap_constant", "spectral-c_alpha",
+         "spectral-support_upper", "spectral-atom_mass", "spectral-total_mass",
+         "spectral-first_moment", "spectral-alpha", "spectral-grid_points"])
+def test_verify_checks_threshold_and_spectral_results(tmp_path, capsys, command, edit):
+    # alpha0 must bracket the objective's root to within tol; the law's
+    # numbers are rebuilt from one density at the stored alpha and grid
+    out = str(tmp_path / "report.json")
+    assert main(command.split() + ["--out", out]) == 0
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 0
+    doc = json.loads(open(out).read())
+    config, results = doc["config"], doc["results"]
+    if edit == "alpha0=0.5":
+        results["alpha0"] = 0.5
+    elif edit.startswith("alpha0"):
+        results["alpha0"] += (3.0 if edit[6] == "+" else -3.0) * config["tol"]
+    elif edit == "gap_constant":
+        config["gap_constant"] *= 1.01
+    elif edit == "alpha":
+        config["alpha"] = 4.1
+    elif edit == "grid_points":
+        config["grid_points"] = 400
+    else:
+        results[edit] *= 2.0 if edit == "c_alpha" else 1.0 + 1e-9
     with open(out, "w") as fh:
         json.dump(doc, fh)
     capsys.readouterr()

@@ -11,7 +11,7 @@ from randcorr.errors import NumericalError, ValidationError
 from randcorr.linalg import svd, trace_norm
 from randcorr.norms import (EXACT_CAP, GAMMA2_RESCALE_TOL, KG_UPPER, BellFunctional,
                             ConvexDecomposition, NormBracket, SignPair,
-                            _SplitTables, _top_sign_pairs, bell_functional_from_svd,
+                            _SplitTables, _top_atoms, bell_functional_from_svd,
                             classical_lower_bound, classical_upper_bound, gamma2_bracket,
                             gamma2_oracle, gap_from_bell,
                             infty_to_one_exact, infty_to_one_heuristic,
@@ -60,6 +60,12 @@ def reference_ranking(a):
 def alpha_index(alpha):
     """The index of a sign vector with alpha_1 = +1 (see reference_alphas)."""
     return int(((1.0 - alpha[1:]) / 2) @ (1 << np.arange(alpha.size - 1)))
+
+
+def top_sign_pairs(y, count, floor=-np.inf):
+    """_top_atoms' rows as a list of (value, SignPair), best first."""
+    values, alphas, betas = _top_atoms(y, count, floor)
+    return [(v, SignPair(a, b)) for v, a, b in zip(values.tolist(), alphas, betas)]
 
 
 def sylvester_hadamard(n):
@@ -140,7 +146,7 @@ def test_split_enumeration_matches_reference_hypothesis(n, seed):
 # --- float32 screen, float64 rescoring and the tie rule ------------------------
 
 def check_against_reference(a, count=32):
-    """infty_to_one_exact and _top_sign_pairs against reference_ranking: the
+    """infty_to_one_exact and _top_atoms against reference_ranking: the
     tie rule's alpha first, then the next best values."""
     vals, first = reference_ranking(a)
     val, pair = infty_to_one_exact(a)
@@ -148,7 +154,7 @@ def check_against_reference(a, count=32):
     assert np.array_equal(pair.beta, np.where(a.T @ pair.alpha >= 0.0, 1.0, -1.0))
     assert val == pair.pairing(a)
     assert val == pytest.approx(vals.max(), rel=1e-12, abs=0.0)
-    top = _top_sign_pairs(a, count)
+    top = top_sign_pairs(a, count)
     assert len(top) == min(count, vals.size)
     assert top[0][0] == val and np.array_equal(top[0][1].alpha, pair.alpha)
     assert len({alpha_index(p.alpha) for _, p in top}) == len(top)
@@ -195,7 +201,7 @@ def test_screen_exact_ties_in_index_order(case):
         vals, first = reference_ranking(a)
         order = np.lexsort((np.arange(vals.size), -vals))
         assert first == order[0]
-        top = _top_sign_pairs(a, 32)
+        top = top_sign_pairs(a, 32)
         assert [alpha_index(p.alpha) for _, p in top] == list(order[:32])
         assert [v for v, _ in top] == list(vals[order[:32]])
 
@@ -254,7 +260,7 @@ def test_tie_band_kept_by_an_exact_screen(monkeypatch):
     monkeypatch.setattr(_SplitTables, "__init__", no_slack)
     _, pair = infty_to_one_exact(a)
     assert alpha_index(pair.alpha) == 0
-    assert alpha_index(_top_sign_pairs(a, 4)[0][1].alpha) == 0
+    assert alpha_index(top_sign_pairs(a, 4)[0][1].alpha) == 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -688,7 +694,7 @@ def test_top_sign_pairs_first_entry_is_exact(case):
     for m in mats:
         val, pair = infty_to_one_exact(m)
         for count in (1, 32):
-            top_val, top_pair = _top_sign_pairs(m, count)[0]
+            top_val, top_pair = top_sign_pairs(m, count)[0]
             assert top_val == val
             assert np.array_equal(top_pair.alpha, pair.alpha)
             assert np.array_equal(top_pair.beta, pair.beta)
@@ -701,7 +707,7 @@ def test_top_sign_pairs_match_reference_ranking():
         alphas = np.array([(1.0,) + rest
                            for rest in itertools.product((1.0, -1.0), repeat=n - 1)])
         want = np.sort(np.abs(alphas @ g).sum(axis=1))[::-1][:32]
-        top = _top_sign_pairs(g, 32)
+        top = top_sign_pairs(g, 32)
         assert len(top) == min(32, len(alphas))
         assert len({p.alpha.tobytes() for _, p in top}) == len(top)
         for value, pair in top:
@@ -713,7 +719,7 @@ def test_top_sign_pairs_match_reference_ranking():
 
 def test_top_sign_pairs_ties_in_index_order():
     # every alpha ties on eye(6): the first 32 in index order come back
-    top = _top_sign_pairs(np.eye(6), 32)
+    top = top_sign_pairs(np.eye(6), 32)
     assert [v for v, _ in top] == [6.0] * 32
     idx = [int(((1.0 - p.alpha[1:]) / 2) @ (1 << np.arange(5))) for _, p in top]
     assert idx == list(range(32))
@@ -773,8 +779,10 @@ def capture_masters(monkeypatch):
     return masters
 
 
-def atom_columns(pairs):
-    return np.array([np.outer(p.alpha, p.beta).ravel() for p in pairs]).T
+def atom_columns(alphas, betas):
+    """The columns outer(alpha, beta) flattened of two +-1 blocks, one atom
+    per row."""
+    return np.array([np.outer(a, b).ravel() for a, b in zip(alphas, betas)]).T
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -785,20 +793,53 @@ def test_upper_bound_pool_starts_from_top_sign_pairs(monkeypatch, n):
     for max_atoms in (400, 5):
         masters.clear()
         classical_upper_bound(g, max_atoms=max_atoms)
-        top = [p for _, p in _top_sign_pairs(g, 32)][:max_atoms + 1]
-        want = atom_columns(top)
+        _, alphas, betas = _top_atoms(g, 32)
+        want = atom_columns(alphas[:max_atoms + 1], betas[:max_atoms + 1])
         if not (want == ones).all(axis=0).any():
             want = np.hstack([want, ones])
         np.testing.assert_array_equal(masters[0], want)
         assert masters[0].shape[1] <= max_atoms + 2
 
 
+def reference_pair(tables, i):
+    """Sign vector i of the tables, beta = sign(m^t alpha) and the value
+    alpha^t m beta, built one pair at a time."""
+    h, j = divmod(i, 1 << tables.k)
+    alpha = np.concatenate(([1.0], tables.low_signs[j], tables.high_signs[h]))
+    beta = np.where(tables.m.T @ alpha >= 0.0, 1.0, -1.0)
+    return float(alpha @ tables.m @ beta), alpha, beta
+
+
 def eager_top_sign_pairs(y, count, floor=-np.inf):
-    """Reference pricing: builds a SignPair for every ranked sign vector,
-    then keeps the first and those of value above floor."""
+    """Reference pricing: builds a pair for every ranked sign vector, one at
+    a time, then keeps the first and those of value above floor."""
     tables = _SplitTables(y)
-    pairs = [tables.pair(i) for i, _ in tables.ranked(count)]
+    pairs = [reference_pair(tables, i) for i, _ in tables.ranked(count)]
     return pairs[:1] + [p for p in pairs[1:] if p[0] > floor]
+
+
+@pytest.mark.parametrize("case", ["seeded", "mixed", "ones", "eye", "hadamard16"])
+def test_pairs_equal_the_pairs_built_one_at_a_time(case):
+    # the stacked products give each row bit for bit what pair(i) and a
+    # one-pair-at-a-time build give, in any order and with repeats
+    for n in (1, 2, 5, 8, 13, 14, 16):
+        m = {"seeded": small_gaussian(n, 69, n), "mixed": mixed_magnitudes(n, 69 + n),
+             "ones": np.ones((n, n)), "eye": np.eye(n),
+             "hadamard16": sylvester_hadamard(16)[:n, :n]}[case]
+        tables = _SplitTables(m)
+        count = 1 << (n - 1)
+        idx = np.random.default_rng(n).integers(0, count, size=40)
+        idx[:2] = (0, count - 1)
+        values, alphas, betas = tables.pairs(idx)
+        assert values.shape == (40,) and alphas.shape == betas.shape == (40, n)
+        for row, i in enumerate(idx.tolist()):
+            value, pair = tables.pair(i)
+            ref_value, ref_alpha, ref_beta = reference_pair(tables, i)
+            assert values[row] == value == ref_value
+            assert np.array_equal(alphas[row], pair.alpha)
+            assert np.array_equal(alphas[row], ref_alpha)
+            assert np.array_equal(betas[row], pair.beta)
+            assert np.array_equal(betas[row], ref_beta)
 
 
 @settings(max_examples=10, deadline=None)
@@ -807,37 +848,37 @@ def test_lazy_pricing_admits_the_eager_atoms(n, seed):
     import randcorr.norms as norms_mod
     g = gaussian(n, n, SeedSpec(seed, 5)) / math.sqrt(n)
     calls, built = [], []
-    pair = _SplitTables.pair
+    pairs = _SplitTables.pairs
 
-    def counting_pair(self, i):
-        built[-1] += 1
-        return pair(self, i)
+    def counting_pairs(self, indices):
+        built[-1] += len(indices)
+        return pairs(self, indices)
 
     def recording(y, count, floor=-np.inf):
         built.append(0)
-        out = _top_sign_pairs(y, count, floor)
+        out = _top_atoms(y, count, floor)
         calls.append((y.copy(), count, floor, out))
         return out
 
-    norms_mod._top_sign_pairs = recording
-    _SplitTables.pair = counting_pair
+    norms_mod._top_atoms = recording
+    _SplitTables.pairs = counting_pairs
     try:
         classical_upper_bound(g)
     finally:
-        norms_mod._top_sign_pairs = _top_sign_pairs
-        _SplitTables.pair = pair
+        norms_mod._top_atoms = _top_atoms
+        _SplitTables.pairs = pairs
     assert len(calls) >= 2 and calls[1][2] == 1.0 + 1e-9
-    for (y, count, floor, got), made in zip(calls, built):
+    for (y, count, floor, (values, alphas, betas)), made in zip(calls, built):
         # a pair is built for the first atom, those that pass the floor and
         # those whose rescored value is too close to it to rule out
         tables = _SplitTables(y)
         margin = np.ldexp(tables.slack64, tables.exp)
         close = sum(abs(v - floor) <= margin for _, v in tables.ranked(count)[1:])
-        assert len(got) <= made <= len(got) + close
+        assert len(values) <= made <= len(values) + close
         want = eager_top_sign_pairs(y, count, floor)
-        assert [v for v, _ in got] == [v for v, _ in want]
-        for (_, p), (_, q) in zip(got, want):
-            assert np.array_equal(p.alpha, q.alpha) and np.array_equal(p.beta, q.beta)
+        assert values.tolist() == [v for v, _, _ in want]
+        for p, q, (_, alpha, beta) in zip(alphas, betas, want):
+            assert np.array_equal(p, alpha) and np.array_equal(q, beta)
 
 
 @pytest.mark.parametrize("case", ["seeded6", "seeded8_max5", "ones", "eye", "chsh",
@@ -882,13 +923,14 @@ def test_model_columns_follow_the_pool(monkeypatch, n, max_atoms):
         out = solve(highs)
         pool, = pools
         assert highs is pool.highs
-        np.testing.assert_array_equal(model_atom_columns(highs), atom_columns(pool.atoms))
+        np.testing.assert_array_equal(model_atom_columns(highs),
+                                      atom_columns(pool.alphas, pool.betas))
         _, starts, index, value = highs.getColsEntries(
             2 * n * n, np.arange(2 * n * n, dtype=np.int32))
         np.testing.assert_array_equal(starts, np.arange(2 * n * n))
         np.testing.assert_array_equal(index, np.tile(np.arange(n * n), 2))
         np.testing.assert_array_equal(value, np.repeat([1.0, -1.0], n * n))
-        pooled.append([id(a) for a in pool.atoms])
+        pooled.append([(a.tobytes(), b.tobytes()) for a, b in zip(pool.alphas, pool.betas)])
         return out
 
     monkeypatch.setattr(norms_mod, "_AtomPool", RecordedPool)
@@ -941,7 +983,7 @@ def test_upper_bound_refuses_above_exact_cap_before_any_work(monkeypatch):
     # bound is refused before any SVD, enumeration, ascent or LP runs
     import randcorr.norms as norms_mod
     calls = []
-    for name in ("svd", "_top_sign_pairs", "infty_to_one_heuristic", "linprog"):
+    for name in ("svd", "_top_atoms", "infty_to_one_heuristic", "linprog"):
         monkeypatch.setattr(norms_mod, name,
                             lambda *a, _name=name, **k: calls.append(_name)
                             or pytest.fail(f"{_name} ran"))

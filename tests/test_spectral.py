@@ -1,15 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from randcorr.errors import NumericalError, ValidationError
 from randcorr.sampling import SeedSpec
-from randcorr.spectral import (MIN_GRID_POINTS, EmpiricalSpectrum,
+from randcorr.spectral import (MIN_GRID_POINTS, EmpiricalSpectrum, _follow,
                                ac_support_edges, alpha_threshold, c_alpha,
                                density, empirical_spectrum, ks_distance)
-from stieltjes_reference import cubic_residual, stieltjes
+from stieltjes_reference import companion_roots, cubic_residual, follow_loop, stieltjes
 
 ALPHAS = (0.05, 0.1269, 0.5, 1.0, 4.0, 16.0)
 
@@ -202,6 +205,72 @@ def test_density_rejects_a_moved_discriminant_edge(alpha, scale, monkeypatch):
                         lambda a: (x_lo, scale * x_hi))
     with pytest.raises(NumericalError, match="edge"):
         density(alpha)
+
+
+def density_kernel_inputs(alpha, grid_points=MIN_GRID_POINTS):
+    """The z grid density(alpha) hands to _roots_batch, the roots it gets
+    back, and the (roots, start) it hands to _follow."""
+    import randcorr.spectral as spectral_mod
+    seen = {}
+    roots_batch, follow = spectral_mod._roots_batch, spectral_mod._follow
+
+    def recording_roots(a, zs):
+        seen["zs"], seen["roots"] = zs, roots_batch(a, zs)
+        return seen["roots"]
+
+    def recording_follow(roots, start):
+        seen["follow"] = (roots, start)
+        return follow(roots, start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral_mod, "_roots_batch", recording_roots)
+        mp.setattr(spectral_mod, "_follow", recording_follow)
+        density(alpha, grid_points)
+    return seen["zs"], seen["roots"], seen["follow"]
+
+
+def root_set_error(got, want):
+    """Per row, the largest relative error of `got` against `want` under
+    the best matching of the three roots."""
+    return np.min([np.max(np.abs(got[:, perm] - want) / np.abs(want), axis=1)
+                   for perm in itertools.permutations(range(3))], axis=0)
+
+
+def check_roots_and_branch(alpha):
+    zs, roots, (tracked, start) = density_kernel_inputs(alpha)
+    assert root_set_error(roots, companion_roots(alpha, zs)).max() <= 1e-12
+    assert np.array_equal(_follow(tracked, start), follow_loop(tracked, start))
+
+
+def test_closed_form_roots_and_scan_match_the_reference_on_the_alpha_sweep():
+    # the closed-form roots equal the companion eigenvalues as sets, and the
+    # doubling scan picks the branch the one-row-at-a-time loop picks
+    for alpha in np.geomspace(0.005, 200.0, 65):
+        check_roots_and_branch(alpha)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(min_value=math.log(0.005), max_value=math.log(200.0)))
+def test_closed_form_roots_and_scan_match_the_reference_hypothesis(log_alpha):
+    check_roots_and_branch(math.exp(log_alpha))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 64, 1000])
+def test_follow_scan_equals_the_loop_on_exact_ties(rows):
+    # roots on a small integer lattice: many rows hold two roots at the same
+    # distance from the one before, and argmin takes the first in both
+    gen = np.random.default_rng(rows)
+    ties = 0
+    for _ in range(50):
+        roots = (gen.integers(-2, 3, size=(rows, 3))
+                 + 1j * gen.integers(-2, 3, size=(rows, 3))).astype(complex)
+        start = complex(gen.integers(-2, 3), gen.integers(-2, 3))
+        want = follow_loop(roots, start)
+        assert np.array_equal(_follow(roots, start), want)
+        prev = np.concatenate(([start], want[:-1]))
+        dist = np.abs(roots - prev[:, None])
+        ties += int(((dist == dist.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+    assert ties > 0
 
 
 def test_density_validation():
