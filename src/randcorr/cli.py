@@ -408,10 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classical", help="projective-norm bracket")
     p.add_argument("--matrix", required=True)
     p.add_argument("--max-atoms", type=int, default=400,
-                   help="bound on master LP solves; the pool starts from the "
-                        "first enumeration's best atoms and holds at most "
-                        "max-atoms + 2 (each solve prices up to 32 atoms; "
-                        "zero-weight atoms are dropped when the pool is full)")
+                   help="bound on master LP solves, and on nothing else: the "
+                        "pool starts from the first enumeration's 32 best atoms "
+                        "plus all-ones, each solve adds up to 32 priced atoms "
+                        "and no atom ever leaves it, so each solve is slower "
+                        "than the last; at n >= 20 a run takes minutes, and a "
+                        "smaller value stops it sooner, unconverged")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None, help="report path")
     p.set_defaults(func=_cmd_classical)

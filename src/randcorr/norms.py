@@ -130,10 +130,14 @@ class ConvexDecomposition:
         return float(np.sum(self.weights))
 
     def reconstruct(self, n: int) -> np.ndarray:
-        out = np.zeros((n, n))
-        for w, atom in zip(self.weights, self.atoms):
-            out += w * np.outer(atom.alpha, atom.beta)
-        return out
+        """sum_k weights[k] * outer(alpha_k, beta_k), added atom by atom in
+        order (a reduction over the leading axis), so bit for bit the sum of
+        one outer product per atom."""
+        w = np.asarray(self.weights, dtype=float)
+        alphas = np.array([a.alpha for a in self.atoms]).reshape(-1, n)
+        betas = np.array([a.beta for a in self.atoms]).reshape(-1, n)
+        return np.add.reduce(w[:, None, None] * alphas[:, :, None] * betas[:, None, :],
+                             axis=0)
 
     def reconstruction_residual(self, t) -> float:
         m = as_matrix(t, square=True)
@@ -781,8 +785,8 @@ class _AtomPool:
         return np.array(out, dtype=np.intp)
 
     def add(self, alphas: np.ndarray, betas: np.ndarray) -> None:
-        """Append fresh atoms (new blocks, so that a caller's reference to
-        the old ones stays as it was) and their columns."""
+        """Append fresh atoms and their columns.  Nothing ever leaves the
+        pool, so its first k rows stay the atoms of the first k columns."""
         k, n = alphas.shape
         n2 = n * n
         cols = alphas[:, :, None] * betas[:, None, :]
@@ -793,13 +797,6 @@ class _AtomPool:
         self.betas = np.vstack((self.betas, betas))
         self.codes = np.concatenate((self.codes, _atom_codes(alphas, betas)))
 
-    def keep(self, mask: np.ndarray) -> None:
-        """Keep only the atoms where mask is true."""
-        drop = self.slacks + np.flatnonzero(~mask).astype(np.int32)
-        self.highs.deleteCols(drop.size, drop)
-        self.alphas, self.betas = self.alphas[mask], self.betas[mask]
-        self.codes = self.codes[mask]
-
 
 def classical_upper_bound(t, max_atoms: int = 400,
                           tol: float = 1e-9) -> ConvexDecomposition:
@@ -808,8 +805,8 @@ def classical_upper_bound(t, max_atoms: int = 400,
 
     Restricted master: min sum(w) with sum_k w_k outer(alpha_k, beta_k) = t,
     w >= 0 (elastic slacks keep it feasible while the pool is small).  One
-    HiGHS model lives across the rounds: atoms enter and leave it as
-    columns, and each round re-optimises it without presolve by primal
+    HiGHS model lives across the rounds: atoms enter it as columns and
+    never leave it, and each round re-optimises it without presolve by primal
     simplex from the last basis, which stays primal feasible when columns
     are added.  Pricing maximizes the dual pairing over all sign matrices;
     a dual whose best atom prices at most _PRICE_CAP = 1 + 1e-9 is
@@ -819,13 +816,15 @@ def classical_upper_bound(t, max_atoms: int = 400,
     _PRICING_COLUMNS - 1 further atoms priced above _PRICE_CAP
     (multi-column pricing).
 
-    The pool starts from the best atoms of the enumeration of t (up to
-    min(_PRICING_COLUMNS, max_atoms + 1) of them, best first) plus the
-    all-ones atom.  max_atoms bounds the master solves, and the pool never
-    holds more than max_atoms + 2 atoms.  When new atoms would overflow it,
-    atoms with zero weight in the current master solution are dropped
-    first.  Above EXACT_CAP nothing could be certified, so the bound is
-    refused with a ValidationError before any work.
+    The pool starts from the _PRICING_COLUMNS best atoms of the enumeration
+    of t, best first, plus the all-ones atom.  max_atoms bounds the master
+    solves and nothing else: an atom that has entered the pool is never
+    dropped (column generation converges without ever removing a column, and
+    an atom dropped at zero weight tends to be priced back in later).  Each
+    solve therefore grows slower as the pool grows, so at n >= 20 a run
+    takes minutes; a smaller max_atoms stops it sooner, unconverged.  Above
+    EXACT_CAP nothing could be certified, so the bound is refused with a
+    ValidationError before any work.
     """
     m = as_matrix(t, square=True)
     n = m.shape[0]
@@ -838,18 +837,15 @@ def classical_upper_bound(t, max_atoms: int = 400,
     scale = max(1.0, float(np.abs(m).max()))
 
     ones = np.ones((1, n))
-    _, alphas, betas = _top_atoms(m, min(_PRICING_COLUMNS, max_atoms + 1))
+    _, alphas, betas = _top_atoms(m, _PRICING_COLUMNS)
     alphas, betas = np.vstack((alphas, ones)), np.vstack((betas, ones))
     pool = _AtomPool(b, 1e6 * scale)
     new = pool.fresh(alphas, betas)
     pool.add(alphas[new], betas[new])
-    capacity = max_atoms + 2
     dual_bound = None
     for _ in range(max_atoms):
-        k = len(pool.alphas)
         x, y = linprog(pool.highs)
         weights = x[pool.slacks:]
-        solved, live = (pool.alphas, pool.betas), weights > 1e-14
         slack = float(x[:pool.slacks].sum())
         values, alphas, betas = _top_atoms(y.reshape(n, n), _PRICING_COLUMNS, _PRICE_CAP)
         price = float(values[0])
@@ -863,16 +859,11 @@ def classical_upper_bound(t, max_atoms: int = 400,
         new = pool.fresh(alphas, betas)
         if not new.size or new[0] != 0:
             break  # pricing stalled on a pooled atom: numerical plateau
-        if k + new.size > capacity:
-            pool.keep(live)
-            new = new[:capacity - len(pool.alphas)]
-        if not new.size:
-            break  # every pooled atom carries weight
         pool.add(alphas[new], betas[new])
+    live = np.flatnonzero(weights > 1e-14)
     kept_atoms = [SignPair(alpha, beta)
-                  for alpha, beta in zip(solved[0][live], solved[1][live])]
-    kept_w = weights[live]
-    dec = ConvexDecomposition(weights=kept_w, atoms=kept_atoms,
+                  for alpha, beta in zip(pool.alphas[live], pool.betas[live])]
+    dec = ConvexDecomposition(weights=weights[live], atoms=kept_atoms,
                               converged=dual_feasible and no_slack,
                               certified=dual_feasible)
     dec.residual = dec.reconstruction_residual(m)

@@ -157,6 +157,16 @@ def _threshold_failures(config: dict, alpha0) -> list[str]:
             "with no root between"]
 
 
+def _oracle_failures(oracle, lower: float, upper: float) -> list[str]:
+    """gamma2_oracle bisects inside the bracket, so its value must lie in
+    the re-evaluated [lower, upper], to _REL_TOL relative."""
+    slack = _REL_TOL * max(1.0, abs(lower), abs(upper))
+    if lower - slack <= float(oracle) <= upper + slack:
+        return []
+    return [f"results.oracle: {oracle!r} stored, outside the gamma2 bracket "
+            f"[{lower!r}, {upper!r}] the oracle bisects in"]
+
+
 def _verify_single(doc: dict) -> list[str]:
     """Each certificate is re-evaluated and rebuilt. In `results`, an entry
     that restates a claim takes the re-evaluated value, or null where the
@@ -166,7 +176,8 @@ def _verify_single(doc: dict) -> list[str]:
     gap report's `gap` and `bell_norm_exact` follow from its Bell
     functional and gamma2_lower, and a spectral report's law numbers come
     from one density. A threshold's alpha0 is checked, not rebuilt: the
-    objective must change sign across alpha0 -+ (tol + BRENT_RTOL alpha0).
+    objective must change sign across alpha0 -+ (tol + BRENT_RTOL alpha0),
+    and a gamma2 report's oracle must lie in its re-evaluated bracket.
     Other entries are kept as stored, among them a spectral report's
     ks_distance, whose draw (--ks-n, --ks-m, --seed) the config does not
     record."""
@@ -210,6 +221,10 @@ def _verify_single(doc: dict) -> list[str]:
             fresh_results.update(_spectral_results(doc["config"]))
         elif kind == "threshold":
             failures += _threshold_failures(doc["config"], results["alpha0"])
+        elif kind == "gamma2" and "oracle" in results and {
+                "gamma2_lower", "gamma2_upper"} <= values.keys():
+            failures += _oracle_failures(results["oracle"], values["gamma2_lower"],
+                                         values["gamma2_upper"])
     except _MALFORMED as exc:
         failures.append(f"results: re-evaluation failed: {exc!r}")
     if kind == "gap":

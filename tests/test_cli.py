@@ -433,6 +433,33 @@ def test_verify_rejects_edited_results(tmp_path, capsys, kind, edit):
     assert "FAIL results" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("edit", ["2*upper", "lower/2", "upper*(1+1e-9)", "abc"])
+def test_verify_checks_the_oracle_against_its_bracket(tmp_path, capsys, edit):
+    # gamma2_oracle bisects inside the bracket, so a stored oracle outside
+    # the re-evaluated [lower, upper] fails; at either end it passes
+    mpath = tmp_path / "g.csv"
+    write_matrix_csv(mpath, gaussian(5, 5, SeedSpec(13, 1)) / math.sqrt(5))
+    out = str(tmp_path / "gamma2.json")
+    assert main(["gamma2", "--matrix", str(mpath), "--oracle", "--out", out]) == 0
+    assert main(["verify-certificate", out]) == 0
+    doc = json.loads(open(out).read())
+    results = doc["results"]
+    assert results["lower"] <= results["oracle"] <= results["upper"]
+    for end in ("lower", "upper"):
+        results["oracle"] = results[end]
+        with open(out, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["verify-certificate", out]) == 0
+    results["oracle"] = {"2*upper": 2.0 * results["upper"], "lower/2": 0.5 * results["lower"],
+                         "upper*(1+1e-9)": results["upper"] * (1.0 + 1e-9),
+                         "abc": "abc"}[edit]
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert "FAIL results" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command, edit", [
     ("threshold --gap sqrt(16/15)", "alpha0=0.5"),
     ("threshold --gap sqrt(16/15)", "alpha0+3tol"),

@@ -652,6 +652,34 @@ def test_decomposition_serialization_round_trip():
     assert back.reconstruction_residual(CHSH) <= 1e-9
 
 
+def loop_reconstruct(dec, n):
+    """Reference: one np.outer per atom, added in order."""
+    out = np.zeros((n, n))
+    for w, atom in zip(dec.weights, dec.atoms):
+        out += w * np.outer(atom.alpha, atom.beta)
+    return out
+
+
+def random_decomposition(rng, n, k):
+    signs = rng.choice((-1.0, 1.0), size=(2, k, n))
+    weights = rng.exponential(size=k) * rng.choice((1e-8, 1.0, 1e3), size=k)
+    return ConvexDecomposition(weights, [SignPair(a, b) for a, b in zip(*signs)])
+
+
+def test_reconstruct_equals_the_per_atom_loop_bit_for_bit():
+    rng = np.random.default_rng(70)
+    cases = [(n, int(k)) for n in range(2, 13) for k in rng.integers(0, 201, size=20)]
+    cases += [(24, 24 * 24), (1, 0), (5, 1)]
+    for n, k in cases:
+        dec = random_decomposition(rng, n, k)
+        got = dec.reconstruct(n)
+        assert got.shape == (n, n)
+        assert np.array_equal(got, loop_reconstruct(dec, n)), (n, k)
+    for t in (CHSH, small_gaussian(6, 70), small_gaussian(8, 70)):
+        dec = classical_upper_bound(t)
+        assert np.array_equal(dec.reconstruct(len(t)), loop_reconstruct(dec, len(t)))
+
+
 def test_duality_sandwich_on_seeded_inputs():
     # certified classical lower bound <= exact-reconstruction weight sum,
     # and the Grothendieck sandwich against the gamma2 bracket
@@ -744,13 +772,6 @@ def test_upper_bound_matches_full_sign_atom_lp_hypothesis(n, seed):
     assert dec.weight_sum() == pytest.approx(reference_projective_norm(g), rel=1e-9)
 
 
-def test_upper_bound_pool_bound():
-    # max_atoms caps the atoms added beyond the two starting ones
-    for g in (small_gaussian(10, 7), small_gaussian(6, 64), small_gaussian(8, 64)):
-        dec = classical_upper_bound(g, max_atoms=5)
-        assert len(dec.atoms) <= 7
-
-
 def model_atom_columns(highs):
     """The atom columns of a master model (its columns after the 2 n^2
     slack columns), dense, one per column."""
@@ -794,11 +815,11 @@ def test_upper_bound_pool_starts_from_top_sign_pairs(monkeypatch, n):
         masters.clear()
         classical_upper_bound(g, max_atoms=max_atoms)
         _, alphas, betas = _top_atoms(g, 32)
-        want = atom_columns(alphas[:max_atoms + 1], betas[:max_atoms + 1])
+        want = atom_columns(alphas, betas)
         if not (want == ones).all(axis=0).any():
             want = np.hstack([want, ones])
         np.testing.assert_array_equal(masters[0], want)
-        assert masters[0].shape[1] <= max_atoms + 2
+        assert masters[0].shape[1] <= 33
 
 
 def reference_pair(tables, i):
@@ -900,15 +921,16 @@ def test_upper_bound_pool_has_no_repeated_column(monkeypatch, case):
         t = sylvester_hadamard(8)
     classical_upper_bound(t, max_atoms=max_atoms)
     assert masters
-    for cols in masters:
+    for solve, cols in enumerate(masters, start=1):
         assert np.unique(cols, axis=1).shape[1] == cols.shape[1]
-        assert cols.shape[1] <= max_atoms + 2
+        # 32 best atoms and all-ones to start, then up to 32 per solve
+        assert cols.shape[1] <= 33 + 32 * (solve - 1)
 
 
 @pytest.mark.parametrize("n, max_atoms", [(4, 400), (6, 400), (8, 400), (8, 5), (10, 5)])
 def test_model_columns_follow_the_pool(monkeypatch, n, max_atoms):
     # after every solve the model holds the 2 n^2 slacks +-e_i, then the
-    # pool's atoms in pool order, also after atoms were dropped (max_atoms=5)
+    # pool's atoms in pool order; atoms only ever join the pool
     import randcorr.norms as norms_mod
     pools, pooled = [], []
 
@@ -937,8 +959,7 @@ def test_model_columns_follow_the_pool(monkeypatch, n, max_atoms):
     monkeypatch.setattr(norms_mod, "linprog", checking)
     classical_upper_bound(small_gaussian(n, 67, n), max_atoms=max_atoms)
     assert len(pooled) >= 2
-    if max_atoms == 5:
-        assert any(b[:len(a)] != a for a, b in zip(pooled, pooled[1:])), "no atom left"
+    assert all(b[:len(a)] == a for a, b in zip(pooled, pooled[1:])), "an atom left"
 
 
 def cold_master_value(cols, t):
