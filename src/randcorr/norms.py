@@ -132,10 +132,18 @@ class ConvexDecomposition:
     def reconstruct(self, n: int) -> np.ndarray:
         """sum_k weights[k] * outer(alpha_k, beta_k), added atom by atom in
         order (a reduction over the leading axis), so bit for bit the sum of
-        one outer product per atom."""
+        one outer product per atom. One weight per atom and sign vectors of
+        length n are required: broadcasting would otherwise spread a short
+        weight list over every atom."""
         w = np.asarray(self.weights, dtype=float)
-        alphas = np.array([a.alpha for a in self.atoms]).reshape(-1, n)
-        betas = np.array([a.beta for a in self.atoms]).reshape(-1, n)
+        k = len(self.atoms)
+        if w.shape != (k,) or any(len(a.alpha) != n or len(a.beta) != n
+                                  for a in self.atoms):
+            raise ValidationError(
+                f"a decomposition of an {n} x {n} matrix needs one weight per atom "
+                f"and sign vectors of length {n}: {w.shape} weights, {k} atoms")
+        alphas = np.array([a.alpha for a in self.atoms], dtype=float).reshape(k, n)
+        betas = np.array([a.beta for a in self.atoms], dtype=float).reshape(k, n)
         return np.add.reduce(w[:, None, None] * alphas[:, :, None] * betas[:, None, :],
                              axis=0)
 

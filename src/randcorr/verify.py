@@ -85,7 +85,11 @@ def _factorization_value(pair: FactorizationPair, t) -> float:
 
 def _decomposition_value(dec: ConvexDecomposition, t) -> float:
     """The weight sum; the payload's residual is rebuilt as the
-    reconstruction's, which must be within TOL_DECOMPOSITION_RESIDUAL."""
+    reconstruction's, which must be within TOL_DECOMPOSITION_RESIDUAL. The
+    sum bounds the projective norm only for nonnegative weights: a pair
+    c * (alpha, beta) + c * (-alpha, beta) adds nothing to t and 2c to it."""
+    if not (np.asarray(dec.weights, dtype=float) >= 0.0).all():
+        raise ValidationError("decomposition weights must be nonnegative")
     dec.residual = dec.reconstruction_residual(t)
     if not dec.residual <= TOL_DECOMPOSITION_RESIDUAL:
         raise ValidationError("decomposition does not reconstruct the matrix")
@@ -167,6 +171,18 @@ def _oracle_failures(oracle, lower: float, upper: float) -> list[str]:
             f"[{lower!r}, {upper!r}] the oracle bisects in"]
 
 
+def _classical_bracket_failures(lower: float, dec: ConvexDecomposition, n: int) -> list[str]:
+    """lower <= pi(t) <= weight sum + pi(t - reconstruction), and pi(e) is
+    at most sum |e_ij| <= n^2 residual, so a re-evaluated lower bound above
+    weight sum + n^2 residual means a false certificate."""
+    upper = dec.weight_sum()
+    slack = n * n * dec.residual + _REL_TOL * max(1.0, abs(upper))
+    if lower <= upper + slack:
+        return []
+    return [f"classical bracket: lower {lower!r} above upper {upper!r} "
+            f"by more than {slack!r}"]
+
+
 def _verify_single(doc: dict) -> list[str]:
     """Each certificate is re-evaluated and rebuilt. In `results`, an entry
     that restates a claim takes the re-evaluated value, or null where the
@@ -177,7 +193,8 @@ def _verify_single(doc: dict) -> list[str]:
     functional and gamma2_lower, and a spectral report's law numbers come
     from one density. A threshold's alpha0 is checked, not rebuilt: the
     objective must change sign across alpha0 -+ (tol + BRENT_RTOL alpha0),
-    and a gamma2 report's oracle must lie in its re-evaluated bracket.
+    a gamma2 report's oracle must lie in its re-evaluated bracket, and a
+    classical report's lower bound must not exceed its upper one.
     Other entries are kept as stored, among them a spectral report's
     ks_distance, whose draw (--ks-n, --ks-m, --seed) the config does not
     record."""
@@ -214,6 +231,9 @@ def _verify_single(doc: dict) -> list[str]:
         dec = payloads["classical_upper"]
         fresh_results.update(residual=dec.residual, converged=dec.converged,
                              certified=dec.certified)
+        if "classical_lower" in values:
+            failures += _classical_bracket_failures(values["classical_lower"], dec,
+                                                    mat.shape[0])
     try:
         if kind == "norm" and doc["config"]["which"] in SPECTRAL_VALUES:
             fresh_results["value"] = SPECTRAL_VALUES[doc["config"]["which"]](mat)

@@ -460,6 +460,51 @@ def test_verify_checks_the_oracle_against_its_bracket(tmp_path, capsys, edit):
     assert "FAIL results" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("forgery", ["one weight, two atoms", "negative weights",
+                                     "atoms of length 4"])
+def test_verify_rejects_a_forged_classical_upper_bound(tmp_path, capsys, forgery):
+    # the projective norm of I_2 is 1 = 0.5 J + 0.5 (1,-1)(1,-1)^t; each
+    # forgery claims 0.5 with a payload whose reconstruction would be exact
+    # if short weight lists were broadcast, negative weights summed, or
+    # sign vectors reshaped to length n
+    mpath = tmp_path / "i2.csv"
+    write_matrix_csv(mpath, np.eye(2))
+    out = str(tmp_path / "classical.json")
+    assert main(["classical", "--matrix", str(mpath), "--out", out]) == 0
+    assert main(["verify-certificate", out]) == 0
+    doc = json.loads(open(out).read())
+    upper = doc["certificates"][1]
+    assert upper["claims"] == "classical_upper" and upper["value"] == 1.0
+    atom = lambda a, b: {"alpha": a, "beta": b, "type": "sign_pair"}
+    atoms = upper["certificate"]["atoms"]
+    upper["certificate"]["weights"], upper["certificate"]["atoms"] = {
+        "one weight, two atoms": ([0.5], atoms),
+        "negative weights": ([0.5, 0.5, -0.25, -0.25],
+                             atoms + [atom([1, 1], [1, 1]), atom([-1, -1], [1, 1])]),
+        "atoms of length 4": ([0.5], [atom([1, 1, 1, -1], [1, 1, 1, -1])]),
+    }[forgery]
+    upper["value"] = doc["results"]["upper"] = 0.5
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert "FAIL certificate 1 (classical_upper): re-evaluation failed" in \
+        capsys.readouterr().out
+
+
+def test_classical_lower_above_upper_fails_beyond_the_residual_slack():
+    # pi(I_2) = 1 >= lower; a weight sum of 0.5 with an exact reconstruction
+    # is false, but with residual 1/8 the slack n^2 residual = 0.5 covers it
+    from randcorr.norms import ConvexDecomposition, SignPair
+    from randcorr.verify import _classical_bracket_failures
+    ones = np.ones(2)
+    for residual, fails in ((0.0, True), (0.1, True), (0.125, False)):
+        dec = ConvexDecomposition(np.array([0.5]), [SignPair(ones, ones)], residual=residual)
+        assert bool(_classical_bracket_failures(1.0, dec, 2)) == fails
+    assert _classical_bracket_failures(1.0, ConvexDecomposition(np.array([1.0]), [
+        SignPair(ones, ones)]), 2) == []
+
+
 @pytest.mark.parametrize("command, edit", [
     ("threshold --gap sqrt(16/15)", "alpha0=0.5"),
     ("threshold --gap sqrt(16/15)", "alpha0+3tol"),

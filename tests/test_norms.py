@@ -680,6 +680,17 @@ def test_reconstruct_equals_the_per_atom_loop_bit_for_bit():
         assert np.array_equal(dec.reconstruct(len(t)), loop_reconstruct(dec, len(t)))
 
 
+@pytest.mark.parametrize("weights, length", [([0.5], 2), ([0.5, 0.5, 0.5], 2),
+                                             ([[0.5, 0.5]], 2), ([0.5, 0.5], 4)])
+def test_reconstruct_needs_one_weight_per_atom_and_length_n_atoms(weights, length):
+    # broadcasting [0.5] over (1,1) and (1,-1) would rebuild I_2 exactly
+    # with a weight sum of 0.5; so would reshaping length-4 atoms to rows of 2
+    signs = np.array([[1.0] * length, [1.0, -1.0] * (length // 2)])
+    dec = ConvexDecomposition(np.array(weights), [SignPair(s, s) for s in signs])
+    with pytest.raises(ValidationError, match="one weight per atom"):
+        dec.reconstruct(2)
+
+
 def test_duality_sandwich_on_seeded_inputs():
     # certified classical lower bound <= exact-reconstruction weight sum,
     # and the Grothendieck sandwich against the gamma2 bracket
