@@ -12,13 +12,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .errors import NumericalError, ValidationError
 from .linalg import SvdTriple, as_matrix, svd
 from .sampling import SeedSpec
+
+if TYPE_CHECKING:
+    from scipy.optimize._highspy._core import _Highs
 
 EXACT_CAP = 24          # 2^(n-1) sign vectors enumerated exactly up to here
 GAMMA2_ORACLE_CAP = 12  # PSD-completion oracle stays desk-scale
@@ -31,6 +34,7 @@ GAMMA2_SCALE_FLOOR = 1e-2       # smallest row/column weight, relative to the la
 TOL_FACTOR_RESIDUAL = 1e-9      # max reconstruction residual of an upper certificate
 TOL_DECOMPOSITION_RESIDUAL = 1e-6  # max residual of a certified convex decomposition
 _LOW_BITS = 12                  # sign bits in the exact enumeration's low table (2^12 x n)
+_INT16_MAX = 2 ** 15 - 1        # bound on every partial sum of the exact int16 screen
 _TIE_RTOL = 1e-12               # sign vectors this close (relative) to the maximum tie
 _PRICING_COLUMNS = 32           # atoms priced per column-generation round
 _PRICE_CAP = 1.0 + 1e-9         # a dual whose best atom prices at most this is feasible
@@ -231,18 +235,18 @@ def _sign_rows(count: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=EXACT_CAP)
-def _ones(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ones(n) in float64 and float32: the vectors that sum table
-    rows by a matrix product."""
-    pair = np.ones(n), np.ones(n, dtype=np.float32)
-    for v in pair:
-        v.flags.writeable = False
-    return pair
+def _ones(n: int) -> np.ndarray:
+    """Read-only ones(n): the vector that sums table rows by a matrix
+    product."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
 
 
 class _SplitTables:
-    """The exact enumeration of a square m: a float32 screen of every sign
-    vector, then float64 rescoring of the few the screen cannot rule out.
+    """The exact enumeration of a square m: an exact int16 screen of every
+    sign vector, then float64 rescoring of the few the screen cannot rule
+    out.
 
     Index i (0 <= i < 2^(n-1)) stands for alpha = (1, s_low, s_high): bit b
     of i set means alpha_(b+2) = -1.  With k = min(n - 1, _LOW_BITS) low
@@ -250,49 +254,45 @@ class _SplitTables:
     m[1:1+k] plus row h = i >> k of high = m[0] + (sign rows over the rest)
     m[1+k:], and the value of i is ||m^t alpha||_1 = sum_c |low_jc + high_hc|.
 
-    Scale.  Both tables are built in float64 from m 2^p, where 2^(e-1) <=
-    max |m_ij| < 2^e and p = -(e + ceil(log2 n^2)), so that
-    A = sum |m_ij| 2^p < 1.  A power of two changes no comparison, is exact
-    bar float64 underflow (entries 2^-1000 below the largest), and keeps the
-    float32 copies in range for entries anywhere in 1e+-300.
+    Scale.  Both tables are built in float64 from m 2^-exp, exp = p - s.
+    With 2^(e-1) <= max |m_ij| < 2^e and p = e + ceil(log2 n^2), the sum
+    A = sum |m_ij| 2^-p is under 1, and A+ = (1 + 2^-40) times its float64
+    value bounds it from above.  S = 2^s is the largest power of two with
+        S A+ + n + 1 <= 2^15 - 1   (S = 1 when m = 0, so A = 0),
+    applied by multiplying m 2^-p by 2.0 ** s.  Powers of two change no
+    comparison and are exact bar float64 underflow (entries 2^-1000 below
+    the largest), so each float64 table entry is S times the entry of
+    tables built at 2^-p.  Below, S A is the scaled matrix's sum of
+    |entries|, under 2^15.
 
-    Screen.  low32 is the low table transposed (n x 2^k) and h the high row,
-    both in float32.  For all 2^k vectors of high row h at once,
-        sum_c |l_c + h_c| = 2 sum_c max(l_c, -h_c) - sum_c l_c + sum_c h_c
-    takes one np.maximum pass over low32 and one ones @ buf product; the
-    sums of l (one per low row) and of h (one per high row) are computed
-    once, by the same float32 product.
+    Screen.  L = rint(low), transposed to n x 2^k, and H = rint(high) are
+    int16 tables.  For all 2^k vectors of high row h at once, the values
+    sum_c |L_c + H_c| take one np.add pass over L (row c plus H_hc), one
+    np.abs pass and one int16 np.add.reduce over the n rows.  Integer
+    arithmetic is exact, and nothing wraps: each partial sum is at most
+    sum_c (|L_c| + |H_c|), which is at most S A + n (|low_c| + |high_c|
+    summed over c is at most S A, and the 2n roundings add at most 1/2
+    each) plus float64 errors far below 1, so under S A+ + n + 1 <= 2^15 - 1.
 
-    Slack: a bound on |screened value - V| for V the exact value.  With
-    u = 2^-24 and eta = 2^-150 (half the smallest float32 subnormal),
-    rounding x to float32 errs by at most u|x| + eta, and a float32 sum of n
-    terms in any order by gamma = (n - 1) u / (1 - (n - 1) u) times the sum
-    of their sizes; additions whose result is subnormal are exact.
-    - Tables.  The float64 entries err by n 2^-53 A in total, and rounding
-      them to float32 by u A + 2n eta over one vector's 2n entries.  As
-      |.| is 1-Lipschitz, V' = sum_c |l_c + h_c| of the float32 entries is
-      within u A + 2n eta of V (to first order), and
-      A' = sum_c (|l_c| + |h_c|) <= A + u A + 2n eta.
-    - Arithmetic.  max, negation and doubling are exact.  The sum of the
-      terms max(l_c, -h_c), each at most |l_c| + |h_c| in size, errs by
-      gamma A', doubled to 2 gamma A'; the sums of l and of h together by
-      gamma A'.  Of the two subtractions that combine the three, the first
-      has a result of size at most 3 A' and the second of about A': u 4 A'.
-    So |screened value - V| <= (3n + 2) u A + 2n eta to first order.
-    slack = (3n + 16) u + 8n eta (A < 1) adds 14 u for the second-order
-    terms (under n^2 u^2), the float64 tables and the float64 rescoring
-    (under 3n 2^-53 each), so it bounds |screened - rescored| as well.
-    slack64 = (10n + 16) 2^-53 + 8n 2^-1074 bounds |rescored - alpha^t m beta|
-    for the pair built from the same alpha: the rescored value errs by
-    under 6n 2^-53 A, and alpha^t m beta by under 4n 2^-53 A (two float64
-    sums of n terms, and beta entries whose sign rounding may flip).
+    Slack: a bound on |screened value - V| for V the exact value of the
+    scaled m.  As |.| is 1-Lipschitz, the only error beyond the roundings
+    (1/2 per entry, n per vector) is that of the float64 tables, under
+    n 2^-53 S A < 1 in total; the float64 rescoring errs by under
+    6n 2^-53 S A < 1 as well.  So slack = n + 1 integer units bounds both
+    |screened - V| and |screened - rescored|.
+    slack64 = (10n + 16) 2^-38 + 8n 2^-1074 bounds |rescored - alpha^t m beta|
+    (in the scaled units) for the pair built from the same alpha: the
+    rescored value errs by under 6n 2^-53 S A, and alpha^t m beta by under
+    4n 2^-53 S A (two float64 sums of n terms, and beta entries whose sign
+    rounding may flip), with S A < 2^15.
 
-    Candidates.  Let top32 be the largest screened value and kth32 the
-    count-th largest.  The float64 maximum M is at most top32 + slack, and
-    the count-th largest float64 value is at least kth32 - slack, since
-    count vectors screen at or above kth32.  So every vector among the
+    Candidates.  Let top be the largest screened value and kth the
+    count-th largest.  The float64 maximum M is at most top + slack, and
+    the count-th largest float64 value is at least kth - slack, since
+    count vectors screen at or above kth.  So every vector among the
     count best in float64, or within _TIE_RTOL M of M, screens at or above
-        cut = kth32 - 2 slack - _TIE_RTOL (top32 + slack).
+    the integer
+        cut = kth - 2 slack - ceil(_TIE_RTOL (top + slack)).
     """
 
     def __init__(self, m: np.ndarray):
@@ -300,28 +300,37 @@ class _SplitTables:
         self.m = m
         self.k = min(n - 1, _LOW_BITS)
         self.low_signs, self.high_signs = _sign_rows(self.k), _sign_rows(n - 1 - self.k)
-        # sum |m_ij| <= n^2 max |m_ij| < n^2 2^e <= 2^-p: A < 1
+        # sum |m_ij| <= n^2 max |m_ij| < n^2 2^e <= 2^p: A = sum |m_ij| 2^-p < 1
         e = math.frexp(float(np.abs(m).max()))[1]
-        self.exp = e + (n * n - 1).bit_length()
-        scaled = np.ldexp(m, -self.exp)
-        self.low = self.low_signs @ scaled[1:1 + self.k]
+        p = e + (n * n - 1).bit_length()
+        scaled = np.ldexp(m, -p)
+        self.slack = n + 1
+        # S = 2^s, the largest power of two with S A+ + slack <= 2^15 - 1;
+        # A+ bounds A (a float64 sum of n^2 <= 576 terms errs under 2^-40)
+        a_up = float(np.abs(scaled).sum()) * (1.0 + 2.0 ** -40)
+        room = _INT16_MAX - self.slack
+        s = math.frexp(room / a_up)[1] - 1 if a_up else 0
+        if math.ldexp(a_up, s) > room:
+            s -= 1
+        scaled *= 2.0 ** s
+        self.exp = p - s
+        # built transposed: the screen reads n rows of 2^k (C-contiguous),
+        # the rescoring reads rows j of the transpose, a view
+        low_t = scaled[1:1 + self.k].T @ self.low_signs.T
+        self.low = low_t.T
         self.high = scaled[0] + self.high_signs @ scaled[1 + self.k:]
-        self.low32 = np.ascontiguousarray(self.low.T, dtype=np.float32)
-        self.neg_high32 = np.negative(self.high, dtype=np.float32)
-        self.ones, self.ones32 = _ones(n)
-        self.low32_sum = self.ones32 @ self.low32
-        self.neg_high32_sum = self.neg_high32 @ self.ones32
-        self.slack = (3 * n + 16) * 2.0 ** -24 + 8 * n * 2.0 ** -150
-        self.slack64 = (10 * n + 16) * 2.0 ** -53 + 8 * n * 2.0 ** -1074
+        self.low16 = np.empty(low_t.shape, dtype=np.int16)
+        np.rint(low_t, out=self.low16, casting="unsafe")
+        self.high16 = np.rint(self.high).astype(np.int16)
+        self.ones = _ones(n)
+        self.slack64 = (10 * n + 16) * 2.0 ** -38 + 8 * n * 2.0 ** -1074
 
     def _screen(self, h: int, buf: np.ndarray) -> np.ndarray:
-        """Float32 values of the 2^k sign vectors in high row h (a new array)."""
-        np.maximum(self.low32, self.neg_high32[h][:, None], out=buf)
-        vals = self.ones32 @ buf
-        vals += vals  # doubling is exact
-        vals -= self.low32_sum
-        vals -= self.neg_high32_sum[h]
-        return vals
+        """The integer values of the 2^k sign vectors in high row h (a new
+        int16 array)."""
+        np.add(self.low16, self.high16[h][:, None], out=buf)
+        np.abs(buf, out=buf)
+        return np.add.reduce(buf, axis=0, dtype=np.int16)
 
     def ranked(self, count: int) -> list[tuple[int, float]]:
         """Up to `count` sign vectors, best first, each as (index, float64
@@ -339,7 +348,7 @@ class _SplitTables:
         is within _TIE_RTOL of the largest; that row is rescored once more
         unless it was the last one rescored.
         """
-        buf = np.empty_like(self.low32)
+        buf = np.empty_like(self.low16)
 
         def rescore(h: int) -> tuple[np.ndarray, np.ndarray]:
             # (low rows j at or above the cut, their float64 values)
@@ -347,17 +356,16 @@ class _SplitTables:
             j = (vals >= cut).nonzero()[0]
             return j, np.abs(self.low[j] + self.high[h]) @ self.ones
 
-        row_max, tops, top32 = [], [], -np.inf
+        row_max, tops, top = [], [], -np.inf
         for h in range(self.high.shape[0]):
             vals = self._screen(h, buf)
-            row_max.append(float(vals.max()))
-            if row_max[h] > top32:
-                best_screen, top32 = (h, vals), row_max[h]
+            row_max.append(int(vals.max()))
+            if row_max[h] > top:
+                best_screen, top = (h, vals), row_max[h]
             if count > 1:
                 tops.append(_largest(vals, count))
-        kth32 = float(_largest(np.concatenate(tops), count).min()) if count > 1 else top32
-        # a float64 scalar, so that float32 values are compared to it unrounded
-        cut = np.float64(kth32 - 2 * self.slack - _TIE_RTOL * (top32 + self.slack))
+        kth = int(_largest(np.concatenate(tops), count).min()) if count > 1 else top
+        cut = kth - 2 * self.slack - math.ceil(_TIE_RTOL * (top + self.slack))
         row64, best_idx, best_val = {}, np.empty(0, dtype=np.int64), np.empty(0)
         for h in range(len(row_max)):
             if row_max[h] >= cut:
@@ -415,12 +423,12 @@ def infty_to_one_exact(a) -> tuple[float, SignPair]:
 
     Enumerates the 2^(n-1) sign vectors alpha with alpha_1 = +1 (global sign
     symmetry) and takes beta = sign(a^t alpha), so each value is
-    ||a^t alpha||_1.  Every value is screened in float32 from split tables
-    (see _SplitTables), and only those within a proved slack of the best are
-    rescored in float64.  Tie rule: the pair returned is the first alpha in
-    index order (the binary count of its sign bits) whose float64 value is
-    within _TIE_RTOL = 1e-12 relative of the float64 maximum, so the choice
-    does not depend on the summation order.  The returned value is
+    ||a^t alpha||_1.  Every value is screened exactly in int16 arithmetic on
+    rounded split tables (see _SplitTables), and only those within a proved
+    slack of the best are rescored in float64.  Tie rule: the pair returned
+    is the first alpha in index order (the binary count of its sign bits)
+    whose float64 value is within _TIE_RTOL = 1e-12 relative of the float64
+    maximum, so the choice does not depend on the summation order.  The returned value is
     alpha^t a beta recomputed from the attaining pair.
     """
     m = as_matrix(a, square=True)
@@ -440,7 +448,7 @@ def _top_atoms(y: np.ndarray, count: int, floor: float = -np.inf
 
     The first row is infty_to_one_exact(y)'s pair (the tie rule's choice);
     the others follow by float64 value, exact ties in index order.  They come
-    from the same float32 screen and float64 rescoring, with the cut taken
+    from the same int16 screen and float64 rescoring, with the cut taken
     at the count-th largest screened value.  A row is built only when its
     rescored value is within slack64 of `floor` or above: slack64 bounds
     how far the rescored value and alpha^t y beta can differ, so the rows
@@ -739,6 +747,8 @@ def linprog(highs: _Highs) -> tuple[np.ndarray, np.ndarray]:
     `linprog` because the span tracer in `perfbench/tracing.py` times the
     master solves by rebinding `randcorr.norms.linprog` as its `norms.lp`
     span; under another name its installation fails."""
+    from scipy.optimize._highspy._core import HighsModelStatus
+
     highs.run()
     status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal:
@@ -771,6 +781,10 @@ class _AtomPool:
         self.alphas, self.betas = np.empty((0, n)), np.empty((0, n))
         self.codes = np.empty(0, dtype=np.int64)
         self.slacks = 2 * n2
+        # scipy.optimize loads here, not with the package: it is most of
+        # the time `import randcorr` takes
+        from scipy.optimize._highspy._core import _Highs
+
         self.highs = _Highs()
         for option, value in _MASTER_OPTIONS:
             self.highs.setOptionValue(option, value)

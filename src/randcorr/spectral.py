@@ -18,7 +18,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericalError, ValidationError
 from .linalg import singular_values
@@ -254,6 +253,8 @@ def alpha_threshold(gap_constant: float, hi: float = 1.0, tol: float = 1e-4,
     if f_lo < 0 or f_hi > 0:
         raise NumericalError("no sign change on the initial bracket",
                              detail={"f(lo)": f_lo, "f(hi)": f_hi})
+    from scipy.optimize import brentq  # loaded on use: it is most of `import randcorr`
+
     return float(brentq(objective, _ALPHA_LO, hi, xtol=tol, rtol=BRENT_RTOL))
 
 

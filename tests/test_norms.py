@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,18 +45,23 @@ def reference_infty_to_one(a):
     return float((partial * betas).sum(axis=1).max())
 
 
-def reference_alphas(n):
-    """Every alpha with alpha_1 = +1, in index order: bit b of the index set
-    means alpha_(b+2) = -1."""
-    idx = np.arange(1 << (n - 1))
+def reference_alphas(n, start=0, stop=None):
+    """Every alpha with alpha_1 = +1 whose index lies in [start, stop) (all
+    of them by default), in index order: bit b of the index set means
+    alpha_(b+2) = -1."""
+    idx = np.arange(start, 1 << (n - 1) if stop is None else stop)
     bits = (idx[:, None] >> np.arange(n - 1)) & 1
     return np.hstack([np.ones((idx.size, 1)), 1.0 - 2.0 * bits])
 
 
 def reference_ranking(a):
     """||a^t alpha||_1 for every alpha in index order, and the index the tie
-    rule picks: the first within 1e-12 relative of the maximum."""
-    vals = np.abs(reference_alphas(a.shape[0]) @ a).sum(axis=1)
+    rule picks: the first within 1e-12 relative of the maximum.  The alphas
+    are built 2^16 at a time, so n = 20 needs no 80 MB sign table."""
+    n, block = a.shape[0], 1 << 16
+    size = 1 << (n - 1)
+    vals = np.concatenate([np.abs(reference_alphas(n, lo, min(size, lo + block)) @ a).sum(axis=1)
+                           for lo in range(0, size, block)])
     top = vals.max()
     return vals, int(np.argmax(vals >= top - 1e-12 * top))
 
@@ -143,7 +152,7 @@ def test_split_enumeration_matches_reference_hypothesis(n, seed):
     assert val == pair.pairing(g)
 
 
-# --- float32 screen, float64 rescoring and the tie rule ------------------------
+# --- int16 screen, float64 rescoring and the tie rule --------------------------
 
 def check_against_reference(a, count=32):
     """infty_to_one_exact and _top_atoms against reference_ranking: the
@@ -194,8 +203,9 @@ def test_screen_matches_reference_hypothesis(n, seed, exponent):
 @pytest.mark.parametrize("case", ["zero", "ones", "eye", "hadamard"])
 def test_screen_exact_ties_in_index_order(case):
     # every value is an integer, so the whole ranking is exact: the first
-    # `count` in (value desc, index asc) order come back
-    for n in (2, 5, 8, 13, 14):
+    # `count` in (value desc, index asc) order come back (at n = 20 too,
+    # where the zero matrix's scale is 1)
+    for n in (2, 5, 8, 13, 14, 20):
         a = {"zero": np.zeros((n, n)), "ones": np.ones((n, n)), "eye": np.eye(n),
              "hadamard": sylvester_hadamard(n)[:n, :n]}[case]
         vals, first = reference_ranking(a)
@@ -210,8 +220,8 @@ def test_screen_exact_ties_in_index_order(case):
 def test_screen_near_tie_needs_rescoring(n):
     # eye(n) + eps s s^t has value n + eps (alpha . s)^2 to first order: a
     # unique maximum at alpha = s, about 4 (n - 1) eps = 4e-9 n above the
-    # rest, which float32 (2^-24 relative) cannot resolve; every other
-    # alpha screens within the slack of it
+    # rest, which the int16 screen (units near 2^-15 of the value) cannot
+    # resolve; every other alpha screens within the slack of it
     gen = np.random.default_rng(n)
     s = np.concatenate(([1.0], gen.choice([-1.0, 1.0], size=n - 1)))
     s[1] = -1.0  # never the all-ones alpha, which heads the index order
@@ -223,37 +233,78 @@ def test_screen_near_tie_needs_rescoring(n):
 
 
 def test_screen_error_within_slack():
-    # every screened value lies within the proved slack of the exact value
-    # (computed here in float64, whose own error is under 1e-13 of the slack)
-    for n, scale in ((2, 1.0), (9, 1e-300), (14, 1e300), (17, 1.0)):
+    # every screened value lies within the proved slack (n + 1 integer units)
+    # of the exact value (computed here in float64 from the float64 tables,
+    # whose own error is under 1e-9 units)
+    for n, scale in ((2, 1.0), (9, 1e-300), (14, 1e300), (17, 1.0), (20, 1.0)):
         for a in (scale * gaussian(n, n, SeedSpec(65, n)), mixed_magnitudes(n, n),
                   scale * np.eye(n), scale * np.ones((n, n))):
             tables = _SplitTables(a)
-            buf = np.empty_like(tables.low32)
+            buf = np.empty_like(tables.low16)
             exact = np.concatenate([np.abs(tables.low + row).sum(axis=1)
                                     for row in tables.high])
             screened = np.concatenate([tables._screen(h, buf)
                                        for h in range(tables.high.shape[0])])
-            assert np.abs(screened - exact).max() <= tables.slack
+            assert screened.dtype == np.int16
+            assert np.abs(screened - exact).max() <= tables.slack == n + 1
+
+
+@pytest.mark.parametrize("case", ["ones", "-ones", "flipped", "near_bound", "mixed"])
+def test_int16_screen_never_wraps(case):
+    # at n = 24, the largest tables, every screened value equals the int64
+    # sum of the same buffer.  Its terms |L_c + H_c| are >= 0, so the
+    # partial sums rise to that value, and none leaves the int16 range.
+    # 0.888 ones(24) puts the largest value 31 units below 2^15 - 1.
+    n = 24
+    flips = np.where(np.arange(n) % 3 == 1, -1.0, 1.0)
+    a = {"ones": np.ones((n, n)), "-ones": -np.ones((n, n)),
+         "flipped": np.ones((n, n)) * flips, "near_bound": 0.888 * np.ones((n, n)),
+         "mixed": mixed_magnitudes(n, 67)}[case]
+    tables = _SplitTables(a)
+    buf = np.empty_like(tables.low16)
+    top = 0
+    for h in range(tables.high16.shape[0]):
+        vals = tables._screen(h, buf)  # leaves |L_c + H_c| in buf
+        assert buf.min() >= 0
+        assert np.array_equal(vals, buf.sum(axis=0, dtype=np.int64))
+        top = max(top, int(vals.max()))
+    assert top <= np.iinfo(np.int16).max
+    if case == "near_bound":
+        assert top == 2 ** 15 - 1 - 31
+    if case != "mixed":
+        assert infty_to_one_exact(a)[0] == pytest.approx(576.0 * abs(a[0, 0]), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [17, 18, 20])
+def test_screen_matches_reference_at_large_n(n):
+    # the ranking at the sizes the benchmark and the gap reports run, on a
+    # Gaussian and on its orthogonal functional UV^t
+    g = small_gaussian(n, 68, n)
+    triple = svd(g)
+    for a in (g, triple.u @ triple.v.T):
+        check_against_reference(a)
 
 
 def test_tie_band_kept_by_an_exact_screen(monkeypatch):
-    # eye(6) + 2e-14 s s^t puts the all-ones alpha (index 0) 5.1e-14 relative
-    # below the maximum at s: inside the tie band, so the tie rule returns
-    # index 0.  With a screen that has no error at all (float64 values, zero
-    # slack), only the tie margin in the cut keeps index 0 a candidate.
+    # 2^44 eye(6) + 3 s s^t has the integer values 6 2^44 + 3 (alpha . s)^2,
+    # so the all-ones alpha (index 0, alpha . s = 2) lies 96 below the
+    # maximum at s (alpha . s = 6), 9.1e-13 relative: inside the tie band,
+    # so the tie rule returns index 0.  With a screen that has no error at
+    # all (the exact integer values, a zero integer slack), only the tie
+    # margin in the cut keeps index 0 a candidate.
     def exact_screen(self, h, buf):
-        return np.abs(self.low + self.high[h]).sum(axis=1)
+        vals = np.abs(self.low + self.high[h]).sum(axis=1)  # exact binary fractions
+        return np.ldexp(vals, self.exp).astype(np.int64)
 
     init = _SplitTables.__init__
 
     def no_slack(self, m):
         init(self, m)
-        self.slack = 0.0
+        self.slack = 0
 
     n = 6
     s = np.array([1.0, -1.0, 1.0, -1.0, 1.0, 1.0])
-    a = np.eye(n) + 2e-14 * np.outer(s, s)
+    a = 2.0 ** 44 * np.eye(n) + 3.0 * np.outer(s, s)
     vals, first = reference_ranking(a)
     assert first == 0 and vals.argmax() == alpha_index(s)
     monkeypatch.setattr(_SplitTables, "_screen", exact_screen)
@@ -626,6 +677,27 @@ def test_norms_on_a_callers_svd_hypothesis(n, seed):
 
 
 # --- column generation ----------------------------------------------------------
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the time `import randcorr` takes, so the
+    # column generation and alpha_threshold load it where they use it
+    src = str(Path(__import__("randcorr").__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, randcorr, randcorr.cli; sys.exit('scipy.optimize' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                   check=True)
+
+
+def test_scipy_pin_keeps_the_highs_model_classes():
+    # the master LP drives HiGHS through these private scipy classes
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+
+    assert HighsModelStatus.kOptimal != HighsModelStatus.kInfeasible
+    highs = _Highs()
+    assert all(callable(getattr(highs, name)) for name in (
+        "setOptionValue", "addRows", "addCols", "run", "getModelStatus",
+        "modelStatusToString", "getSolution"))
+
 
 def test_upper_bound_identity_two_atoms():
     dec = classical_upper_bound(np.eye(2))
