@@ -234,15 +234,6 @@ def _sign_rows(count: int) -> np.ndarray:
     return rows
 
 
-@functools.lru_cache(maxsize=EXACT_CAP)
-def _ones(n: int) -> np.ndarray:
-    """Read-only ones(n): the vector that sums table rows by a matrix
-    product."""
-    ones = np.ones(n)
-    ones.flags.writeable = False
-    return ones
-
-
 class _SplitTables:
     """The exact enumeration of a square m: an exact int16 screen of every
     sign vector, then float64 rescoring of the few the screen cannot rule
@@ -293,6 +284,9 @@ class _SplitTables:
     count best in float64, or within _TIE_RTOL M of M, screens at or above
     the integer
         cut = kth - 2 slack - ceil(_TIE_RTOL (top + slack)).
+    Each vector at or above the cut is rescored as the float64 sum of its
+    own row |low_j + high_h|, so its value is the same whichever other
+    vectors reach the cut; the ranking is then one sort of those values.
     """
 
     def __init__(self, m: np.ndarray):
@@ -322,7 +316,6 @@ class _SplitTables:
         self.low16 = np.empty(low_t.shape, dtype=np.int16)
         np.rint(low_t, out=self.low16, casting="unsafe")
         self.high16 = np.rint(self.high).astype(np.int16)
-        self.ones = _ones(n)
         self.slack64 = (10 * n + 16) * 2.0 ** -38 + 8 * n * 2.0 ** -1074
 
     def _screen(self, h: int, buf: np.ndarray) -> np.ndarray:
@@ -332,60 +325,42 @@ class _SplitTables:
         np.abs(buf, out=buf)
         return np.add.reduce(buf, axis=0, dtype=np.int16)
 
-    def ranked(self, count: int) -> list[tuple[int, float]]:
-        """Up to `count` sign vectors, best first, each as (index, float64
-        value ||m^t alpha||_1 as rescored, un-scaled).
+    def ranked(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Up to `count` sign vectors, best first: their indices and their
+        float64 values ||m^t alpha||_1 as rescored, un-scaled (two arrays).
 
         First comes the tie rule's choice: the first index whose float64
         value is within _TIE_RTOL relative of the float64 maximum.  The
         others follow by float64 value, exact ties in index order.
 
         The screen runs over every high row, keeping each row's maximum (and
-        its `count` largest values) and the screen of the best row.  Then
-        the rows that reach the cut are rescored in float64, one at a time,
-        keeping each row's float64 maximum (and the `count` best so far).
-        The tie rule's index lies in the first of those rows whose maximum
-        is within _TIE_RTOL of the largest; that row is rescored once more
-        unless it was the last one rescored.
+        its `count` largest values).  The rows that reach the cut are
+        screened again, and every index at or above the cut is rescored in
+        float64 as its own row sum, so its value depends on its sign vector
+        alone, not on which other candidates are rescored with it.
         """
         buf = np.empty_like(self.low16)
-
-        def rescore(h: int) -> tuple[np.ndarray, np.ndarray]:
-            # (low rows j at or above the cut, their float64 values)
-            vals = best_screen[1] if h == best_screen[0] else self._screen(h, buf)
-            j = (vals >= cut).nonzero()[0]
-            return j, np.abs(self.low[j] + self.high[h]) @ self.ones
-
-        row_max, tops, top = [], [], -np.inf
+        row_max, tops = [], []
         for h in range(self.high.shape[0]):
             vals = self._screen(h, buf)
             row_max.append(int(vals.max()))
-            if row_max[h] > top:
-                best_screen, top = (h, vals), row_max[h]
             if count > 1:
                 tops.append(_largest(vals, count))
+        top = max(row_max)
         kth = int(_largest(np.concatenate(tops), count).min()) if count > 1 else top
         cut = kth - 2 * self.slack - math.ceil(_TIE_RTOL * (top + self.slack))
-        row64, best_idx, best_val = {}, np.empty(0, dtype=np.int64), np.empty(0)
-        for h in range(len(row_max)):
-            if row_max[h] >= cut:
-                j, vals = rescore(h)
-                row64[h], last = vals.max(), (h, j, vals)
-                if count > 1:
-                    best_idx = np.concatenate((best_idx, (h << self.k) + j))
-                    best_val = np.concatenate((best_val, vals))
-                    order = np.lexsort((best_idx, -best_val))[:count]
-                    best_idx, best_val = best_idx[order], best_val[order]
-        top64 = max(row64.values())
-        tie = top64 - _TIE_RTOL * top64
-        h = next(h for h, v in row64.items() if v >= tie)
-        j, vals = last[1:] if h == last[0] else rescore(h)
-        at = (vals >= tie).argmax()
-        first = (h << self.k) + int(j[at])
-        rest = best_idx != first
-        indices = np.concatenate(([first], best_idx[rest][:count - 1]))
-        values = np.ldexp(np.concatenate(([vals[at]], best_val[rest][:count - 1])), self.exp)
-        return list(zip(indices.tolist(), values.tolist()))
+        idx, vals = [], []
+        for h, best in enumerate(row_max):
+            if best >= cut:
+                j = (self._screen(h, buf) >= cut).nonzero()[0]
+                idx.append((h << self.k) + j)
+                vals.append(np.abs(self.low[j] + self.high[h]).sum(axis=1))
+        idx, vals = np.concatenate(idx), np.concatenate(vals)
+        top64 = vals.max()
+        first = int((vals >= top64 - _TIE_RTOL * top64).argmax())
+        order = np.argsort(-vals, kind="stable")  # idx ascends: ties in index order
+        order = np.concatenate(([first], order[order != first]))[:count]
+        return idx[order], np.ldexp(vals[order], self.exp)
 
     def pairs(self, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sign vectors `indices` as alphas, their betas = sign(m^t alpha) and
@@ -412,10 +387,11 @@ class _SplitTables:
 
 
 def _largest(vals: np.ndarray, count: int) -> np.ndarray:
-    """The `count` largest entries of vals (all of them if it has fewer)."""
+    """The `count` largest entries of vals (all of them if it has fewer),
+    copied out of np.partition's full-size result so that it is freed."""
     if vals.size <= count:
         return vals
-    return np.partition(vals, vals.size - count)[vals.size - count:]
+    return np.partition(vals, vals.size - count)[vals.size - count:].copy()
 
 
 def infty_to_one_exact(a) -> tuple[float, SignPair]:
@@ -446,19 +422,18 @@ def _top_atoms(y: np.ndarray, count: int, floor: float = -np.inf
     _SplitTables.pairs gives them (values alpha^t y beta, alphas, betas),
     keeping after the first only those whose value exceeds `floor`.
 
-    The first row is infty_to_one_exact(y)'s pair (the tie rule's choice);
-    the others follow by float64 value, exact ties in index order.  They come
-    from the same int16 screen and float64 rescoring, with the cut taken
-    at the count-th largest screened value.  A row is built only when its
+    The rows are _SplitTables.ranked(count)'s, in its order: first
+    infty_to_one_exact(y)'s pair (the tie rule's choice), then the others by
+    float64 value, exact ties in index order.  A row is built only when its
     rescored value is within slack64 of `floor` or above: slack64 bounds
     how far the rescored value and alpha^t y beta can differ, so the rows
     skipped are exactly those that would fail the floor.
     """
     tables = _SplitTables(y)
-    ranked = tables.ranked(count)
-    near = floor - float(np.ldexp(tables.slack64, tables.exp))
-    values, alphas, betas = tables.pairs(
-        [ranked[0][0]] + [i for i, value in ranked[1:] if value > near])
+    indices, values = tables.ranked(count)
+    build = values > floor - float(np.ldexp(tables.slack64, tables.exp))
+    build[0] = True
+    values, alphas, betas = tables.pairs(indices[build])
     keep = values > floor
     keep[0] = True
     return values[keep], alphas[keep], betas[keep]

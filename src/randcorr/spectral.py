@@ -297,3 +297,9 @@ def ks_distance(emp: EmpiricalSpectrum, law: SpectralLaw) -> float:
     d = max(float(np.max(np.abs(cum - f_right))),
             float(np.max(np.abs(cum_prev - f_left))))
     return min(max(d, 0.0), 1.0)
+
+
+def ks_distance_of_draw(law: SpectralLaw, n: int, m: int, seed: int) -> float:
+    """ks_distance of the law from the n x m empirical spectrum drawn at
+    SeedSpec(seed, 0): `spectral --ks-n n --ks-m m --seed seed`'s number."""
+    return ks_distance(empirical_spectrum(n, m, SeedSpec(seed, 0)), law)

@@ -26,7 +26,7 @@ from .norms import (TOL_DECOMPOSITION_RESIDUAL, TOL_FACTOR_RESIDUAL, BellFunctio
                     _near_singular, classical_lower_bound, gap_from_bell,
                     infty_to_one_exact)
 from .sampling import SeedSpec
-from .spectral import BRENT_RTOL, density, threshold_objective
+from .spectral import BRENT_RTOL, density, ks_distance_of_draw, threshold_objective
 
 _REL_TOL = 1e-12            # stored and rebuilt numbers agree to this, relative
 _ORTHOGONALITY_TOL = 1e-6   # max ||a a^t - I||_F of a gamma2 dual witness
@@ -140,11 +140,15 @@ _RESULT_CLAIMS = {
 
 def _spectral_results(config: dict) -> dict:
     """The law's numbers, rebuilt from one density at the config's alpha
-    and grid."""
+    and grid, and its ks_distance from the draw the config records."""
     law = density(config["alpha"], config["grid_points"])
-    return {"support_upper": law.support_upper, "c_alpha": law.c_alpha,
-            "atom_mass": law.atom_mass, "total_mass": law.total_mass(),
-            "first_moment": law.first_moment()}
+    results = {"support_upper": law.support_upper, "c_alpha": law.c_alpha,
+               "atom_mass": law.atom_mass, "total_mass": law.total_mass(),
+               "first_moment": law.first_moment()}
+    if "ks_n" in config:
+        results["ks_distance"] = ks_distance_of_draw(law, config["ks_n"], config["ks_m"],
+                                                     config["seed"])
+    return results
 
 
 def _threshold_failures(config: dict, alpha0) -> list[str]:
@@ -195,9 +199,9 @@ def _verify_single(doc: dict) -> list[str]:
     objective must change sign across alpha0 -+ (tol + BRENT_RTOL alpha0),
     a gamma2 report's oracle must lie in its re-evaluated bracket, and a
     classical report's lower bound must not exceed its upper one.
-    Other entries are kept as stored, among them a spectral report's
-    ks_distance, whose draw (--ks-n, --ks-m, --seed) the config does not
-    record."""
+    A spectral report's ks_distance is redrawn when its config records
+    the draw (ks_n, ks_m, seed); other entries are kept as stored (see
+    unchecked_entries)."""
     try:
         mat = as_matrix(doc["matrix"]) if "matrix" in doc else None
     except _MALFORMED as exc:
@@ -282,6 +286,18 @@ def _verify_experiment(doc: dict) -> list[str]:
     except _MALFORMED as exc:
         return [f"report cannot be rebuilt: {exc!r}"]
     return _diff(doc, fresh.to_dict(include_timing="wall_clock_s" in doc))
+
+
+def unchecked_entries(doc: dict) -> list[str]:
+    """Entries of a report that verify_report keeps as stored, one line
+    each: the ks_distance of a spectral report whose config does not record
+    its draw (written before the config did)."""
+    config, results = doc.get("config"), doc.get("results")
+    if (doc.get("kind") == "spectral" and isinstance(results, dict) and "ks_distance" in results
+            and not (isinstance(config, dict) and "ks_n" in config)):
+        return ["results.ks_distance: unchecked, the config does not record "
+                "the draw (ks_n, ks_m, seed) it came from"]
+    return []
 
 
 def verify_report(doc: dict) -> list[str]:

@@ -547,6 +547,50 @@ def test_verify_checks_threshold_and_spectral_results(tmp_path, capsys, command,
     assert "FAIL results" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("edit", ["ks_distance", "ks_n", "ks_m", "seed", "no_draw"])
+def test_verify_redraws_the_ks_distance(tmp_path, capsys, edit):
+    # --ks-n records its draw in the config, and verify-certificate rebuilds
+    # ks_distance from it; a stored report without the draw verifies with a
+    # note that its ks_distance is unchecked
+    out = str(tmp_path / "report.json")
+    assert main(["spectral", "--alpha", "0.5", "--grid-points", "500", "--ks-n", "60",
+                 "--ks-m", "30", "--seed", "3", "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    assert {k: doc["config"][k] for k in ("ks_n", "ks_m", "seed")} == {
+        "ks_n": 60, "ks_m": 30, "seed": 3}
+    assert 0.0 < doc["results"]["ks_distance"] <= 1.0
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 0
+    assert capsys.readouterr().out == "all certificates verified\n"
+    if edit == "ks_distance":
+        doc["results"]["ks_distance"] *= 1.0 + 1e-9
+    elif edit == "no_draw":
+        for key in ("ks_n", "ks_m", "seed"):
+            del doc["config"][key]
+    else:
+        doc["config"][edit] = {"ks_n": 80, "ks_m": 40, "seed": 4}[edit]
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    if edit == "no_draw":
+        assert main(["verify-certificate", out]) == 0
+        assert capsys.readouterr().out == (
+            "NOTE results.ks_distance: unchecked, the config does not record the draw "
+            "(ks_n, ks_m, seed) it came from\nall certificates verified\n")
+    else:
+        assert main(["verify-certificate", out]) == 1
+        assert "FAIL results" in capsys.readouterr().out
+
+
+def test_spectral_without_ks_n_records_no_draw(tmp_path):
+    out = str(tmp_path / "report.json")
+    assert main(["spectral", "--alpha", "0.5", "--grid-points", "500", "--seed", "3",
+                 "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    assert set(doc["config"]) == {"subcommand", "alpha", "grid_points"}
+    assert "ks_distance" not in doc["results"]
+
+
 @pytest.mark.parametrize("command, edit", [
     ("gap", "near_singular"), ("classical", "near_singular"),
     ("norm --which trace", "value"), ("norm --which operator", "value"),
