@@ -20,10 +20,11 @@ import numpy as np
 from . import spectral
 from .errors import NumericalError, ValidationError
 from .linalg import SPECTRAL_VALUES, read_matrix_csv, svd, write_matrix_csv
-from .norms import (HEURISTIC_RESTARTS, TOL_DECOMPOSITION_RESIDUAL,
-                    bell_functional_from_svd, classical_lower_bound,
-                    classical_upper_bound, gamma2_bracket, gamma2_oracle,
-                    gap_from_bell, infty_to_one_exact, infty_to_one_heuristic)
+from .norms import (GAMMA2_RESCALE_MAX_ITER, HEURISTIC_RESTARTS,
+                    TOL_DECOMPOSITION_RESIDUAL, bell_functional_from_svd,
+                    classical_lower_bound, classical_upper_bound, gamma2_bracket,
+                    gamma2_oracle, gap_from_bell, infty_to_one_exact,
+                    infty_to_one_heuristic)
 from .sampling import ENSEMBLE_KINDS, EnsembleSpec, SeedSpec
 from .experiments import SCHEMA_VERSION, ExperimentConfig, default_config, run_experiment
 from .verify import unchecked_entries, verify_report
@@ -221,9 +222,17 @@ def _cmd_norm(args) -> int:
     return 0
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"--tol must be positive and finite, not {tol!r}")
+
+
 def _cmd_gamma2(args) -> int:
+    _check_tol(args.tol)
     mat = read_matrix_csv(args.matrix)
-    bracket = gamma2_bracket(mat)
+    # one SVD for both the bracket and the oracle, which continues its loop
+    triple = svd(mat)
+    bracket = gamma2_bracket(mat, triple)
     config = {"subcommand": "gamma2", "matrix": args.matrix,
               "oracle": args.oracle, "tol": args.tol}
     results = {"lower": bracket.lower, "upper": bracket.upper}
@@ -234,13 +243,14 @@ def _cmd_gamma2(args) -> int:
                      bracket.upper_certificate.to_dict()),
     ]
     if args.oracle:
-        results["oracle"] = gamma2_oracle(mat, args.tol)
+        results["oracle"] = gamma2_oracle(mat, args.tol, triple)
     doc = _report("gamma2", config, results, matrix=mat, certificates=certs)
     _emit(doc, args, f"gamma2 in [{bracket.lower:.12g}, {bracket.upper:.12g}]")
     return 0
 
 
 def _cmd_classical(args) -> int:
+    _check_tol(args.tol)
     mat = read_matrix_csv(args.matrix)
     # first, so that n > EXACT_CAP is refused before the Bell functional's SVD
     dec = classical_upper_bound(mat, max_atoms=args.max_atoms, tol=args.tol)
@@ -315,6 +325,7 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    _check_tol(args.tol)
     gap_constant = parse_scalar(args.gap)
     value = spectral.alpha_threshold(gap_constant, tol=args.tol)
     config = {"subcommand": "threshold", "gap_constant": gap_constant,
@@ -400,10 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_norm)
 
-    p = sub.add_parser("gamma2", help="quantum-norm bracket (and small-n oracle)")
+    p = sub.add_parser("gamma2", help="quantum-norm bracket (and an estimate to --tol)")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--oracle", action="store_true",
+                   help="also report `oracle`: the bracket's rescaling run "
+                        "continued until its best upper and lower bounds "
+                        f"are --tol apart (or for {GAMMA2_RESCALE_MAX_ITER} "
+                        "steps), and their midpoint")
+    p.add_argument("--tol", type=float, default=1e-4,
+                   help="absolute width, upper - lower, at which the oracle stops")
     common(p)
     p.set_defaults(func=_cmd_gamma2)
 

@@ -24,10 +24,6 @@ if TYPE_CHECKING:
     from scipy.optimize._highspy._core import _Highs
 
 EXACT_CAP = 24          # 2^(n-1) sign vectors enumerated exactly up to here
-GAMMA2_ORACLE_CAP = 12  # PSD-completion oracle stays desk-scale
-GAMMA2_ORACLE_TOL_FEAS = 1e-7   # relative residual of a feasible PSD completion
-GAMMA2_ORACLE_MAX_ITER = 3000   # alternating projections per feasibility test
-GAMMA2_ORACLE_MAX_BISECT = 40   # bisection steps before the oracle gives up
 GAMMA2_RESCALE_TOL = 3e-3       # stop once upper <= (1 + tol) * rescaled trace norm
 GAMMA2_RESCALE_MAX_ITER = 100   # rescaling steps after the plain factorization
 GAMMA2_SCALE_FLOOR = 1e-2       # smallest row/column weight, relative to the largest
@@ -519,6 +515,73 @@ def _log_step(d: np.ndarray, d_next: np.ndarray, live: np.ndarray) -> np.ndarray
     return np.log(d_next[live] / d[live])
 
 
+def _rescale(m: np.ndarray, triple: SvdTriple, width: float | None = None
+             ) -> tuple[FactorizationPair, float, float]:
+    """The diagonal-rescaling loop behind gamma2_bracket and gamma2_oracle
+    (see gamma2_bracket for the step), from the SVD `triple` of m.  Returns
+    the best factorization within TOL_FACTOR_RESIDUAL, its value (the best
+    upper bound) and the best lower bound: the largest dual
+    ||diag(u) m diag(v)||_tr over unit u, v among the iterates, the plain
+    ||m||_tr / n (u, v uniform) and max |m_ij| (u, v coordinate vectors;
+    this is gamma2 itself for PSD m, where the iterates' dual lags).
+
+    The loop stops once upper <= (1 + GAMMA2_RESCALE_TOL) * (the iterates'
+    best dual) and, when `width` is given, also upper - lower <= width, or
+    after GAMMA2_RESCALE_MAX_ITER steps.  A width only adds a condition, so
+    a run with one takes the same iterates and never stops earlier than a
+    run without: its upper bound is at most, and its lower bound at least,
+    theirs.
+    """
+    closed_form = max(float(triple.sigma.sum() / m.shape[0]), float(np.abs(m).max()))
+    live_rows, live_cols = np.any(m, axis=1), np.any(m, axis=0)
+    # zero rows/columns of t keep zero weight; the rest start uniform, so the
+    # first iterate is the plain factorization of t itself
+    du, dv = live_rows.astype(float), live_cols.astype(float)
+    best, best_upper, best_dual = None, np.inf, 0.0
+    damped, prev = False, None
+    for step in range(GAMMA2_RESCALE_MAX_ITER + 1):
+        if step:
+            triple = svd(du[:, None] * m * dv)
+        cert, row_w, col_w = _rescaled_factorization(du, dv, triple)
+        value = cert.value()
+        if value < best_upper and cert.residual(m) <= TOL_FACTOR_RESIDUAL:
+            best, best_upper = cert, value
+        dual = float(triple.sigma.sum() / (np.linalg.norm(du) * np.linalg.norm(dv)))
+        best_dual = max(best_dual, dual)
+        if (best_upper <= (1.0 + GAMMA2_RESCALE_TOL) * best_dual
+                and (width is None or best_upper - max(best_dual, closed_form) <= width)):
+            break
+        du_next = _next_scale(du, row_w, live_rows, damped)
+        dv_next = _next_scale(dv, col_w, live_cols, damped)
+        if not damped and prev is not None:
+            if dual < prev[0]:
+                # the last undamped step overshot: step again from the
+                # iterate before it
+                damped = True
+                dual, du, dv, row_w, col_w = prev
+            elif (_log_step(prev[1], du, live_rows) @ _log_step(du, du_next, live_rows)
+                  + _log_step(prev[2], dv, live_cols) @ _log_step(dv, dv_next, live_cols)
+                  < 0.0):
+                # the next undamped step would turn back on the last one
+                damped = True
+            if damped:
+                du_next = _next_scale(du, row_w, live_rows, damped)
+                dv_next = _next_scale(dv, col_w, live_cols, damped)
+        prev = (dual, du, dv, row_w, col_w)
+        du, dv = du_next, dv_next
+    if best is None:
+        raise NumericalError("no gamma2 factorization met the residual tolerance",
+                             detail={"tol": TOL_FACTOR_RESIDUAL})
+    return best, best_upper, max(best_dual, closed_form)
+
+
+def _nonzero_square(t) -> np.ndarray:
+    m = as_matrix(t, square=True)
+    if not np.any(m):
+        raise ValidationError("gamma2 requires a nonzero matrix")
+    return m
+
+
 def gamma2_bracket(t, triple: SvdTriple | None = None) -> NormBracket:
     """Two-sided gamma2 bracket.
 
@@ -552,117 +615,36 @@ def gamma2_bracket(t, triple: SvdTriple | None = None) -> NormBracket:
     the Bell functional from the same SVD); without it the bracket takes
     its own.  Either way the first iterate is that SVD.
     """
-    m = as_matrix(t, square=True)
-    if not np.any(m):
-        raise ValidationError("gamma2_bracket requires a nonzero matrix")
+    m = _nonzero_square(t)
     triple = svd(m) if triple is None else triple
-    n = m.shape[0]
-    lower = float(triple.sigma.sum() / n)
+    lower = float(triple.sigma.sum() / m.shape[0])
     witness = DualWitness(triple.u @ triple.v.T)
-    # zero rows/columns of t keep zero weight; the rest start uniform, so the
-    # first iterate is the plain factorization of t itself
-    live_rows, live_cols = np.any(m, axis=1), np.any(m, axis=0)
-    du, dv = live_rows.astype(float), live_cols.astype(float)
-    best, best_upper, best_dual = None, np.inf, 0.0
-    damped, prev = False, None
-    for step in range(GAMMA2_RESCALE_MAX_ITER + 1):
-        if step:
-            triple = svd(du[:, None] * m * dv)
-        cert, row_w, col_w = _rescaled_factorization(du, dv, triple)
-        value = cert.value()
-        if value < best_upper and cert.residual(m) <= TOL_FACTOR_RESIDUAL:
-            best, best_upper = cert, value
-        dual = float(triple.sigma.sum() / (np.linalg.norm(du) * np.linalg.norm(dv)))
-        best_dual = max(best_dual, dual)
-        if best_upper <= (1.0 + GAMMA2_RESCALE_TOL) * best_dual:
-            break
-        du_next = _next_scale(du, row_w, live_rows, damped)
-        dv_next = _next_scale(dv, col_w, live_cols, damped)
-        if not damped and prev is not None:
-            if dual < prev[0]:
-                # the last undamped step overshot: step again from the
-                # iterate before it
-                damped = True
-                dual, du, dv, row_w, col_w = prev
-            elif (_log_step(prev[1], du, live_rows) @ _log_step(du, du_next, live_rows)
-                  + _log_step(prev[2], dv, live_cols) @ _log_step(dv, dv_next, live_cols)
-                  < 0.0):
-                # the next undamped step would turn back on the last one
-                damped = True
-            if damped:
-                du_next = _next_scale(du, row_w, live_rows, damped)
-                dv_next = _next_scale(dv, col_w, live_cols, damped)
-        prev = (dual, du, dv, row_w, col_w)
-        du, dv = du_next, dv_next
-    if best is None:
-        raise NumericalError("no gamma2 factorization met the residual tolerance",
-                             detail={"tol": TOL_FACTOR_RESIDUAL})
-    return NormBracket(lower=lower, upper=best_upper,
+    best, upper, _ = _rescale(m, triple)
+    return NormBracket(lower=lower, upper=upper,
                        lower_certificate=witness, upper_certificate=best)
 
 
-def _psd_completion_feasible(t: np.ndarray, c: float, z0: np.ndarray | None):
-    """Alternating projections between the PSD cone and the affine slice
-    {off-diagonal block = t, diagonal <= c}.  Returns (feasible, last Z)."""
-    n = t.shape[0]
-    scale = 1.0 + float(np.linalg.norm(t))
-    if z0 is None:
-        z = np.zeros((2 * n, 2 * n))
-        z[:n, n:] = t
-        z[n:, :n] = t.T
-        np.fill_diagonal(z, c)
-    else:
-        z = z0.copy()
-        d = np.diagonal(z).copy()
-        np.fill_diagonal(z, np.minimum(d, c))
-    prev_res = np.inf
-    for it in range(GAMMA2_ORACLE_MAX_ITER):
-        w, vec = np.linalg.eigh(z)
-        psd = (vec * np.maximum(w, 0.0)) @ vec.T
-        z = psd.copy()
-        z[:n, n:] = t
-        z[n:, :n] = t.T
-        d = np.diagonal(z).copy()
-        np.fill_diagonal(z, np.minimum(d, c))
-        res = float(np.linalg.norm(psd - z)) / scale
-        if res < GAMMA2_ORACLE_TOL_FEAS:
-            return True, z
-        if it % 50 == 49:
-            if res > 10 * GAMMA2_ORACLE_TOL_FEAS and res > 0.999 * prev_res:
-                return False, z
-            prev_res = res
-    return res < 10 * GAMMA2_ORACLE_TOL_FEAS, z
+def gamma2_oracle(t, tol: float = 1e-4, triple: SvdTriple | None = None) -> float:
+    """gamma2 to an absolute accuracy `tol`: the rescaling loop of
+    gamma2_bracket, continued until its best upper bound is within `tol`
+    of its best lower bound (or for GAMMA2_RESCALE_MAX_ITER steps), returns
+    the midpoint of the two.  The lower bound is the best dual seen, at
+    least ||t||_tr / n and max |t_ij|.  Both ends bound gamma2, so the
+    result is within tol / 2 of it when the run closes, and within half
+    the width reached when it does not.
 
-
-def gamma2_oracle(t, tol: float = 1e-4) -> float:
-    """Small-n gamma2 oracle, independent of the bracket construction.
-
-    Bisects c over [bracket.lower, bracket.upper] on feasibility of a PSD
-    completion [[P, t], [t^t, Q]] with all diagonal entries <= c, decided
-    by alternating projections (eigenvalue clipping vs. affine reset).
-    The projections give up as infeasible when 50 of them cut the residual
-    by less than 0.1%, which happens for feasible c close to gamma2, so the
-    result can lie above gamma2 by about 5e-4 relative, whatever `tol`.
+    The run never stops before gamma2_bracket's does and takes the same
+    iterates from the same SVD, so its bounds lie inside the bracket
+    gamma2_bracket(t, triple) reports, and so does the result.  Where the
+    two bounds meet, the lower one can exceed the upper one by a rounding
+    error; it is clamped to the upper one, so the result never exceeds the
+    bracket's upper end.  `triple` is the SVD of t when the caller already
+    holds it.
     """
-    m = as_matrix(t, square=True)
-    if m.shape[0] > GAMMA2_ORACLE_CAP:
-        raise ValidationError(f"gamma2_oracle is capped at n={GAMMA2_ORACLE_CAP}")
-    bracket = gamma2_bracket(m)
-    lo, hi = bracket.lower, bracket.upper
-    warm = None
-    steps = 0
-    while hi - lo > tol:
-        if steps >= GAMMA2_ORACLE_MAX_BISECT:
-            raise NumericalError("gamma2 bisection failed to separate",
-                                 detail={"interval": (lo, hi)})
-        mid = 0.5 * (lo + hi)
-        feasible, warm = _psd_completion_feasible(m, mid, warm)
-        if feasible:
-            hi = mid
-        else:
-            lo = mid
-        steps += 1
-    return 0.5 * (lo + hi)
+    m = _nonzero_square(t)
+    triple = svd(m) if triple is None else triple
+    _, upper, lower = _rescale(m, triple, tol)
+    return 0.5 * (min(lower, upper) + upper)
 
 
 def classical_lower_bound(t, bell: BellFunctional) -> float:

@@ -24,7 +24,7 @@ from .linalg import singular_values
 from .sampling import SeedSpec, gaussian_product
 
 DEFAULT_GRID_POINTS = 4000
-MIN_GRID_POINTS = 250  # coarser grids fail the 1e-3 mass check (200: at alpha 0.31)
+MIN_GRID_POINTS = 400  # coarser grids fail the 1e-3 mass check (250: at alpha 0.343)
 _EDGE_POINTS = 2500  # graded points resolving the hard edge at 0 (worst at alpha=1)
 _EPS_CAP = 1e-6
 _ALPHA_LO = 0.01  # lower end of alpha_threshold's bracket

@@ -166,13 +166,17 @@ def _threshold_failures(config: dict, alpha0) -> list[str]:
 
 
 def _oracle_failures(oracle, lower: float, upper: float) -> list[str]:
-    """gamma2_oracle bisects inside the bracket, so its value must lie in
-    the re-evaluated [lower, upper], to _REL_TOL relative."""
+    """gamma2_oracle continues the bracket's rescaling run from the same SVD
+    and returns the midpoint of its best lower and upper bounds, within
+    tol / 2 of gamma2 when the run closes to `tol` and within half the
+    width reached when it does not.  Both ends lie inside the bracket, so
+    the value must lie in the re-evaluated [lower, upper], to _REL_TOL
+    relative."""
     slack = _REL_TOL * max(1.0, abs(lower), abs(upper))
     if lower - slack <= float(oracle) <= upper + slack:
         return []
     return [f"results.oracle: {oracle!r} stored, outside the gamma2 bracket "
-            f"[{lower!r}, {upper!r}] the oracle bisects in"]
+            f"[{lower!r}, {upper!r}] the oracle lies in"]
 
 
 def _classical_bracket_failures(lower: float, dec: ConvexDecomposition, n: int) -> list[str]:

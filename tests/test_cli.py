@@ -435,8 +435,8 @@ def test_verify_rejects_edited_results(tmp_path, capsys, kind, edit):
 
 @pytest.mark.parametrize("edit", ["2*upper", "lower/2", "upper*(1+1e-9)", "abc"])
 def test_verify_checks_the_oracle_against_its_bracket(tmp_path, capsys, edit):
-    # gamma2_oracle bisects inside the bracket, so a stored oracle outside
-    # the re-evaluated [lower, upper] fails; at either end it passes
+    # gamma2_oracle lies inside the bracket, so a stored oracle outside the
+    # re-evaluated [lower, upper] fails; at either end it passes
     mpath = tmp_path / "g.csv"
     write_matrix_csv(mpath, gaussian(5, 5, SeedSpec(13, 1)) / math.sqrt(5))
     out = str(tmp_path / "gamma2.json")
@@ -458,6 +458,21 @@ def test_verify_checks_the_oracle_against_its_bracket(tmp_path, capsys, edit):
     capsys.readouterr()
     assert main(["verify-certificate", out]) == 1
     assert "FAIL results" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["1e-6", "1e-4", "0.5", "10"])
+def test_oracle_lies_in_the_reported_bracket_at_any_tol(tmp_path, tol):
+    # the oracle continues the bracket's own run from the same SVD, so it
+    # lies in [lower, upper] exactly, not just to the verifier's 1e-12
+    for trial in range(3):
+        mpath = tmp_path / f"g{trial}.csv"
+        write_matrix_csv(mpath, gaussian(8, 8, SeedSpec(14, trial)) / math.sqrt(8))
+        out = str(tmp_path / f"gamma2-{trial}.json")
+        assert main(["gamma2", "--matrix", str(mpath), "--oracle", "--tol", tol,
+                     "--out", out]) == 0
+        results = json.loads(open(out).read())["results"]
+        assert results["lower"] <= results["oracle"] <= results["upper"]
+        assert main(["verify-certificate", out]) == 0
 
 
 @pytest.mark.parametrize("forgery", ["one weight, two atoms", "negative weights",
@@ -514,7 +529,7 @@ def test_classical_lower_above_upper_fails_beyond_the_residual_slack():
     ("spectral --alpha 0.5", "c_alpha"), ("spectral --alpha 0.5", "support_upper"),
     ("spectral --alpha 0.5", "atom_mass"), ("spectral --alpha 0.5", "total_mass"),
     ("spectral --alpha 0.5", "first_moment"), ("spectral --alpha 4", "alpha"),
-    ("spectral --alpha 4 --grid-points 300", "grid_points")],
+    ("spectral --alpha 4 --grid-points 500", "grid_points")],
     ids=["threshold-alpha0_0.5", "threshold-alpha0_up", "threshold-alpha0_down",
          "threshold_tol1e-6-alpha0_up", "threshold-gap_constant", "spectral-c_alpha",
          "spectral-support_upper", "spectral-atom_mass", "spectral-total_mass",
@@ -852,10 +867,35 @@ def test_bad_input_is_rejected_not_defaulted(tmp_path, monkeypatch, capsys, argv
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--gap", "sqrt(16/15)", "--tol", "nan"],
+    ["threshold", "--gap", "sqrt(16/15)", "--tol", "0"],
+    ["gamma2", "--matrix", "ID4", "--oracle", "--tol", "nan"],
+    ["gamma2", "--matrix", "ID4", "--oracle", "--tol", "0"],
+    ["gamma2", "--matrix", "ID4", "--oracle", "--tol=-1e-4"],
+    ["gamma2", "--matrix", "ID4", "--tol", "inf"],
+    ["classical", "--matrix", "ID4", "--tol", "nan"],
+    ["classical", "--matrix", "ID4", "--tol", "0"]],
+    ids=["threshold_nan", "threshold_zero", "oracle_nan", "oracle_zero",
+         "oracle_negative", "gamma2_inf", "classical_nan", "classical_zero"])
+def test_tol_must_be_positive_and_finite(id4, tmp_path, capsys, argv):
+    # before: threshold --tol nan was a ValueError traceback, gamma2 --oracle
+    # --tol nan skipped its search and exited 0, and --tol 0 bisected until
+    # it gave up with exit 1
+    out = tmp_path / "report.json"
+    argv = [id4 if tok == "ID4" else tok for tok in argv] + ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    line = json.loads(err)
+    assert line["error"] == "validation" and "--tol" in line["message"]
+    assert not out.exists()
+
+
 def test_numerical_error_detail_on_stderr(id4, monkeypatch, capsys):
     import randcorr.cli as cli_mod
 
-    def failing_bracket(mat):
+    def failing_bracket(mat, triple=None):
         raise NumericalError("bisection failed", detail={
             "interval": (1.0, 2.0), "roots": np.array([0.5, 1.5]),
             "steps": np.int64(3)})

@@ -4,23 +4,27 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from randcorr.errors import NumericalError, ValidationError
 from randcorr.linalg import svd, trace_norm
-from randcorr.norms import (EXACT_CAP, GAMMA2_RESCALE_TOL, KG_UPPER, BellFunctional,
-                            ConvexDecomposition, NormBracket, SignPair,
-                            _SplitTables, _top_atoms, bell_functional_from_svd,
+from randcorr.norms import (EXACT_CAP, GAMMA2_RESCALE_MAX_ITER, GAMMA2_RESCALE_TOL,
+                            KG_UPPER, BellFunctional, ConvexDecomposition, NormBracket,
+                            SignPair, _rescale, _SplitTables, _top_atoms,
+                            bell_functional_from_svd,
                             classical_lower_bound, classical_upper_bound, gamma2_bracket,
                             gamma2_oracle, gap_from_bell,
                             infty_to_one_exact, infty_to_one_heuristic,
                             quantum_classical_gap, tau_gap_bound)
-from randcorr.sampling import SeedSpec, gaussian, haar_orthogonal
+from randcorr.sampling import SeedSpec, bi_invariant, gaussian, haar_orthogonal
+
+from psd_completion_reference import GAMMA2_ORACLE_CAP, gamma2_psd_completion
 
 CHSH = np.array([[1.0, 1.0], [1.0, -1.0]])
 
@@ -504,18 +508,99 @@ def test_oracle_identity_and_rotation():
 
 
 def test_oracle_psd_equals_max_diagonal():
-    # for PSD input the true gamma2 is the largest diagonal entry
+    # for PSD input gamma2 is the largest diagonal entry: the plain
+    # factorization reaches it from above and max |t_ij| from below, while
+    # the iterates' dual lags (by up to 1.9e-3 on 8 x 8 inputs)
     for t in range(5):
         g = gaussian(6, 6, SeedSpec(39, t))
         psd = g @ g.T / 6
         val = gamma2_oracle(psd, tol=1e-4)
-        assert val == pytest.approx(psd.diagonal().max(), abs=5e-3)
+        assert val == pytest.approx(psd.diagonal().max(), rel=1e-12)
 
 
 def test_oracle_agrees_with_tight_bracket_on_haar():
+    # the bracket closes at its first iterate here, and its lower end can
+    # exceed its upper end by a rounding error: the oracle must still not
+    # exceed the certified upper bound
     for t in range(100):
         o = haar_orthogonal(8, SeedSpec(40, t))
-        assert gamma2_oracle(o, tol=1e-4) == pytest.approx(1.0, abs=1e-3)
+        br, oracle = gamma2_bracket(o), gamma2_oracle(o, tol=1e-4)
+        assert oracle == pytest.approx(1.0, abs=1e-3)
+        assert min(br.lower, br.upper) <= oracle <= br.upper
+
+
+def _oracle_kind(kind, n, seed):
+    gen = np.random.default_rng(seed)
+    g = gen.standard_normal((n, n))
+    if kind == "psd":
+        return g @ g.T / n
+    if kind == "cubed":
+        return g ** 3
+    if kind == "integer":
+        return gen.integers(-2, 3, size=(n, n)).astype(float)
+    return g / math.sqrt(n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(["gaussian", "cubed", "psd", "integer"]),
+       st.sampled_from([1e-6, 1e-4, 0.5]))
+def test_oracle_inside_its_own_run_and_the_bracket_hypothesis(n, seed, kind, tol):
+    t = _oracle_kind(kind, n, seed)
+    assume(np.any(t))
+    import randcorr.norms as norms_mod
+    triple = svd(t)
+    br = gamma2_bracket(t, triple)
+    with mock.patch.object(norms_mod, "svd", wraps=norms_mod.svd) as rescaling_svds:
+        cert, upper, dual = _rescale(t, triple, tol)
+    _, default_upper, default_dual = _rescale(t, triple)
+    oracle = gamma2_oracle(t, tol, triple)
+    assert oracle == gamma2_oracle(t, tol)
+    # a stop width only adds a condition: the run goes at least as far as
+    # the bracket's, from the same iterates
+    assert default_upper == br.upper
+    assert upper <= default_upper and dual >= default_dual
+    assert cert.value() == upper and cert.residual(t) <= 1e-9
+    assert min(dual, upper) <= oracle <= upper
+    # the run's lower bound counts the bracket's lower end; its upper
+    # bound falls below that only where the two meet, by a rounding error
+    assert br.lower <= dual and upper <= br.upper
+    assert min(br.lower, upper) <= oracle <= br.upper
+    slack = 1e-12 * upper
+    if rescaling_svds.call_count < GAMMA2_RESCALE_MAX_ITER:
+        # the run closed, so the oracle is within tol / 2 of both bounds
+        assert upper - dual <= tol
+        assert max(upper - oracle, oracle - dual) <= tol / 2 + slack
+
+
+@pytest.mark.parametrize("trial", [2, 5, 58])
+def test_oracle_stays_below_the_certified_upper_bound_where_the_reference_does_not(trial):
+    # the PSD-completion bisection gives up on feasible c near gamma2, so on
+    # these seeded 8 x 8 Gaussians it lands 2e-4 to 5.3e-4 above a
+    # factorization the rescaling run certifies; the oracle is the midpoint
+    # of that run's bounds, so it cannot
+    g = small_gaussian(8, 41, trial)
+    cert, upper, _ = _rescale(g, svd(g), 1e-6)
+    assert cert.residual(g) <= 1e-9
+    assert gamma2_psd_completion(g, tol=1e-6) > upper + 1e-4
+    assert gamma2_oracle(g, tol=1e-6) <= upper
+
+
+def test_oracle_agrees_with_the_psd_completion_reference():
+    # criterion 9's first 30 matrices; the reference is accurate to about
+    # 5e-4 relative
+    for t in range(30):
+        spectrum = SeedSpec(902, 2 * t).generator().uniform(0.2, 2.0, 8)
+        mat = bi_invariant(spectrum, SeedSpec(902, 2 * t + 1))
+        oracle = gamma2_oracle(mat, tol=1e-4)
+        assert gamma2_psd_completion(mat, tol=1e-4) == pytest.approx(oracle, rel=5e-4)
+
+
+@pytest.mark.parametrize("n", [13, 20])
+def test_oracle_runs_above_the_reference_cap(n):
+    g = small_gaussian(n, 43)
+    br = gamma2_bracket(g)
+    assert br.lower <= gamma2_oracle(g, tol=1e-4) <= br.upper
 
 
 def plain_factorization_value(t):
@@ -530,7 +615,7 @@ def test_rescaled_upper_matches_oracle_and_beats_plain_factorization():
     for t in range(10):
         g = small_gaussian(8, 41, t)
         br = gamma2_bracket(g)
-        oracle = gamma2_oracle(g, tol=1e-6)
+        oracle = gamma2_psd_completion(g, tol=1e-6)
         assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * oracle + 1e-6
         assert br.upper <= plain_factorization_value(g)
         assert br.upper_certificate.residual(g) <= 1e-9
@@ -602,7 +687,7 @@ def test_bracket_dual_drop_goes_back_to_previous_iterate(monkeypatch):
     assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * max(accepted)
     assert br.upper_certificate.residual(OVERSHOOT) <= 1e-9
     monkeypatch.undo()
-    assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * gamma2_oracle(OVERSHOOT, tol=1e-6)
+    assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * gamma2_psd_completion(OVERSHOOT, tol=1e-6)
 
 
 def test_bracket_oscillation_switches_to_damped_step(monkeypatch):
@@ -618,12 +703,13 @@ def test_bracket_oscillation_switches_to_damped_step(monkeypatch):
     assert trace["svds"] <= 30
     assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * max(duals)
     monkeypatch.undo()
-    assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * gamma2_oracle(g, tol=1e-6)
+    assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * gamma2_psd_completion(g, tol=1e-6)
 
 
 def test_oracle_cap():
+    # the PSD-completion reference keeps its cap; gamma2_oracle has none
     with pytest.raises(ValidationError):
-        gamma2_oracle(np.eye(13))
+        gamma2_psd_completion(np.eye(GAMMA2_ORACLE_CAP + 1))
 
 
 # --- classical bounds ----------------------------------------------------------
