@@ -23,11 +23,10 @@ from .linalg import SPECTRAL_VALUES, read_matrix_csv, svd, write_matrix_csv
 from .norms import (GAMMA2_RESCALE_MAX_ITER, HEURISTIC_RESTARTS,
                     TOL_DECOMPOSITION_RESIDUAL, bell_functional_from_svd,
                     classical_lower_bound, classical_upper_bound, gamma2_bracket,
-                    gamma2_oracle, gap_from_bell, infty_to_one_exact,
-                    infty_to_one_heuristic)
+                    gamma2_oracle, infty_to_one_exact, infty_to_one_heuristic)
 from .sampling import ENSEMBLE_KINDS, EnsembleSpec, SeedSpec
 from .experiments import SCHEMA_VERSION, ExperimentConfig, default_config, run_experiment
-from .verify import unchecked_entries, verify_report
+from .verify import law_results, report_results, unchecked_entries, verify_report
 
 OUT_ENV = "RANDCORR_OUT"
 
@@ -149,14 +148,22 @@ def parse_scalar(text: str) -> float:
 
 # --- report plumbing ---------------------------------------------------------
 
-def _report(kind: str, config: dict, results: dict, matrix=None,
-            certificates=None) -> dict:
+def _report(kind: str, config: dict, results: dict, matrix=None, claims=None) -> dict:
+    """A report. With a matrix, its certificates are `claims`, {claim:
+    (value, payload)}, and its results are report_results' from them (what
+    verify-certificate rebuilds) plus `results`, the entries report_results
+    cannot build; without one, `results` are all of them."""
     doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "config": config,
            "results": results}
     if matrix is not None:
+        doc["results"] = report_results(
+            kind, config, matrix, {claim: value for claim, (value, _) in claims.items()},
+            {claim: payload for claim, (_, payload) in claims.items()}) | results
         doc["matrix"] = np.asarray(matrix).tolist()
-    if certificates:
-        doc["certificates"] = certificates
+        if claims:
+            doc["certificates"] = [
+                {"claims": claim, "value": value, "certificate": payload.to_dict()}
+                for claim, (value, payload) in claims.items()]
     return doc
 
 
@@ -183,10 +190,6 @@ def _emit(doc: dict, args, headline: str) -> None:
                json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _certificate(kind: str, claimed: float, payload: dict) -> dict:
-    return {"claims": kind, "value": claimed, "certificate": payload}
-
-
 # --- subcommand handlers -----------------------------------------------------
 
 def _cmd_sample(args) -> int:
@@ -206,19 +209,14 @@ def _cmd_norm(args) -> int:
     mat = read_matrix_csv(args.matrix)
     config = {"subcommand": "norm", "matrix": args.matrix, "which": args.which,
               "restarts": args.restarts, "seed": args.seed}
-    certs = []
+    claims = {}
     if args.which == "infty-to-one":
-        value, pair = infty_to_one_exact(mat)
-        certs.append(_certificate("infty_to_one_lower", value, pair.to_dict()))
+        claims["infty_to_one_lower"] = infty_to_one_exact(mat)
     elif args.which == "infty-to-one-heuristic":
-        value, pair = infty_to_one_heuristic(mat, args.restarts,
-                                             SeedSpec(args.seed, 0))
-        certs.append(_certificate("infty_to_one_lower", value, pair.to_dict()))
-    else:
-        value = SPECTRAL_VALUES[args.which](mat)
-    doc = _report("norm", config, {"value": value}, matrix=mat,
-                  certificates=certs or None)
-    _emit(doc, args, format(value, ".12g"))
+        claims["infty_to_one_lower"] = infty_to_one_heuristic(mat, args.restarts,
+                                                              SeedSpec(args.seed, 0))
+    doc = _report("norm", config, {}, mat, claims)
+    _emit(doc, args, format(doc["results"]["value"], ".12g"))
     return 0
 
 
@@ -235,16 +233,10 @@ def _cmd_gamma2(args) -> int:
     bracket = gamma2_bracket(mat, triple)
     config = {"subcommand": "gamma2", "matrix": args.matrix,
               "oracle": args.oracle, "tol": args.tol}
-    results = {"lower": bracket.lower, "upper": bracket.upper}
-    certs = [
-        _certificate("gamma2_lower", bracket.lower,
-                     bracket.lower_certificate.to_dict()),
-        _certificate("gamma2_upper", bracket.upper,
-                     bracket.upper_certificate.to_dict()),
-    ]
-    if args.oracle:
-        results["oracle"] = gamma2_oracle(mat, args.tol, triple)
-    doc = _report("gamma2", config, results, matrix=mat, certificates=certs)
+    claims = {"gamma2_lower": (bracket.lower, bracket.lower_certificate),
+              "gamma2_upper": (bracket.upper, bracket.upper_certificate)}
+    oracle = {"oracle": gamma2_oracle(mat, args.tol, triple)} if args.oracle else {}
+    doc = _report("gamma2", config, oracle, mat, claims)
     _emit(doc, args, f"gamma2 in [{bracket.lower:.12g}, {bracket.upper:.12g}]")
     return 0
 
@@ -258,21 +250,18 @@ def _cmd_classical(args) -> int:
     lower = classical_lower_bound(mat, bell)
     config = {"subcommand": "classical", "matrix": args.matrix,
               "max_atoms": args.max_atoms, "tol": args.tol}
+    claims, flags = {"classical_lower": (lower, bell)}, {}
     # a decomposition still using elastic slack does not reconstruct t, so
-    # its weight sum bounds nothing
-    upper = dec.weight_sum() if dec.residual <= TOL_DECOMPOSITION_RESIDUAL else None
-    results = {"lower": lower, "upper": upper,
-               "converged": dec.converged, "certified": dec.certified,
-               "residual": dec.residual}
-    certs = [_certificate("classical_lower", lower, bell.to_dict())]
-    if upper is None:
+    # its weight sum bounds nothing: the report keeps only its flags
+    if dec.residual <= TOL_DECOMPOSITION_RESIDUAL:
+        claims["classical_upper"] = (dec.weight_sum(), dec)
+        headline = f"projective norm in [{lower:.12g}, {dec.weight_sum():.12g}]"
+    else:
+        flags = {"residual": dec.residual, "converged": dec.converged,
+                 "certified": dec.certified}
         headline = (f"projective norm >= {lower:.12g} (no upper bound: column "
                     f"generation stopped with residual {dec.residual:.3g})")
-    else:
-        certs.append(_certificate("classical_upper", upper, dec.to_dict()))
-        headline = f"projective norm in [{lower:.12g}, {upper:.12g}]"
-    doc = _report("classical", config, results, matrix=mat, certificates=certs)
-    _emit(doc, args, headline)
+    _emit(_report("classical", config, flags, mat, claims), args, headline)
     return 0
 
 
@@ -282,21 +271,13 @@ def _cmd_gap(args) -> int:
     triple = svd(mat)
     bracket = gamma2_bracket(mat, triple)
     bell = bell_functional_from_svd(mat, args.restarts, SeedSpec(args.seed, 0), triple)
-    gap = gap_from_bell(mat, bell, bracket.lower)
     config = {"subcommand": "gap", "matrix": args.matrix,
               "restarts": args.restarts, "seed": args.seed}
-    results = {"gap": gap, "bell_norm": bell.eps_one_norm,
-               "bell_norm_exact": bell.exact,
-               "gamma2_lower": bracket.lower, "gamma2_upper": bracket.upper}
-    certs = [
-        _certificate("bell_functional", bell.eps_one_norm, bell.to_dict()),
-        _certificate("gamma2_lower", bracket.lower,
-                     bracket.lower_certificate.to_dict()),
-        _certificate("gamma2_upper", bracket.upper,
-                     bracket.upper_certificate.to_dict()),
-    ]
-    doc = _report("gap", config, results, matrix=mat, certificates=certs)
-    _emit(doc, args, f"quantum-classical gap estimate {gap:.12g}"
+    claims = {"bell_functional": (bell.eps_one_norm, bell),
+              "gamma2_lower": (bracket.lower, bracket.lower_certificate),
+              "gamma2_upper": (bracket.upper, bracket.upper_certificate)}
+    doc = _report("gap", config, {}, mat, claims)
+    _emit(doc, args, f"quantum-classical gap estimate {doc['results']['gap']:.12g}"
           + ("" if bell.exact else " (heuristic Bell norm, not certified)"))
     return 0
 
@@ -306,18 +287,14 @@ def _cmd_spectral(args) -> int:
     law = spectral.density(alpha, grid_points=args.grid_points)
     config = {"subcommand": "spectral", "alpha": alpha,
               "grid_points": args.grid_points}
-    results = {"support_upper": law.support_upper, "c_alpha": law.c_alpha,
-               "atom_mass": law.atom_mass, "total_mass": law.total_mass(),
-               "first_moment": law.first_moment()}
-    if args.csv:
-        law.to_csv(_writable(args.csv))
-        results["csv"] = args.csv
     if args.ks_n:
         if not args.ks_m:
             raise ValidationError("--ks-n requires --ks-m")
         config.update(ks_n=args.ks_n, ks_m=args.ks_m, seed=args.seed)
-        results["ks_distance"] = spectral.ks_distance_of_draw(
-            law, args.ks_n, args.ks_m, args.seed)
+    results = law_results(law, config)
+    if args.csv:
+        law.to_csv(_writable(args.csv))
+        results["csv"] = args.csv
     doc = _report("spectral", config, results)
     _emit(doc, args, f"alpha={alpha:g}: support_upper={law.support_upper:.6g} "
                      f"C_alpha={law.c_alpha:.6g}")

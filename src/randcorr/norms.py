@@ -117,14 +117,24 @@ class FactorizationPair:
 
 @dataclass
 class ConvexDecomposition:
-    """t ~= sum_k weights[k] * outer(alpha_k, beta_k); the weight sum upper
-    bounds the projective norm whenever the reconstruction is exact."""
+    """t ~= sum_k weights[k] * outer(alphas[k], betas[k]); the weight sum
+    upper bounds the projective norm whenever the reconstruction is exact.
+    The atoms are two blocks of +-1 of the same shape, one atom per row."""
 
     weights: np.ndarray
-    atoms: list[SignPair]
+    alphas: np.ndarray
+    betas: np.ndarray
     residual: float = 0.0
     converged: bool = True
     certified: bool = True
+
+    def __post_init__(self):
+        self.alphas = np.asarray(self.alphas, dtype=float)
+        self.betas = np.asarray(self.betas, dtype=float)
+        if self.alphas.shape != self.betas.shape or not (
+                (np.abs(self.alphas) == 1.0).all() and (np.abs(self.betas) == 1.0).all()):
+            raise ValidationError("sign vectors must have entries exactly +-1, "
+                                  "in two blocks of the same shape")
 
     def weight_sum(self) -> float:
         return float(np.sum(self.weights))
@@ -134,16 +144,16 @@ class ConvexDecomposition:
         order (a reduction over the leading axis), so bit for bit the sum of
         one outer product per atom. One weight per atom and sign vectors of
         length n are required: broadcasting would otherwise spread a short
-        weight list over every atom."""
+        weight list over every atom. With no atom, the blocks may have any
+        empty shape (a report's empty atom list reads back as shape (0,))."""
         w = np.asarray(self.weights, dtype=float)
-        k = len(self.atoms)
-        if w.shape != (k,) or any(len(a.alpha) != n or len(a.beta) != n
-                                  for a in self.atoms):
+        k = len(self.alphas)
+        if w.shape != (k,) or (k and self.alphas.shape != (k, n)):
             raise ValidationError(
                 f"a decomposition of an {n} x {n} matrix needs one weight per atom "
-                f"and sign vectors of length {n}: {w.shape} weights, {k} atoms")
-        alphas = np.array([a.alpha for a in self.atoms], dtype=float).reshape(k, n)
-        betas = np.array([a.beta for a in self.atoms], dtype=float).reshape(k, n)
+                f"and sign vectors of length {n}: {w.shape} weights, "
+                f"{self.alphas.shape} sign block")
+        alphas, betas = self.alphas.reshape(k, n), self.betas.reshape(k, n)
         return np.add.reduce(w[:, None, None] * alphas[:, :, None] * betas[:, None, :],
                              axis=0)
 
@@ -154,7 +164,9 @@ class ConvexDecomposition:
     def to_dict(self) -> dict:
         return {"type": "convex_decomposition",
                 "weights": [float(w) for w in self.weights],
-                "atoms": [a.to_dict() for a in self.atoms],
+                "atoms": [{"type": "sign_pair", "alpha": alpha, "beta": beta}
+                          for alpha, beta in zip(self.alphas.astype(int).tolist(),
+                                                 self.betas.astype(int).tolist())],
                 "residual": self.residual,
                 "converged": self.converged,
                 "certified": self.certified}
@@ -162,10 +174,10 @@ class ConvexDecomposition:
     @classmethod
     def from_dict(cls, d: dict) -> "ConvexDecomposition":
         return cls(weights=np.asarray(d["weights"], dtype=float),
-                   atoms=[SignPair.from_dict(a) for a in d["atoms"]],
-                   residual=float(d.get("residual", 0.0)),
-                   converged=bool(d.get("converged", True)),
-                   certified=bool(d.get("certified", True)))
+                   alphas=[a["alpha"] for a in d["atoms"]],
+                   betas=[a["beta"] for a in d["atoms"]],
+                   residual=float(d["residual"]), converged=bool(d["converged"]),
+                   certified=bool(d["certified"]))
 
 
 @dataclass
@@ -267,11 +279,6 @@ class _SplitTables:
     n 2^-53 S A < 1 in total; the float64 rescoring errs by under
     6n 2^-53 S A < 1 as well.  So slack = n + 1 integer units bounds both
     |screened - V| and |screened - rescored|.
-    slack64 = (10n + 16) 2^-38 + 8n 2^-1074 bounds |rescored - alpha^t m beta|
-    (in the scaled units) for the pair built from the same alpha: the
-    rescored value errs by under 6n 2^-53 S A, and alpha^t m beta by under
-    4n 2^-53 S A (two float64 sums of n terms, and beta entries whose sign
-    rounding may flip), with S A < 2^15.
 
     Candidates.  Let top be the largest screened value and kth the
     count-th largest.  The float64 maximum M is at most top + slack, and
@@ -312,7 +319,6 @@ class _SplitTables:
         self.low16 = np.empty(low_t.shape, dtype=np.int16)
         np.rint(low_t, out=self.low16, casting="unsafe")
         self.high16 = np.rint(self.high).astype(np.int16)
-        self.slack64 = (10 * n + 16) * 2.0 ** -38 + 8 * n * 2.0 ** -1074
 
     def _screen(self, h: int, buf: np.ndarray) -> np.ndarray:
         """The integer values of the 2^k sign vectors in high row h (a new
@@ -420,16 +426,10 @@ def _top_atoms(y: np.ndarray, count: int, floor: float = -np.inf
 
     The rows are _SplitTables.ranked(count)'s, in its order: first
     infty_to_one_exact(y)'s pair (the tie rule's choice), then the others by
-    float64 value, exact ties in index order.  A row is built only when its
-    rescored value is within slack64 of `floor` or above: slack64 bounds
-    how far the rescored value and alpha^t y beta can differ, so the rows
-    skipped are exactly those that would fail the floor.
+    float64 value, exact ties in index order.
     """
     tables = _SplitTables(y)
-    indices, values = tables.ranked(count)
-    build = values > floor - float(np.ldexp(tables.slack64, tables.exp))
-    build[0] = True
-    values, alphas, betas = tables.pairs(indices[build])
+    values, alphas, betas = tables.pairs(tables.ranked(count)[0])
     keep = values > floor
     keep[0] = True
     return values[keep], alphas[keep], betas[keep]
@@ -840,9 +840,8 @@ def classical_upper_bound(t, max_atoms: int = 400,
             break  # pricing stalled on a pooled atom: numerical plateau
         pool.add(alphas[new], betas[new])
     live = np.flatnonzero(weights > 1e-14)
-    kept_atoms = [SignPair(alpha, beta)
-                  for alpha, beta in zip(pool.alphas[live], pool.betas[live])]
-    dec = ConvexDecomposition(weights=weights[live], atoms=kept_atoms,
+    dec = ConvexDecomposition(weights=weights[live], alphas=pool.alphas[live],
+                              betas=pool.betas[live],
                               converged=dual_feasible and no_slack,
                               certified=dual_feasible)
     dec.residual = dec.reconstruction_residual(m)

@@ -6,10 +6,11 @@ matrix. Each certificate's claim fixes the payload class; the payload must
 round-trip through that class's from_dict/to_dict unchanged, with the
 entries the matrix fixes (a Bell functional's near_singular flag, a
 decomposition's residual) rebuilt from it, and the stored value must equal
-the re-evaluated one. The report's `results` are rebuilt from the
-re-evaluated claims and from the matrix. An experiment report is rebuilt
-from its config and its per-trial values, with trial i laid out as the
-seeded trial at position i of the scenario's grid; no trial is re-run.
+the re-evaluated one. The report's `results` are rebuilt by
+report_results, the function its command writes them with. An experiment
+report is rebuilt from its config and its per-trial values, with trial i
+laid out as the seeded trial at position i of the scenario's grid; no
+trial is re-run.
 """
 from __future__ import annotations
 
@@ -128,20 +129,12 @@ _CERTIFICATES = {
     "classical_upper": (ConvexDecomposition, _decomposition_value),
     "bell_functional": (BellFunctional, _bell_norm),
 }
-# results entries that restate a certificate's claim, by report kind
-_RESULT_CLAIMS = {
-    "gap": {"bell_norm": "bell_functional", "gamma2_lower": "gamma2_lower",
-            "gamma2_upper": "gamma2_upper"},
-    "classical": {"lower": "classical_lower", "upper": "classical_upper"},
-    "gamma2": {"lower": "gamma2_lower", "upper": "gamma2_upper"},
-    "norm": {"value": "infty_to_one_lower"},
-}
 
 
-def _spectral_results(config: dict) -> dict:
-    """The law's numbers, rebuilt from one density at the config's alpha
-    and grid, and its ks_distance from the draw the config records."""
-    law = density(config["alpha"], config["grid_points"])
+def law_results(law, config: dict) -> dict:
+    """A spectral report's results for `law`, the density at its config's
+    alpha and grid: the law's numbers, and the ks_distance of the draw the
+    config records (ks_n, ks_m, seed) when it records one."""
     results = {"support_upper": law.support_upper, "c_alpha": law.c_alpha,
                "atom_mass": law.atom_mass, "total_mass": law.total_mass(),
                "first_moment": law.first_moment()}
@@ -149,6 +142,38 @@ def _spectral_results(config: dict) -> dict:
         results["ks_distance"] = ks_distance_of_draw(law, config["ks_n"], config["ks_m"],
                                                      config["seed"])
     return results
+
+
+def report_results(kind: str, config: dict, matrix, values: dict, payloads: dict) -> dict:
+    """The `results` of a report of `kind` that follow from its config, its
+    matrix and its certificates' values and payloads (dicts keyed by claim):
+    what the command writes, and what verify_report rebuilds. An entry that
+    restates a claim is null without its certificate. The entries nothing
+    here fixes are the command's to add (see _verify_single)."""
+    if kind == "norm":
+        which = config["which"]
+        return {"value": SPECTRAL_VALUES[which](matrix) if which in SPECTRAL_VALUES
+                else values.get("infty_to_one_lower")}
+    if kind == "gamma2":
+        return {"lower": values.get("gamma2_lower"), "upper": values.get("gamma2_upper")}
+    if kind == "classical":
+        results = {"lower": values.get("classical_lower"),
+                   "upper": values.get("classical_upper")}
+        dec = payloads.get("classical_upper")
+        if dec is not None:
+            results.update(residual=dec.residual, converged=dec.converged,
+                           certified=dec.certified)
+        return results
+    if kind == "gap":
+        bell, lower = payloads["bell_functional"], values["gamma2_lower"]
+        return {"gap": gap_from_bell(matrix, bell, lower), "bell_norm_exact": bell.exact,
+                "bell_norm": values["bell_functional"], "gamma2_lower": lower,
+                "gamma2_upper": values.get("gamma2_upper")}
+    if kind == "spectral":
+        return law_results(density(config["alpha"], config["grid_points"]), config)
+    if kind == "threshold":
+        return {}
+    raise ValidationError(f"unknown report kind {kind!r}")
 
 
 def _threshold_failures(config: dict, alpha0) -> list[str]:
@@ -192,20 +217,16 @@ def _classical_bracket_failures(lower: float, dec: ConvexDecomposition, n: int) 
 
 
 def _verify_single(doc: dict) -> list[str]:
-    """Each certificate is re-evaluated and rebuilt. In `results`, an entry
-    that restates a claim takes the re-evaluated value, or null where the
-    report has no certificate for it. Norm's trace, operator and flatness
-    values are recomputed from the matrix, classical's residual, converged
-    and certified are the decomposition's (kept as stored without one), a
-    gap report's `gap` and `bell_norm_exact` follow from its Bell
-    functional and gamma2_lower, and a spectral report's law numbers come
-    from one density. A threshold's alpha0 is checked, not rebuilt: the
-    objective must change sign across alpha0 -+ (tol + BRENT_RTOL alpha0),
-    a gamma2 report's oracle must lie in its re-evaluated bracket, and a
-    classical report's lower bound must not exceed its upper one.
-    A spectral report's ks_distance is redrawn when its config records
-    the draw (ks_n, ks_m, seed); other entries are kept as stored (see
-    unchecked_entries)."""
+    """Each certificate is re-evaluated and rebuilt, and `results` are
+    rebuilt from the re-evaluated claims by report_results, the function the
+    command writes them with. Only these entries are kept as stored, where
+    report_results does not rebuild them: gamma2's oracle, which must lie in
+    the re-evaluated bracket; threshold's alpha0, across which the objective
+    must change sign (alpha0 -+ (tol + BRENT_RTOL alpha0)); classical's
+    residual, converged and certified when there is no decomposition; and
+    spectral's csv, and its ks_distance when the config does not record the
+    draw (ks_n, ks_m, seed; see unchecked_entries). Any other entry fails.
+    A classical report's lower bound must also not exceed its upper one."""
     try:
         mat = as_matrix(doc["matrix"]) if "matrix" in doc else None
     except _MALFORMED as exc:
@@ -232,37 +253,26 @@ def _verify_single(doc: dict) -> list[str]:
         values[claims], payloads[claims] = value, payload
         failures += _diff(cert, {"claims": claims, "value": value,
                                  "certificate": payload.to_dict()}, label)
-    kind, fresh_results = doc.get("kind"), dict(results)
-    for key, claim in _RESULT_CLAIMS.get(kind, {}).items():
-        fresh_results[key] = values.get(claim)
-    if kind == "classical" and "classical_upper" in payloads:
-        dec = payloads["classical_upper"]
-        fresh_results.update(residual=dec.residual, converged=dec.converged,
-                             certified=dec.certified)
-        if "classical_lower" in values:
-            failures += _classical_bracket_failures(values["classical_lower"], dec,
-                                                    mat.shape[0])
+    kind, config = doc.get("kind"), doc.get("config")
+    stored = {"gamma2": ("oracle",), "threshold": ("alpha0",),
+              "classical": ("residual", "converged", "certified"),
+              "spectral": ("csv", "ks_distance")}.get(kind, ())
     try:
-        if kind == "norm" and doc["config"]["which"] in SPECTRAL_VALUES:
-            fresh_results["value"] = SPECTRAL_VALUES[doc["config"]["which"]](mat)
-        elif kind == "spectral":
-            fresh_results.update(_spectral_results(doc["config"]))
-        elif kind == "threshold":
-            failures += _threshold_failures(doc["config"], results["alpha0"])
+        fresh_results = report_results(kind, config, mat, values, payloads)
+        fresh_results.update((key, results[key]) for key in stored
+                             if key in results and key not in fresh_results)
+        if kind == "threshold":
+            failures += _threshold_failures(config, results["alpha0"])
         elif kind == "gamma2" and "oracle" in results and {
                 "gamma2_lower", "gamma2_upper"} <= values.keys():
             failures += _oracle_failures(results["oracle"], values["gamma2_lower"],
                                          values["gamma2_upper"])
+        elif kind == "classical" and {"classical_lower", "classical_upper"} <= values.keys():
+            failures += _classical_bracket_failures(
+                values["classical_lower"], payloads["classical_upper"], mat.shape[0])
     except _MALFORMED as exc:
         failures.append(f"results: re-evaluation failed: {exc!r}")
-    if kind == "gap":
-        bell = payloads.get("bell_functional")
-        if bell is None or "gamma2_lower" not in values:
-            failures.append("results gap: no bell_functional and gamma2_lower "
-                            "certificates to recompute it from")
-        else:
-            fresh_results["gap"] = gap_from_bell(mat, bell, values["gamma2_lower"])
-            fresh_results["bell_norm_exact"] = bell.exact
+        fresh_results = results
     fresh = {key: doc[key] for key in
              ("schema_version", "kind", "config", "matrix", "certificates") if key in doc}
     fresh["results"] = fresh_results

@@ -433,6 +433,31 @@ def test_verify_rejects_edited_results(tmp_path, capsys, kind, edit):
     assert "FAIL results" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [
+    "gap", "classical", "classical --max-atoms 1", "gamma2", "gamma2 --oracle", "norm",
+    "norm --which trace", "threshold --gap sqrt(16/15)", "spectral --alpha 0.5",
+    "spectral --alpha 0.5 --ks-n 60 --ks-m 30 --seed 3"])
+@pytest.mark.parametrize("key, value", [("certified_gap", 1.5), ("note", "anything")])
+def test_verify_rejects_an_added_results_entry(tmp_path, capsys, command, key, value):
+    # results are rebuilt by the function the command writes them with, so
+    # an entry the command did not write fails, whatever its name and value
+    argv = command.split()
+    if argv[0] not in ("threshold", "spectral"):
+        mpath = tmp_path / "g.csv"
+        write_matrix_csv(mpath, gaussian(6, 6, SeedSpec(13, 0)) / math.sqrt(6))
+        argv += ["--matrix", str(mpath)]
+    out = str(tmp_path / "report.json")
+    assert main(argv + ["--out", out]) == 0
+    assert main(["verify-certificate", out]) == 0
+    doc = json.loads(open(out).read())
+    doc["results"][key] = value
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert "FAIL results" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("edit", ["2*upper", "lower/2", "upper*(1+1e-9)", "abc"])
 def test_verify_checks_the_oracle_against_its_bracket(tmp_path, capsys, edit):
     # gamma2_oracle lies inside the bracket, so a stored oracle outside the
@@ -510,14 +535,14 @@ def test_verify_rejects_a_forged_classical_upper_bound(tmp_path, capsys, forgery
 def test_classical_lower_above_upper_fails_beyond_the_residual_slack():
     # pi(I_2) = 1 >= lower; a weight sum of 0.5 with an exact reconstruction
     # is false, but with residual 1/8 the slack n^2 residual = 0.5 covers it
-    from randcorr.norms import ConvexDecomposition, SignPair
+    from randcorr.norms import ConvexDecomposition
     from randcorr.verify import _classical_bracket_failures
-    ones = np.ones(2)
+    ones = np.ones((1, 2))
     for residual, fails in ((0.0, True), (0.1, True), (0.125, False)):
-        dec = ConvexDecomposition(np.array([0.5]), [SignPair(ones, ones)], residual=residual)
+        dec = ConvexDecomposition(np.array([0.5]), ones, ones, residual=residual)
         assert bool(_classical_bracket_failures(1.0, dec, 2)) == fails
-    assert _classical_bracket_failures(1.0, ConvexDecomposition(np.array([1.0]), [
-        SignPair(ones, ones)]), 2) == []
+    assert _classical_bracket_failures(1.0, ConvexDecomposition(np.array([1.0]), ones,
+                                                                ones), 2) == []
 
 
 @pytest.mark.parametrize("command, edit", [
