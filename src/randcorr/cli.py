@@ -20,8 +20,7 @@ import numpy as np
 from . import spectral
 from .errors import NumericalError, ValidationError
 from .linalg import SPECTRAL_VALUES, read_matrix_csv, svd, write_matrix_csv
-from .norms import (GAMMA2_RESCALE_MAX_ITER, HEURISTIC_RESTARTS,
-                    TOL_DECOMPOSITION_RESIDUAL, bell_functional_from_svd,
+from .norms import (GAMMA2_RESCALE_MAX_ITER, HEURISTIC_RESTARTS, bell_functional_from_svd,
                     classical_lower_bound, classical_upper_bound, gamma2_bracket,
                     gamma2_oracle, infty_to_one_exact, infty_to_one_heuristic)
 from .sampling import ENSEMBLE_KINDS, EnsembleSpec, SeedSpec
@@ -250,18 +249,11 @@ def _cmd_classical(args) -> int:
     lower = classical_lower_bound(mat, bell)
     config = {"subcommand": "classical", "matrix": args.matrix,
               "max_atoms": args.max_atoms, "tol": args.tol}
-    claims, flags = {"classical_lower": (lower, bell)}, {}
-    # a decomposition still using elastic slack does not reconstruct t, so
-    # its weight sum bounds nothing: the report keeps only its flags
-    if dec.residual <= TOL_DECOMPOSITION_RESIDUAL:
-        claims["classical_upper"] = (dec.weight_sum(), dec)
-        headline = f"projective norm in [{lower:.12g}, {dec.weight_sum():.12g}]"
-    else:
-        flags = {"residual": dec.residual, "converged": dec.converged,
-                 "certified": dec.certified}
-        headline = (f"projective norm >= {lower:.12g} (no upper bound: column "
-                    f"generation stopped with residual {dec.residual:.3g})")
-    _emit(_report("classical", config, flags, mat, claims), args, headline)
+    upper = dec.upper_bound(mat)
+    claims = {"classical_lower": (lower, bell), "classical_upper": (upper, dec)}
+    _emit(_report("classical", config, {}, mat, claims), args,
+          f"projective norm in [{lower:.12g}, {upper:.12g}]"
+          + ("" if dec.converged else " (column generation stopped unconverged)"))
     return 0
 
 
@@ -408,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "plus all-ones, each solve adds up to 32 priced atoms "
                         "and no atom ever leaves it, so each solve is slower "
                         "than the last; at n >= 20 a run takes minutes, and a "
-                        "smaller value stops it sooner, unconverged")
+                        "smaller value stops it sooner, unconverged, with a "
+                        "looser certified upper bound")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None, help="report path")
     p.set_defaults(func=_cmd_classical)

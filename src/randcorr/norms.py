@@ -28,7 +28,6 @@ GAMMA2_RESCALE_TOL = 3e-3       # stop once upper <= (1 + tol) * rescaled trace 
 GAMMA2_RESCALE_MAX_ITER = 100   # rescaling steps after the plain factorization
 GAMMA2_SCALE_FLOOR = 1e-2       # smallest row/column weight, relative to the largest
 TOL_FACTOR_RESIDUAL = 1e-9      # max reconstruction residual of an upper certificate
-TOL_DECOMPOSITION_RESIDUAL = 1e-6  # max residual of a certified convex decomposition
 _LOW_BITS = 12                  # sign bits in the exact enumeration's low table (2^12 x n)
 _INT16_MAX = 2 ** 15 - 1        # bound on every partial sum of the exact int16 screen
 _TIE_RTOL = 1e-12               # sign vectors this close (relative) to the maximum tie
@@ -117,9 +116,9 @@ class FactorizationPair:
 
 @dataclass
 class ConvexDecomposition:
-    """t ~= sum_k weights[k] * outer(alphas[k], betas[k]); the weight sum
-    upper bounds the projective norm whenever the reconstruction is exact.
-    The atoms are two blocks of +-1 of the same shape, one atom per row."""
+    """t ~= sum_k weights[k] * outer(alphas[k], betas[k]); upper_bound(t)
+    bounds the projective norm when the weights are nonnegative. The atoms
+    are two blocks of +-1 of the same shape, one atom per row."""
 
     weights: np.ndarray
     alphas: np.ndarray
@@ -160,6 +159,13 @@ class ConvexDecomposition:
     def reconstruction_residual(self, t) -> float:
         m = as_matrix(t, square=True)
         return float(np.abs(self.reconstruct(m.shape[0]) - m).max())
+
+    def upper_bound(self, t) -> float:
+        """pi(t) <= sum(w) + sum |e_ij|, e = t - reconstruction, for
+        nonnegative weights, converged or not: each e_i e_j^t is the average
+        of four sign atoms (alpha_i = beta_j = +1, the rest all +1 or -1)."""
+        m = as_matrix(t, square=True)
+        return self.weight_sum() + float(np.abs(m - self.reconstruct(m.shape[0])).sum())
 
     def to_dict(self) -> dict:
         return {"type": "convex_decomposition",
@@ -779,8 +785,9 @@ class _AtomPool:
 
 def classical_upper_bound(t, max_atoms: int = 400,
                           tol: float = 1e-9) -> ConvexDecomposition:
-    """Projective-norm upper bound by column generation over sign atoms,
-    priced by the exact enumeration, so n <= EXACT_CAP.
+    """A decomposition of t whose upper_bound(t) bounds the projective norm,
+    by column generation over sign atoms priced by the exact enumeration,
+    so n <= EXACT_CAP.
 
     Restricted master: min sum(w) with sum_k w_k outer(alpha_k, beta_k) = t,
     w >= 0 (elastic slacks keep it feasible while the pool is small).  One
@@ -801,7 +808,8 @@ def classical_upper_bound(t, max_atoms: int = 400,
     dropped (column generation converges without ever removing a column, and
     an atom dropped at zero weight tends to be priced back in later).  Each
     solve therefore grows slower as the pool grows, so at n >= 20 a run
-    takes minutes; a smaller max_atoms stops it sooner, unconverged.  Above
+    takes minutes; a smaller max_atoms stops it sooner, unconverged, with
+    the elastic slacks' reconstruction error loosening upper_bound(t).  Above
     EXACT_CAP nothing could be certified, so the bound is refused with a
     ValidationError before any work.
     """

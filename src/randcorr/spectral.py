@@ -227,17 +227,18 @@ def threshold_objective(gap_constant: float, alpha: float,
     return gap_constant * c_alpha(alpha, grid_points, eps_cap) / np.sqrt(alpha) - 1.0
 
 
-def alpha_threshold(gap_constant: float, hi: float = 1.0, tol: float = 1e-4,
+def alpha_threshold(gap_constant: float, tol: float = 1e-4,
                     grid_points: int = DEFAULT_GRID_POINTS,
                     eps_cap: float = _EPS_CAP) -> float:
     """The aspect ratio where gap_constant * C_alpha / sqrt(alpha) crosses 1.
 
-    C_alpha/sqrt(alpha) decreases in alpha (checked at the ends of the
-    bracket [_ALPHA_LO, hi]), so the crossing is the single root on the
-    bracket, found by Brent's method: the root of threshold_objective lies
-    within tol + BRENT_RTOL * alpha0 of the returned alpha0.  Each objective
-    value costs one density inversion; the bracket ends are evaluated once
-    and shared with Brent.
+    The bracket is [_ALPHA_LO, hi], hi doubled from 1 until the objective
+    is <= 0 (C_alpha <= 1, so C_alpha/sqrt(alpha) tends to 0).  It decreases
+    in alpha (checked at the ends of the bracket), so the crossing is the
+    single root on it, found by Brent's method: the root of
+    threshold_objective lies within tol + BRENT_RTOL * alpha0 of the
+    returned alpha0.  Each objective value costs one density inversion,
+    shared with Brent by a cache.
     """
     if gap_constant <= 0:
         raise ValidationError("gap_constant must be positive")
@@ -246,12 +247,15 @@ def alpha_threshold(gap_constant: float, hi: float = 1.0, tol: float = 1e-4,
     def objective(a: float) -> float:
         return threshold_objective(gap_constant, a, grid_points, eps_cap)
 
+    hi = 1.0
+    while objective(hi) > 0:
+        hi *= 2.0
     f_lo, f_hi = objective(_ALPHA_LO), objective(hi)
     if f_lo <= f_hi:
         raise NumericalError("C_alpha/sqrt(alpha) not decreasing on bracket",
                              detail={"lo": f_lo, "hi": f_hi})
-    if f_lo < 0 or f_hi > 0:
-        raise NumericalError("no sign change on the initial bracket",
+    if f_lo < 0:
+        raise NumericalError("no sign change on the bracket",
                              detail={"f(lo)": f_lo, "f(hi)": f_hi})
     from scipy.optimize import brentq  # loaded on use: it is most of `import randcorr`
 

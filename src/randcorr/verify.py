@@ -6,11 +6,12 @@ matrix. Each certificate's claim fixes the payload class; the payload must
 round-trip through that class's from_dict/to_dict unchanged, with the
 entries the matrix fixes (a Bell functional's near_singular flag, a
 decomposition's residual) rebuilt from it, and the stored value must equal
-the re-evaluated one. The report's `results` are rebuilt by
-report_results, the function its command writes them with. An experiment
-report is rebuilt from its config and its per-trial values, with trial i
-laid out as the seeded trial at position i of the scenario's grid; no
-trial is re-run.
+the re-evaluated one (a decomposition's is its upper_bound: the weight sum
+plus the l1 mass of the matrix minus its reconstruction). The report's
+`results` are rebuilt by report_results, the function its command writes
+them with. An experiment report is rebuilt from its config and its
+per-trial values, with trial i laid out as the seeded trial at position i
+of the scenario's grid; no trial is re-run.
 """
 from __future__ import annotations
 
@@ -22,10 +23,9 @@ from .errors import NumericalError, ValidationError
 from .experiments import (ExperimentConfig, ExperimentReport, TrialRecord, grid,
                           summarize_records, verdicts)
 from .linalg import SPECTRAL_VALUES, as_matrix, operator_norm, svd
-from .norms import (TOL_DECOMPOSITION_RESIDUAL, TOL_FACTOR_RESIDUAL, BellFunctional,
-                    ConvexDecomposition, DualWitness, FactorizationPair, SignPair,
-                    _near_singular, classical_lower_bound, gap_from_bell,
-                    infty_to_one_exact)
+from .norms import (TOL_FACTOR_RESIDUAL, BellFunctional, ConvexDecomposition, DualWitness,
+                    FactorizationPair, SignPair, _near_singular, classical_lower_bound,
+                    gap_from_bell, infty_to_one_exact)
 from .sampling import SeedSpec
 from .spectral import BRENT_RTOL, density, ks_distance_of_draw, threshold_objective
 
@@ -85,16 +85,14 @@ def _factorization_value(pair: FactorizationPair, t) -> float:
 
 
 def _decomposition_value(dec: ConvexDecomposition, t) -> float:
-    """The weight sum; the payload's residual is rebuilt as the
-    reconstruction's, which must be within TOL_DECOMPOSITION_RESIDUAL. The
-    sum bounds the projective norm only for nonnegative weights: a pair
-    c * (alpha, beta) + c * (-alpha, beta) adds nothing to t and 2c to it."""
+    """dec.upper_bound(t), the value the command stores; the payload's
+    residual is rebuilt as the reconstruction's. The bound holds only for
+    nonnegative weights: a pair c * (alpha, beta) + c * (-alpha, beta) adds
+    nothing to t and 2c to the weight sum."""
     if not (np.asarray(dec.weights, dtype=float) >= 0.0).all():
         raise ValidationError("decomposition weights must be nonnegative")
     dec.residual = dec.reconstruction_residual(t)
-    if not dec.residual <= TOL_DECOMPOSITION_RESIDUAL:
-        raise ValidationError("decomposition does not reconstruct the matrix")
-    return dec.weight_sum()
+    return dec.upper_bound(t)
 
 
 def _bell_norm(bell: BellFunctional, t) -> float:
@@ -157,13 +155,10 @@ def report_results(kind: str, config: dict, matrix, values: dict, payloads: dict
     if kind == "gamma2":
         return {"lower": values.get("gamma2_lower"), "upper": values.get("gamma2_upper")}
     if kind == "classical":
-        results = {"lower": values.get("classical_lower"),
-                   "upper": values.get("classical_upper")}
-        dec = payloads.get("classical_upper")
-        if dec is not None:
-            results.update(residual=dec.residual, converged=dec.converged,
-                           certified=dec.certified)
-        return results
+        dec = payloads["classical_upper"]
+        return {"lower": values["classical_lower"], "upper": values["classical_upper"],
+                "residual": dec.residual, "converged": dec.converged,
+                "certified": dec.certified}
     if kind == "gap":
         bell, lower = payloads["bell_functional"], values["gamma2_lower"]
         return {"gap": gap_from_bell(matrix, bell, lower), "bell_norm_exact": bell.exact,
@@ -204,16 +199,13 @@ def _oracle_failures(oracle, lower: float, upper: float) -> list[str]:
             f"[{lower!r}, {upper!r}] the oracle lies in"]
 
 
-def _classical_bracket_failures(lower: float, dec: ConvexDecomposition, n: int) -> list[str]:
-    """lower <= pi(t) <= weight sum + pi(t - reconstruction), and pi(e) is
-    at most sum |e_ij| <= n^2 residual, so a re-evaluated lower bound above
-    weight sum + n^2 residual means a false certificate."""
-    upper = dec.weight_sum()
-    slack = n * n * dec.residual + _REL_TOL * max(1.0, abs(upper))
-    if lower <= upper + slack:
+def _classical_bracket_failures(lower: float, upper: float) -> list[str]:
+    """lower <= pi(t) <= upper, the decomposition's upper_bound, so a
+    re-evaluated lower bound above the re-evaluated upper one by more than
+    _REL_TOL relative means a false certificate."""
+    if lower <= upper + _REL_TOL * max(1.0, abs(upper)):
         return []
-    return [f"classical bracket: lower {lower!r} above upper {upper!r} "
-            f"by more than {slack!r}"]
+    return [f"classical bracket: lower {lower!r} above upper {upper!r}"]
 
 
 def _verify_single(doc: dict) -> list[str]:
@@ -222,11 +214,10 @@ def _verify_single(doc: dict) -> list[str]:
     command writes them with. Only these entries are kept as stored, where
     report_results does not rebuild them: gamma2's oracle, which must lie in
     the re-evaluated bracket; threshold's alpha0, across which the objective
-    must change sign (alpha0 -+ (tol + BRENT_RTOL alpha0)); classical's
-    residual, converged and certified when there is no decomposition; and
-    spectral's csv, and its ks_distance when the config does not record the
-    draw (ks_n, ks_m, seed; see unchecked_entries). Any other entry fails.
-    A classical report's lower bound must also not exceed its upper one."""
+    must change sign (alpha0 -+ (tol + BRENT_RTOL alpha0)); and spectral's
+    csv, and its ks_distance when the config does not record the draw (ks_n,
+    ks_m, seed; see unchecked_entries). Any other entry fails. A classical
+    report's lower bound must also not exceed its upper one."""
     try:
         mat = as_matrix(doc["matrix"]) if "matrix" in doc else None
     except _MALFORMED as exc:
@@ -255,7 +246,6 @@ def _verify_single(doc: dict) -> list[str]:
                                  "certificate": payload.to_dict()}, label)
     kind, config = doc.get("kind"), doc.get("config")
     stored = {"gamma2": ("oracle",), "threshold": ("alpha0",),
-              "classical": ("residual", "converged", "certified"),
               "spectral": ("csv", "ks_distance")}.get(kind, ())
     try:
         fresh_results = report_results(kind, config, mat, values, payloads)
@@ -267,9 +257,9 @@ def _verify_single(doc: dict) -> list[str]:
                 "gamma2_lower", "gamma2_upper"} <= values.keys():
             failures += _oracle_failures(results["oracle"], values["gamma2_lower"],
                                          values["gamma2_upper"])
-        elif kind == "classical" and {"classical_lower", "classical_upper"} <= values.keys():
-            failures += _classical_bracket_failures(
-                values["classical_lower"], payloads["classical_upper"], mat.shape[0])
+        elif kind == "classical":
+            failures += _classical_bracket_failures(values["classical_lower"],
+                                                    values["classical_upper"])
     except _MALFORMED as exc:
         failures.append(f"results: re-evaluation failed: {exc!r}")
         fresh_results = results

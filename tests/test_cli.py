@@ -97,32 +97,42 @@ def test_gap_takes_one_svd_of_the_matrix(tmp_path, monkeypatch):
     assert seen.count(True) == 1
 
 
-def test_classical_unconverged_certifies_no_upper_bound(tmp_path, capsys):
-    # column generation cut off at 5 atoms still uses elastic slack: its
-    # weight sum (0.50) sits below the certified lower bound (1.02)
+def test_classical_unconverged_certifies_a_looser_upper_bound(tmp_path, capsys):
+    # column generation cut off at 5 atoms still uses elastic slack: the
+    # weight sum (1.54) alone bounds nothing, but adding the reconstruction
+    # error's l1 mass certifies 2.39 above the lower bound (1.02)
     mat = gaussian(10, 10, SeedSpec(7, 0)) / math.sqrt(10)
     mpath = tmp_path / "g10.csv"
     write_matrix_csv(mpath, mat)
     out = str(tmp_path / "classical.json")
     assert main(["classical", "--matrix", str(mpath), "--max-atoms", "5",
                  "--out", out]) == 0
-    assert "no upper bound" in capsys.readouterr().out
+    assert "stopped unconverged" in capsys.readouterr().out
     doc = json.loads(open(out).read())
-    assert doc["results"]["upper"] is None
-    assert not doc["results"]["converged"]
-    assert doc["results"]["residual"] > 1e-6
-    assert [c["claims"] for c in doc["certificates"]] == ["classical_lower"]
-    assert main(["verify-certificate", out]) == 0
-    # a slack-using decomposition is rejected even when it states its residual
+    results = doc["results"]
     dec = classical_upper_bound(np.asarray(doc["matrix"]), max_atoms=5)
-    doc["certificates"].append({"claims": "classical_upper",
-                                "value": dec.weight_sum(),
-                                "certificate": dec.to_dict()})
-    with open(out, "w") as fh:
-        json.dump(doc, fh)
-    capsys.readouterr()
-    assert main(["verify-certificate", out]) == 1
-    assert "does not reconstruct" in capsys.readouterr().out
+    assert not results["converged"] and results["residual"] > 1e-6
+    assert results["upper"] == dec.upper_bound(doc["matrix"]) > dec.weight_sum()
+    assert results["lower"] < results["upper"]
+    assert [c["claims"] for c in doc["certificates"]] == ["classical_lower",
+                                                          "classical_upper"]
+    assert main(["verify-certificate", out]) == 0
+
+    def weight_sum_only(d):
+        d["certificates"][1]["value"] = d["results"]["upper"] = dec.weight_sum()
+
+    for edit in (lambda d: d["results"].update(upper=0.9 * d["results"]["upper"]),
+                 lambda d: d["certificates"][1].update(value=0.9 * d["results"]["upper"]),
+                 weight_sum_only,
+                 lambda d: d["results"].update(residual=d["results"]["residual"] / 2),
+                 lambda d: d["certificates"][1]["certificate"].update(residual=0.5)):
+        edited = json.loads(json.dumps(doc))
+        edit(edited)
+        with open(out, "w") as fh:
+            json.dump(edited, fh)
+        capsys.readouterr()
+        assert main(["verify-certificate", out]) == 1
+        assert "FAIL " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n, max_atoms", [(2, 400), (6, 400), (10, 5)])
@@ -243,6 +253,15 @@ def test_threshold_subcommand(capsys):
     out = capsys.readouterr().out
     value = float(out.strip().split("=")[1])
     assert value == pytest.approx(0.1269, abs=0.001)
+
+
+def test_threshold_above_one_verifies(tmp_path):
+    # the crossing for 2 sqrt(16/15) lies above alpha = 1, where the bracket
+    # search starts: its upper end is doubled until the objective is <= 0
+    out = str(tmp_path / "threshold.json")
+    assert main(["threshold", "--gap", "2sqrt(16/15)", "--out", out]) == 0
+    assert json.loads(open(out).read())["results"]["alpha0"] > 1.0
+    assert main(["verify-certificate", out]) == 0
 
 
 def test_spectral_subcommand_with_csv(tmp_path, capsys):
@@ -532,17 +551,18 @@ def test_verify_rejects_a_forged_classical_upper_bound(tmp_path, capsys, forgery
         capsys.readouterr().out
 
 
-def test_classical_lower_above_upper_fails_beyond_the_residual_slack():
-    # pi(I_2) = 1 >= lower; a weight sum of 0.5 with an exact reconstruction
-    # is false, but with residual 1/8 the slack n^2 residual = 0.5 covers it
+def test_classical_lower_above_upper_fails():
+    # lower <= pi(t) <= upper, with no slack beyond rounding; a weight sum of
+    # 0.5 that reconstructs I_2 only to 1/2 certifies 0.5 + 2, not 0.5
     from randcorr.norms import ConvexDecomposition
     from randcorr.verify import _classical_bracket_failures
+    for lower, upper, fails in ((1.0, 0.5, True), (1.0 + 1e-11, 1.0, True),
+                                (1.0 + 1e-13, 1.0, False), (1.0, 1.0, False)):
+        assert bool(_classical_bracket_failures(lower, upper)) == fails
     ones = np.ones((1, 2))
-    for residual, fails in ((0.0, True), (0.1, True), (0.125, False)):
-        dec = ConvexDecomposition(np.array([0.5]), ones, ones, residual=residual)
-        assert bool(_classical_bracket_failures(1.0, dec, 2)) == fails
-    assert _classical_bracket_failures(1.0, ConvexDecomposition(np.array([1.0]), ones,
-                                                                ones), 2) == []
+    dec = ConvexDecomposition(np.array([0.5]), ones, ones)
+    assert dec.upper_bound(np.eye(2)) == 2.5
+    assert _classical_bracket_failures(1.0, dec.upper_bound(np.eye(2))) == []
 
 
 @pytest.mark.parametrize("command, edit", [

@@ -1,8 +1,10 @@
 import itertools
+import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -12,8 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from randcorr.cli import main
 from randcorr.errors import NumericalError, ValidationError
-from randcorr.linalg import svd, trace_norm
+from randcorr.linalg import svd, trace_norm, write_matrix_csv
 from randcorr.norms import (EXACT_CAP, GAMMA2_RESCALE_MAX_ITER, GAMMA2_RESCALE_TOL,
                             KG_UPPER, BellFunctional, ConvexDecomposition, NormBracket,
                             SignPair, _rescale, _SplitTables, _top_atoms,
@@ -967,6 +970,36 @@ def test_upper_bound_matches_full_sign_atom_lp_hypothesis(n, seed):
     dec = classical_upper_bound(g)
     assert dec.converged and dec.certified
     assert dec.weight_sum() == pytest.approx(reference_projective_norm(g), rel=1e-9)
+
+
+def assert_classical_report_brackets(t, max_atoms, directory):
+    # the report's upper bound holds however early column generation stops
+    mpath, out = directory / "t.csv", directory / "classical.json"
+    write_matrix_csv(mpath, t)
+    assert main(["classical", "--matrix", str(mpath), "--max-atoms", str(max_atoms),
+                 "--out", str(out)]) == 0
+    assert main(["verify-certificate", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    want = reference_projective_norm(t)
+    assert results["upper"] is not None
+    assert results["upper"] >= want - 1e-9 * max(1.0, want), (max_atoms, want)
+    assert results["upper"] >= results["lower"]
+
+
+@pytest.mark.parametrize("max_atoms", [1, 2, 5, 400])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_classical_report_upper_bounds_the_full_sign_atom_lp(n, max_atoms, tmp_path):
+    for t in range(3):
+        assert_classical_report_brackets(small_gaussian(n, 64, t), max_atoms, tmp_path)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from([1, 2, 5, 400]))
+def test_classical_report_upper_bounds_the_full_sign_atom_lp_hypothesis(n, seed, max_atoms):
+    with tempfile.TemporaryDirectory() as directory:
+        assert_classical_report_brackets(gaussian(n, n, SeedSpec(seed, 5)), max_atoms,
+                                         Path(directory))
 
 
 def model_atom_columns(highs):

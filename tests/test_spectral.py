@@ -122,7 +122,7 @@ def test_alpha_threshold_reproduces_nonlocality_ratio():
 
 def test_alpha_threshold_monotone_in_gap_constant():
     a0 = alpha_threshold(math.sqrt(16 / 15), tol=5e-4)
-    a1 = alpha_threshold(2 * math.sqrt(16 / 15), hi=4.0, tol=5e-4)
+    a1 = alpha_threshold(2 * math.sqrt(16 / 15), tol=5e-4)
     assert a1 > a0
 
 
