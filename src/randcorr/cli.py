@@ -21,11 +21,11 @@ from . import spectral
 from .errors import NumericalError, ValidationError
 from .linalg import SPECTRAL_VALUES, read_matrix_csv, svd, write_matrix_csv
 from .norms import (GAMMA2_RESCALE_MAX_ITER, HEURISTIC_RESTARTS, bell_functional_from_svd,
-                    classical_lower_bound, classical_upper_bound, gamma2_bracket,
-                    gamma2_oracle, infty_to_one_exact, infty_to_one_heuristic)
+                    classical_upper_bound, gamma2_bracket, gamma2_oracle,
+                    infty_to_one_exact, infty_to_one_heuristic)
 from .sampling import ENSEMBLE_KINDS, EnsembleSpec, SeedSpec
 from .experiments import SCHEMA_VERSION, ExperimentConfig, default_config, run_experiment
-from .verify import law_results, report_results, unchecked_entries, verify_report
+from .verify import law_results, report_results, verify_report
 
 OUT_ENV = "RANDCORR_OUT"
 
@@ -243,17 +243,15 @@ def _cmd_gamma2(args) -> int:
 def _cmd_classical(args) -> int:
     _check_tol(args.tol)
     mat = read_matrix_csv(args.matrix)
-    # first, so that n > EXACT_CAP is refused before the Bell functional's SVD
-    dec = classical_upper_bound(mat, max_atoms=args.max_atoms, tol=args.tol)
-    bell = bell_functional_from_svd(mat)
-    lower = classical_lower_bound(mat, bell)
+    bracket = classical_upper_bound(mat, max_atoms=args.max_atoms, tol=args.tol)
     config = {"subcommand": "classical", "matrix": args.matrix,
               "max_atoms": args.max_atoms, "tol": args.tol}
-    upper = dec.upper_bound(mat)
-    claims = {"classical_lower": (lower, bell), "classical_upper": (upper, dec)}
-    _emit(_report("classical", config, {}, mat, claims), args,
-          f"projective norm in [{lower:.12g}, {upper:.12g}]"
-          + ("" if dec.converged else " (column generation stopped unconverged)"))
+    claims = {"classical_lower": (bracket.lower, bracket.lower_certificate),
+              "classical_upper": (bracket.upper, bracket.upper_certificate)}
+    doc = _report("classical", config, {}, mat, claims)
+    _emit(doc, args, f"projective norm in [{bracket.lower:.12g}, {bracket.upper:.12g}]"
+          + ("" if doc["results"]["converged"]
+             else " (column generation stopped unconverged)"))
     return 0
 
 
@@ -337,8 +335,6 @@ def _cmd_verify(args) -> int:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema version {doc.get('schema_version')!r}")
     failures = verify_report(doc)
-    for line in unchecked_entries(doc):
-        print(f"NOTE {line}")
     for line in failures:
         print(f"FAIL {line}")
     if not failures:
@@ -401,8 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "and no atom ever leaves it, so each solve is slower "
                         "than the last; at n >= 20 a run takes minutes, and a "
                         "smaller value stops it sooner, unconverged, with a "
-                        "looser certified upper bound")
-    p.add_argument("--tol", type=float, default=1e-9)
+                        "wider certified bracket")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="absolute width, upper - lower, at which column "
+                        "generation stops")
     p.add_argument("--out", default=None, help="report path")
     p.set_defaults(func=_cmd_classical)
 

@@ -32,7 +32,7 @@ _LOW_BITS = 12                  # sign bits in the exact enumeration's low table
 _INT16_MAX = 2 ** 15 - 1        # bound on every partial sum of the exact int16 screen
 _TIE_RTOL = 1e-12               # sign vectors this close (relative) to the maximum tie
 _PRICING_COLUMNS = 32           # atoms priced per column-generation round
-_PRICE_CAP = 1.0 + 1e-9         # a dual whose best atom prices at most this is feasible
+_PRICE_CAP = 1.0 + 1e-9         # atoms after a round's best enter only if they price above
 HEURISTIC_RESTARTS = 50         # alternating-ascent starts above EXACT_CAP
 
 
@@ -118,14 +118,14 @@ class FactorizationPair:
 class ConvexDecomposition:
     """t ~= sum_k weights[k] * outer(alphas[k], betas[k]); upper_bound(t)
     bounds the projective norm when the weights are nonnegative. The atoms
-    are two blocks of +-1 of the same shape, one atom per row."""
+    are two blocks of +-1 of the same shape, one atom per row. It is the
+    upper certificate of classical_upper_bound's bracket and carries no
+    flags: whether a run closed its bracket follows from the bracket's two
+    re-evaluable ends, and its reconstruction residual from t."""
 
     weights: np.ndarray
     alphas: np.ndarray
     betas: np.ndarray
-    residual: float = 0.0
-    converged: bool = True
-    certified: bool = True
 
     def __post_init__(self):
         self.alphas = np.asarray(self.alphas, dtype=float)
@@ -172,18 +172,13 @@ class ConvexDecomposition:
                 "weights": [float(w) for w in self.weights],
                 "atoms": [{"type": "sign_pair", "alpha": alpha, "beta": beta}
                           for alpha, beta in zip(self.alphas.astype(int).tolist(),
-                                                 self.betas.astype(int).tolist())],
-                "residual": self.residual,
-                "converged": self.converged,
-                "certified": self.certified}
+                                                 self.betas.astype(int).tolist())]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConvexDecomposition":
         return cls(weights=np.asarray(d["weights"], dtype=float),
                    alphas=[a["alpha"] for a in d["atoms"]],
-                   betas=[a["beta"] for a in d["atoms"]],
-                   residual=float(d["residual"]), converged=bool(d["converged"]),
-                   certified=bool(d["certified"]))
+                   betas=[a["beta"] for a in d["atoms"]])
 
 
 @dataclass
@@ -783,24 +778,30 @@ class _AtomPool:
         self.codes = np.concatenate((self.codes, _atom_codes(alphas, betas)))
 
 
-def classical_upper_bound(t, max_atoms: int = 400,
-                          tol: float = 1e-9) -> ConvexDecomposition:
-    """A decomposition of t whose upper_bound(t) bounds the projective norm,
-    by column generation over sign atoms priced by the exact enumeration,
-    so n <= EXACT_CAP.
+def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9) -> NormBracket:
+    """The projective-norm bracket of t, by column generation over sign
+    atoms priced by the exact enumeration, so n <= EXACT_CAP.  It returns
+    both ends but keeps the name of its upper one: the span tracer in
+    perfbench/tracing.py times it as `norms.classical_upper`.
 
     Restricted master: min sum(w) with sum_k w_k outer(alpha_k, beta_k) = t,
     w >= 0 (elastic slacks keep it feasible while the pool is small).  One
     HiGHS model lives across the rounds: atoms enter it as columns and
     never leave it, and each round re-optimises it without presolve by primal
     simplex from the last basis, which stays primal feasible when columns
-    are added.  Pricing maximizes the dual pairing over all sign matrices;
-    a dual whose best atom prices at most _PRICE_CAP = 1 + 1e-9 is
-    feasible, and the result is certified optimal to `tol` via the dual
-    bound sum(w) <= opt * price.  The enumeration scores every sign vector
-    anyway, so each round adds the price-attaining atom plus up to
-    _PRICING_COLUMNS - 1 further atoms priced above _PRICE_CAP
-    (multi-column pricing).
+    are added.  Pricing maximizes the dual pairing over all sign matrices.
+    The enumeration scores every sign vector anyway, so each round adds the
+    price-attaining atom plus up to _PRICING_COLUMNS - 1 further atoms
+    priced above _PRICE_CAP (multi-column pricing).
+
+    Upper end: the master's decomposition, certified by its upper_bound(t)
+    (the weight sum plus the elastic slacks' reconstruction error).  Lower
+    end: the best BellFunctional among UV^t from the SVD of t (round 0)
+    and each round's dual Y, priced exactly: by weak duality
+    <t, Y> / ||Y||_{inf->1} <= pi(t).  The best is kept, not the last, as
+    this Lagrangian bound is not monotone; UV^t wins ties.  The run stops
+    once upper - lower <= tol, on a pricing stall, or after max_atoms
+    master solves.
 
     The pool starts from the _PRICING_COLUMNS best atoms of the enumeration
     of t, best first, plus the all-ones atom.  max_atoms bounds the master
@@ -808,10 +809,9 @@ def classical_upper_bound(t, max_atoms: int = 400,
     dropped (column generation converges without ever removing a column, and
     an atom dropped at zero weight tends to be priced back in later).  Each
     solve therefore grows slower as the pool grows, so at n >= 20 a run
-    takes minutes; a smaller max_atoms stops it sooner, unconverged, with
-    the elastic slacks' reconstruction error loosening upper_bound(t).  Above
-    EXACT_CAP nothing could be certified, so the bound is refused with a
-    ValidationError before any work.
+    takes minutes; a smaller max_atoms stops it sooner with a wider
+    bracket.  Above EXACT_CAP nothing could be certified, so the bracket is
+    refused with a ValidationError before any work.
     """
     m = as_matrix(t, square=True)
     n = m.shape[0]
@@ -820,6 +820,8 @@ def classical_upper_bound(t, max_atoms: int = 400,
             f"n={n} exceeds EXACT_CAP={EXACT_CAP}, the limit of exact pricing")
     if max_atoms < 1:
         raise ValidationError("max_atoms must be >= 1")
+    best = bell_functional_from_svd(m)
+    lower = classical_lower_bound(m, best)
     b = m.flatten()
     scale = max(1.0, float(np.abs(m).max()))
 
@@ -829,31 +831,29 @@ def classical_upper_bound(t, max_atoms: int = 400,
     pool = _AtomPool(b, 1e6 * scale)
     new = pool.fresh(alphas, betas)
     pool.add(alphas[new], betas[new])
-    dual_bound = None
     for _ in range(max_atoms):
         x, y = linprog(pool.highs)
         weights = x[pool.slacks:]
-        slack = float(x[:pool.slacks].sum())
-        values, alphas, betas = _top_atoms(y.reshape(n, n), _PRICING_COLUMNS, _PRICE_CAP)
-        price = float(values[0])
-        dual_feasible, no_slack = price <= _PRICE_CAP, slack <= 1e-9 * scale
-        primal = float(weights.sum())
-        if price > 0:
-            dual_bound = float(y @ b) / price
-        gap = primal - dual_bound if dual_bound is not None else np.inf
-        if dual_feasible and no_slack and gap <= tol:
+        live = np.flatnonzero(weights > 1e-14)
+        dec = ConvexDecomposition(weights[live], pool.alphas[live], pool.betas[live])
+        upper = dec.upper_bound(m)
+        dual = y.reshape(n, n)
+        values, alphas, betas = _top_atoms(dual, _PRICING_COLUMNS, _PRICE_CAP)
+        if values[0] > 0.0:
+            bell = BellFunctional(a=dual, eps_one_norm=float(values[0]), exact=True,
+                                  near_singular=best.near_singular,
+                                  attaining=SignPair(alphas[0], betas[0]))
+            value = classical_lower_bound(m, bell)
+            if value > lower:
+                best, lower = bell, value
+        if upper - lower <= tol:
             break
         new = pool.fresh(alphas, betas)
         if not new.size or new[0] != 0:
             break  # pricing stalled on a pooled atom: numerical plateau
         pool.add(alphas[new], betas[new])
-    live = np.flatnonzero(weights > 1e-14)
-    dec = ConvexDecomposition(weights=weights[live], alphas=pool.alphas[live],
-                              betas=pool.betas[live],
-                              converged=dual_feasible and no_slack,
-                              certified=dual_feasible)
-    dec.residual = dec.reconstruction_residual(m)
-    return dec
+    return NormBracket(lower=lower, upper=upper, lower_certificate=best,
+                       upper_certificate=dec)
 
 
 def quantum_classical_gap(t, heuristic_restarts: int = HEURISTIC_RESTARTS,

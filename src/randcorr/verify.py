@@ -3,15 +3,14 @@ compare the stored report with the rebuild as a whole.
 
 A single-matrix report's certificates are re-evaluated against its embedded
 matrix. Each certificate's claim fixes the payload class; the payload must
-round-trip through that class's from_dict/to_dict unchanged, with the
-entries the matrix fixes (a Bell functional's near_singular flag, a
-decomposition's residual) rebuilt from it, and the stored value must equal
-the re-evaluated one (a decomposition's is its upper_bound: the weight sum
-plus the l1 mass of the matrix minus its reconstruction). The report's
-`results` are rebuilt by report_results, the function its command writes
-them with. An experiment report is rebuilt from its config and its
-per-trial values, with trial i laid out as the seeded trial at position i
-of the scenario's grid; no trial is re-run.
+round-trip through that class's from_dict/to_dict unchanged, with what
+the matrix fixes (a Bell functional's near_singular flag) rebuilt from it,
+and the stored value must equal the re-evaluated one (a decomposition's is
+its upper_bound: the weight sum plus the l1 mass of the matrix minus its
+reconstruction). The report's `results` are rebuilt by report_results, the
+function its command writes them with. An experiment report is rebuilt
+from its config and its per-trial values, with trial i laid out as the
+seeded trial at position i of the scenario's grid; no trial is re-run.
 """
 from __future__ import annotations
 
@@ -85,13 +84,11 @@ def _factorization_value(pair: FactorizationPair, t) -> float:
 
 
 def _decomposition_value(dec: ConvexDecomposition, t) -> float:
-    """dec.upper_bound(t), the value the command stores; the payload's
-    residual is rebuilt as the reconstruction's. The bound holds only for
-    nonnegative weights: a pair c * (alpha, beta) + c * (-alpha, beta) adds
-    nothing to t and 2c to the weight sum."""
+    """dec.upper_bound(t), the value the command stores. The bound holds
+    only for nonnegative weights: a pair c * (alpha, beta) + c * (-alpha,
+    beta) adds nothing to t and 2c to the weight sum."""
     if not (np.asarray(dec.weights, dtype=float) >= 0.0).all():
         raise ValidationError("decomposition weights must be nonnegative")
-    dec.residual = dec.reconstruction_residual(t)
     return dec.upper_bound(t)
 
 
@@ -155,10 +152,11 @@ def report_results(kind: str, config: dict, matrix, values: dict, payloads: dict
     if kind == "gamma2":
         return {"lower": values.get("gamma2_lower"), "upper": values.get("gamma2_upper")}
     if kind == "classical":
-        dec = payloads["classical_upper"]
-        return {"lower": values["classical_lower"], "upper": values["classical_upper"],
-                "residual": dec.residual, "converged": dec.converged,
-                "certified": dec.certified}
+        # the bracket's closure to the run's tol is all the flags can claim
+        lower, upper = values["classical_lower"], values["classical_upper"]
+        closed = upper - lower <= config["tol"]
+        return {"lower": lower, "upper": upper, "converged": closed, "certified": closed,
+                "residual": payloads["classical_upper"].reconstruction_residual(matrix)}
     if kind == "gap":
         bell, lower = payloads["bell_functional"], values["gamma2_lower"]
         return {"gap": gap_from_bell(matrix, bell, lower), "bell_norm_exact": bell.exact,
@@ -215,9 +213,8 @@ def _verify_single(doc: dict) -> list[str]:
     report_results does not rebuild them: gamma2's oracle, which must lie in
     the re-evaluated bracket; threshold's alpha0, across which the objective
     must change sign (alpha0 -+ (tol + BRENT_RTOL alpha0)); and spectral's
-    csv, and its ks_distance when the config does not record the draw (ks_n,
-    ks_m, seed; see unchecked_entries). Any other entry fails. A classical
-    report's lower bound must also not exceed its upper one."""
+    csv. Any other entry fails. A classical report's lower bound must also
+    not exceed its upper one."""
     try:
         mat = as_matrix(doc["matrix"]) if "matrix" in doc else None
     except _MALFORMED as exc:
@@ -246,7 +243,7 @@ def _verify_single(doc: dict) -> list[str]:
                                  "certificate": payload.to_dict()}, label)
     kind, config = doc.get("kind"), doc.get("config")
     stored = {"gamma2": ("oracle",), "threshold": ("alpha0",),
-              "spectral": ("csv", "ks_distance")}.get(kind, ())
+              "spectral": ("csv",)}.get(kind, ())
     try:
         fresh_results = report_results(kind, config, mat, values, payloads)
         fresh_results.update((key, results[key]) for key in stored
@@ -290,18 +287,6 @@ def _verify_experiment(doc: dict) -> list[str]:
     except _MALFORMED as exc:
         return [f"report cannot be rebuilt: {exc!r}"]
     return _diff(doc, fresh.to_dict(include_timing="wall_clock_s" in doc))
-
-
-def unchecked_entries(doc: dict) -> list[str]:
-    """Entries of a report that verify_report keeps as stored, one line
-    each: the ks_distance of a spectral report whose config does not record
-    its draw (written before the config did)."""
-    config, results = doc.get("config"), doc.get("results")
-    if (doc.get("kind") == "spectral" and isinstance(results, dict) and "ks_distance" in results
-            and not (isinstance(config, dict) and "ks_n" in config)):
-        return ["results.ks_distance: unchecked, the config does not record "
-                "the draw (ks_n, ks_m, seed) it came from"]
-    return []
 
 
 def verify_report(doc: dict) -> list[str]:

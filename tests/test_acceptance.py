@@ -162,7 +162,7 @@ def test_criterion_9_oracle_equivalence_suite():
 
     lower = classical_lower_bound(
         CHSH, BellFunctional(a=CHSH, eps_one_norm=2.0, exact=True))
-    upper = classical_upper_bound(CHSH).weight_sum()
+    upper = classical_upper_bound(CHSH).upper_certificate.weight_sum()
     pinned = abs(lower - 2.0) <= 1e-6 and abs(upper - 2.0) <= 1e-6
 
     ok = rate >= 0.99 and inside == 100 and pinned

@@ -10,8 +10,9 @@ from randcorr.errors import NumericalError
 from randcorr.experiments import (ExperimentConfig, TrialRecord, default_config,
                                   summarize_records, verdicts)
 from randcorr.linalg import read_matrix_csv, write_matrix_csv
-from randcorr.norms import (BellFunctional, FactorizationPair, classical_upper_bound,
-                            gap_from_bell, quantum_classical_gap)
+from randcorr.norms import (BellFunctional, FactorizationPair, bell_functional_from_svd,
+                            classical_lower_bound, classical_upper_bound, gap_from_bell,
+                            quantum_classical_gap)
 from randcorr.sampling import SeedSpec, gaussian
 
 
@@ -110,7 +111,7 @@ def test_classical_unconverged_certifies_a_looser_upper_bound(tmp_path, capsys):
     assert "stopped unconverged" in capsys.readouterr().out
     doc = json.loads(open(out).read())
     results = doc["results"]
-    dec = classical_upper_bound(np.asarray(doc["matrix"]), max_atoms=5)
+    dec = classical_upper_bound(np.asarray(doc["matrix"]), max_atoms=5).upper_certificate
     assert not results["converged"] and results["residual"] > 1e-6
     assert results["upper"] == dec.upper_bound(doc["matrix"]) > dec.weight_sum()
     assert results["lower"] < results["upper"]
@@ -137,20 +138,50 @@ def test_classical_unconverged_certifies_a_looser_upper_bound(tmp_path, capsys):
 
 @pytest.mark.parametrize("n, max_atoms", [(2, 400), (6, 400), (10, 5)])
 def test_classical_flags_are_python_bools_and_the_report_serialises(tmp_path, n, max_atoms):
-    # numpy bools in the decomposition would make json.dumps of the report fail
+    # numpy bools in the results would make json.dumps of the report fail
     mat = (np.array([[1.0, 1.0], [1.0, -1.0]]) if n == 2
            else gaussian(n, n, SeedSpec(7, 0)) / math.sqrt(n))
-    dec = classical_upper_bound(mat, max_atoms=max_atoms)
-    assert type(dec.converged) is bool and type(dec.certified) is bool
+    bracket = classical_upper_bound(mat, max_atoms=max_atoms)
     mpath = tmp_path / "m.csv"
     write_matrix_csv(mpath, mat)
     out = str(tmp_path / "classical.json")
     assert main(["classical", "--matrix", str(mpath), "--max-atoms", str(max_atoms),
                  "--out", out]) == 0
     results = json.loads(open(out).read())["results"]
-    assert results["converged"] is dec.converged and results["certified"] is dec.certified
+    # both flags restate the bracket's closure to --tol (default 1e-9)
+    closed = bracket.upper - bracket.lower <= 1e-9
+    assert results["converged"] is closed and results["certified"] is closed
     assert results["converged"] is (max_atoms == 400)
     assert main(["verify-certificate", out]) == 0
+
+
+@pytest.mark.parametrize("edit", ["entry", "eps_one_norm"])
+def test_verify_rejects_an_edited_dual_functional(tmp_path, capsys, edit):
+    # a converged n = 6 report's lower end is a priced dual Y, above the
+    # UV^t bound; Y is re-enumerated, so its norm must be eps_one_norm and
+    # <t, Y> over it the claimed lower bound
+    mat = gaussian(6, 6, SeedSpec(13, 0)) / math.sqrt(6)
+    mpath = tmp_path / "g6.csv"
+    write_matrix_csv(mpath, mat)
+    out = str(tmp_path / "classical.json")
+    assert main(["classical", "--matrix", str(mpath), "--out", out]) == 0
+    assert main(["verify-certificate", out]) == 0
+    doc = json.loads(open(out).read())
+    mat = np.asarray(doc["matrix"])
+    assert doc["results"]["lower"] > classical_lower_bound(mat, bell_functional_from_svd(mat))
+    lower = doc["certificates"][0]
+    assert lower["claims"] == "classical_lower" and lower["certificate"]["exact"]
+    if edit == "entry":
+        y = lower["certificate"]["a"]
+        i, j = np.unravel_index(np.argmax(np.abs(y)), (6, 6))
+        y[i][j] *= 1.5
+    else:
+        lower["certificate"]["eps_one_norm"] *= 1.5
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert "FAIL certificate 0 (classical_lower)" in capsys.readouterr().out
 
 
 def test_parser_built_once_keeps_no_state_between_calls(tmp_path):
@@ -430,7 +461,8 @@ def test_verify_rejects_edited_layout(tmp_path, capsys, edit):
     ("gap", "gap"), ("gap", "gamma2_upper"), ("classical", "lower"),
     ("classical", "upper"), ("gamma2", "lower"), ("norm", "value"),
     ("gap", "bell_norm_exact"), ("classical", "upper_certificate_dropped"),
-    ("classical", "converged"), ("classical", "certified")])
+    ("classical", "converged"), ("classical", "certified"),
+    ("classical", "flags_false_here_and_in_the_payload")])
 def test_verify_rejects_edited_results(tmp_path, capsys, kind, edit):
     mpath = tmp_path / "g.csv"
     write_matrix_csv(mpath, gaussian(6, 6, SeedSpec(13, 0)) / math.sqrt(6))
@@ -443,6 +475,12 @@ def test_verify_rejects_edited_results(tmp_path, capsys, kind, edit):
     elif edit == "upper_certificate_dropped":
         doc["certificates"] = [c for c in doc["certificates"]
                                if c["claims"] != "classical_upper"]
+    elif edit == "flags_false_here_and_in_the_payload":
+        # both flags are rebuilt from the bracket, and the decomposition
+        # payload carries neither
+        assert doc["results"]["converged"] and doc["results"]["certified"]
+        doc["results"].update(converged=False, certified=False)
+        doc["certificates"][1]["certificate"].update(converged=False, certified=False)
     else:
         doc["results"][edit] *= 1.5
     with open(out, "w") as fh:
@@ -610,8 +648,8 @@ def test_verify_checks_threshold_and_spectral_results(tmp_path, capsys, command,
 @pytest.mark.parametrize("edit", ["ks_distance", "ks_n", "ks_m", "seed", "no_draw"])
 def test_verify_redraws_the_ks_distance(tmp_path, capsys, edit):
     # --ks-n records its draw in the config, and verify-certificate rebuilds
-    # ks_distance from it; a stored report without the draw verifies with a
-    # note that its ks_distance is unchecked
+    # ks_distance from it; a ks_distance whose draw the config does not
+    # record cannot be rebuilt, so it fails
     out = str(tmp_path / "report.json")
     assert main(["spectral", "--alpha", "0.5", "--grid-points", "500", "--ks-n", "60",
                  "--ks-m", "30", "--seed", "3", "--out", out]) == 0
@@ -632,14 +670,8 @@ def test_verify_redraws_the_ks_distance(tmp_path, capsys, edit):
     with open(out, "w") as fh:
         json.dump(doc, fh)
     capsys.readouterr()
-    if edit == "no_draw":
-        assert main(["verify-certificate", out]) == 0
-        assert capsys.readouterr().out == (
-            "NOTE results.ks_distance: unchecked, the config does not record the draw "
-            "(ks_n, ks_m, seed) it came from\nall certificates verified\n")
-    else:
-        assert main(["verify-certificate", out]) == 1
-        assert "FAIL results" in capsys.readouterr().out
+    assert main(["verify-certificate", out]) == 1
+    assert "FAIL results" in capsys.readouterr().out
 
 
 def test_spectral_without_ks_n_records_no_draw(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -816,26 +817,38 @@ def test_scipy_pin_keeps_the_highs_model_classes():
         "modelStatusToString", "getSolution"))
 
 
+def closed(bracket, tol=1e-9):
+    """The rule a classical report's converged and certified flags restate:
+    the bracket's two certified ends are within tol."""
+    return bracket.upper - bracket.lower <= tol
+
+
 def test_upper_bound_identity_two_atoms():
-    dec = classical_upper_bound(np.eye(2))
-    assert dec.converged
+    br = classical_upper_bound(np.eye(2))
+    dec = br.upper_certificate
+    assert closed(br)
     assert dec.weight_sum() == pytest.approx(1.0, abs=1e-9)
     assert dec.reconstruction_residual(np.eye(2)) <= 1e-9
 
 
 def test_upper_bound_all_ones_single_atom():
-    dec = classical_upper_bound(np.ones((4, 4)))
+    dec = classical_upper_bound(np.ones((4, 4))).upper_certificate
     assert dec.weight_sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_upper_bound_chsh():
-    dec = classical_upper_bound(CHSH)
+    # the bracket is pinned to [2, 2]
+    br = classical_upper_bound(CHSH)
+    dec = br.upper_certificate
     assert dec.weight_sum() == pytest.approx(2.0, abs=1e-9)
-    assert dec.residual <= 1e-9
+    assert dec.reconstruction_residual(CHSH) <= 1e-9
+    assert br.lower == pytest.approx(2.0, abs=1e-12)
+    assert br.upper == pytest.approx(2.0, abs=1e-12)
 
 
 def test_decomposition_serialization_round_trip():
-    dec = classical_upper_bound(CHSH)
+    dec = classical_upper_bound(CHSH).upper_certificate
+    assert set(dec.to_dict()) == {"type", "weights", "atoms"}
     back = ConvexDecomposition.from_dict(dec.to_dict())
     assert back.weight_sum() == pytest.approx(dec.weight_sum())
     assert back.reconstruction_residual(CHSH) <= 1e-9
@@ -865,7 +878,7 @@ def test_reconstruct_equals_the_per_atom_loop_bit_for_bit():
         assert got.shape == (n, n)
         assert np.array_equal(got, loop_reconstruct(dec, n)), (n, k)
     for t in (CHSH, small_gaussian(6, 70), small_gaussian(8, 70)):
-        dec = classical_upper_bound(t)
+        dec = classical_upper_bound(t).upper_certificate
         assert np.array_equal(dec.reconstruct(len(t)), loop_reconstruct(dec, len(t)))
 
 
@@ -887,10 +900,11 @@ def test_duality_sandwich_on_seeded_inputs():
         g = gaussian(6, 6, SeedSpec(45, t))
         bell = bell_functional_from_svd(g)
         lower = classical_lower_bound(g, bell)
-        dec = classical_upper_bound(g, max_atoms=200, tol=1e-7)
-        assert dec.converged, f"column generation stalled on trial {t}"
+        br = classical_upper_bound(g, max_atoms=200, tol=1e-7)
+        dec = br.upper_certificate
+        assert closed(br, 1e-7), f"column generation stalled on trial {t}"
         assert dec.reconstruction_residual(g) <= 1e-6
-        assert lower <= dec.weight_sum() + 1e-7
+        assert lower <= br.lower <= dec.weight_sum() + 1e-7
         br = gamma2_bracket(g)
         assert br.lower <= dec.weight_sum() + 1e-7
         assert dec.weight_sum() <= KG_UPPER * br.upper + 1e-6
@@ -957,9 +971,10 @@ def test_top_sign_pairs_ties_in_index_order():
 def test_upper_bound_matches_full_sign_atom_lp(n):
     for t in range(4):
         g = small_gaussian(n, 63, t)
-        dec = classical_upper_bound(g)
-        assert dec.converged and dec.certified
-        assert dec.residual <= 1e-9
+        br = classical_upper_bound(g)
+        dec = br.upper_certificate
+        assert closed(br)
+        assert dec.reconstruction_residual(g) <= 1e-9
         assert dec.weight_sum() == pytest.approx(reference_projective_norm(g), rel=1e-9)
 
 
@@ -967,34 +982,51 @@ def test_upper_bound_matches_full_sign_atom_lp(n):
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=10 ** 6))
 def test_upper_bound_matches_full_sign_atom_lp_hypothesis(n, seed):
     g = gaussian(n, n, SeedSpec(seed, 4))
-    dec = classical_upper_bound(g)
-    assert dec.converged and dec.certified
-    assert dec.weight_sum() == pytest.approx(reference_projective_norm(g), rel=1e-9)
+    br = classical_upper_bound(g)
+    assert closed(br)
+    assert br.upper_certificate.weight_sum() == pytest.approx(reference_projective_norm(g),
+                                                              rel=1e-9)
+
+
+@functools.cache
+def seeded_reference_projective_norm(data: bytes, n: int) -> float:
+    """reference_projective_norm of an n x n float64 matrix given by its
+    bytes, solved once per matrix for all the max_atoms it is run at."""
+    return reference_projective_norm(np.frombuffer(data).reshape(n, n))
 
 
 def assert_classical_report_brackets(t, max_atoms, directory):
-    # the report's upper bound holds however early column generation stops
+    # the report's upper bound holds however early column generation stops;
+    # its lower end, the best of UV^t and every priced dual, never falls
+    # below UV^t's bound; both flags restate the bracket's closure to tol,
+    # which the default max_atoms always reaches
     mpath, out = directory / "t.csv", directory / "classical.json"
     write_matrix_csv(mpath, t)
     assert main(["classical", "--matrix", str(mpath), "--max-atoms", str(max_atoms),
                  "--out", str(out)]) == 0
     assert main(["verify-certificate", str(out)]) == 0
-    results = json.loads(out.read_text())["results"]
-    want = reference_projective_norm(t)
+    doc = json.loads(out.read_text())
+    results, matrix = doc["results"], np.asarray(doc["matrix"])
+    want = seeded_reference_projective_norm(t.tobytes(), len(t))
     assert results["upper"] is not None
     assert results["upper"] >= want - 1e-9 * max(1.0, want), (max_atoms, want)
     assert results["upper"] >= results["lower"]
+    uv = classical_lower_bound(matrix, bell_functional_from_svd(matrix))
+    assert results["lower"] >= uv - 1e-12 * abs(uv), (max_atoms, uv)
+    closed_to_tol = results["upper"] - results["lower"] <= doc["config"]["tol"]
+    assert results["converged"] is results["certified"] is closed_to_tol
+    assert closed_to_tol or max_atoms < 400
 
 
 @pytest.mark.parametrize("max_atoms", [1, 2, 5, 400])
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_classical_report_upper_bounds_the_full_sign_atom_lp(n, max_atoms, tmp_path):
     for t in range(3):
         assert_classical_report_brackets(small_gaussian(n, 64, t), max_atoms, tmp_path)
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=10 ** 6),
+@given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=10 ** 6),
        st.sampled_from([1, 2, 5, 400]))
 def test_classical_report_upper_bounds_the_full_sign_atom_lp_hypothesis(n, seed, max_atoms):
     with tempfile.TemporaryDirectory() as directory:
@@ -1098,16 +1130,20 @@ def test_pairs_equal_the_pairs_built_one_at_a_time(case):
 def test_lazy_pricing_admits_the_eager_atoms(n, seed):
     import randcorr.norms as norms_mod
     g = gaussian(n, n, SeedSpec(seed, 5)) / math.sqrt(n)
-    calls, built = [], []
+    calls, built, pricing = [], [], []
     pairs = _SplitTables.pairs
 
     def counting_pairs(self, indices):
-        built[-1] += len(indices)
+        # the UV^t functional's own enumeration is not a pricing call
+        if pricing:
+            built[-1] += len(indices)
         return pairs(self, indices)
 
     def recording(y, count, floor=-np.inf):
         built.append(0)
+        pricing.append(True)
         out = _top_atoms(y, count, floor)
+        pricing.pop()
         calls.append((y.copy(), count, floor, out))
         return out
 
@@ -1199,9 +1235,10 @@ def cold_master_value(cols, t):
 def check_warm_master_matches_cold(t):
     with pytest.MonkeyPatch.context() as mp:
         masters = capture_masters(mp)
-        dec = classical_upper_bound(t)
-    assert dec.converged and dec.certified
-    assert dec.weight_sum() == pytest.approx(cold_master_value(masters[-1], t), rel=1e-9)
+        br = classical_upper_bound(t)
+    assert closed(br)
+    assert br.upper_certificate.weight_sum() == pytest.approx(
+        cold_master_value(masters[-1], t), rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -1218,10 +1255,12 @@ def test_warm_master_matches_cold_solve_of_final_pool_hypothesis(n, seed):
 
 def test_upper_bound_converges_at_n10_default_max_atoms():
     g = small_gaussian(10, 7)
-    dec = classical_upper_bound(g)
-    assert dec.converged and dec.certified
-    assert dec.residual <= 1e-9
-    assert classical_lower_bound(g, bell_functional_from_svd(g)) <= dec.weight_sum() + 1e-9
+    br = classical_upper_bound(g)
+    dec = br.upper_certificate
+    assert closed(br)
+    assert dec.reconstruction_residual(g) <= 1e-9
+    assert classical_lower_bound(g, bell_functional_from_svd(g)) <= br.lower
+    assert br.lower <= dec.weight_sum() + 1e-9
 
 
 def test_upper_bound_refuses_above_exact_cap_before_any_work(monkeypatch):
