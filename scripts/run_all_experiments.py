@@ -18,7 +18,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="reports")
     ap.add_argument("--seed", type=int, default=2024)
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                    help="Python threads per scenario (default: one per core); with "
+                         "more than one, set OPENBLAS_NUM_THREADS=1 so that OpenBLAS "
+                         "threads do not oversubscribe the cores")
     ap.add_argument("--quick", action="store_true",
                     help="cut trial counts for a fast sanity pass")
     ap.add_argument("--scenario", action="append", default=None,

@@ -433,7 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock in the report (breaks byte-identity)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="Python threads running trials (default: one per core); "
+                        "with more than one, set OPENBLAS_NUM_THREADS=1, as OpenBLAS "
+                        "by default also runs one thread per core and the two "
+                        "oversubscribe the cores")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(func=_cmd_experiment)

@@ -30,6 +30,7 @@ GAMMA2_SCALE_FLOOR = 1e-2       # smallest row/column weight, relative to the la
 TOL_FACTOR_RESIDUAL = 1e-9      # max reconstruction residual of an upper certificate
 _LOW_BITS = 12                  # sign bits in the exact enumeration's low table (2^12 x n)
 _INT16_MAX = 2 ** 15 - 1        # bound on every partial sum of the exact int16 screen
+_SCREEN_ENTRIES = 2 ** 19       # int16 entries (1 MB) in one block of the screen's buffer
 _TIE_RTOL = 1e-12               # sign vectors this close (relative) to the maximum tie
 _PRICING_COLUMNS = 32           # atoms priced per column-generation round
 _PRICE_CAP = 1.0 + 1e-9         # atoms after a round's best enter only if they price above
@@ -265,10 +266,17 @@ class _SplitTables:
     tables built at 2^-p.  Below, S A is the scaled matrix's sum of
     |entries|, under 2^15.
 
-    Screen.  L = rint(low), transposed to n x 2^k, and H = rint(high) are
-    int16 tables.  For all 2^k vectors of high row h at once, the values
-    sum_c |L_c + H_c| take one np.add pass over L (row c plus H_hc), one
-    np.abs pass and one int16 np.add.reduce over the n rows.  Integer
+    Screen.  L = rint(low) and H = rint(high), both transposed (n x 2^k
+    and n x 2^(n-1-k)), are int16 tables.  The screen takes B high rows at
+    a time in one n x B x 2^k int16 buffer: one np.add of L (row c
+    broadcast over the B rows) and H's B columns (H_hc broadcast over the
+    2^k low vectors), one in-place np.abs pass and one int16
+    np.add.reduce over the n rows, each a contiguous run of B 2^k
+    entries, give sum_c |L_c + H_c| for the block's B 2^k vectors.
+    B = _SCREEN_ENTRIES // (n 2^k), at least 1 and at most every row:
+    a 1 MB buffer, which a core's L2 cache holds through the three passes,
+    and several rows per numpy call, which spreads the per-call cost.  A
+    table with n 2^(n-1) <= 2^19 entries (n <= 16) is one block.  Integer
     arithmetic is exact, and nothing wraps: each partial sum is at most
     sum_c (|L_c| + |H_c|), which is at most S A + n (|low_c| + |high_c|
     summed over c is at most S A, and the 2n roundings add at most 1/2
@@ -312,19 +320,22 @@ class _SplitTables:
             s -= 1
         scaled *= 2.0 ** s
         self.exp = p - s
-        # built transposed: the screen reads n rows of 2^k (C-contiguous),
-        # the rescoring reads rows j of the transpose, a view
+        # built transposed: the screen reads n rows of 2^k (C-contiguous)
+        # and n rows of the high columns, the rescoring reads rows j of the
+        # transpose, a view
         low_t = scaled[1:1 + self.k].T @ self.low_signs.T
         self.low = low_t.T
         self.high = scaled[0] + self.high_signs @ scaled[1 + self.k:]
         self.low16 = np.empty(low_t.shape, dtype=np.int16)
         np.rint(low_t, out=self.low16, casting="unsafe")
-        self.high16 = np.rint(self.high).astype(np.int16)
+        self.high16_t = np.rint(self.high.T).astype(np.int16, order="C")
 
-    def _screen(self, h: int, buf: np.ndarray) -> np.ndarray:
-        """The integer values of the 2^k sign vectors in high row h (a new
-        int16 array)."""
-        np.add(self.low16, self.high16[h][:, None], out=buf)
+    def _screen(self, rows, buf: np.ndarray) -> np.ndarray:
+        """The integer values of the 2^k sign vectors in each high row of
+        `rows` (a slice or an index array): a new int16 array, one row of
+        2^k per high row.  buf is int16, n x len(rows) x 2^k, and holds
+        |L_c + H_c| afterwards."""
+        np.add(self.low16[:, None, :], self.high16_t[:, rows, None], out=buf)
         np.abs(buf, out=buf)
         return np.add.reduce(buf, axis=0, dtype=np.int16)
 
@@ -336,32 +347,53 @@ class _SplitTables:
         value is within _TIE_RTOL relative of the float64 maximum.  The
         others follow by float64 value, exact ties in index order.
 
-        The screen runs over every high row, keeping each row's maximum (and
-        its `count` largest values).  The rows that reach the cut are
-        screened again, and every index at or above the cut is rescored in
-        float64 as its own row sum, so its value depends on its sign vector
-        alone, not on which other candidates are rescored with it.
+        The screen runs over every high row, a block at a time (see
+        _SplitTables), keeping each row's maximum (and each block's `count`
+        largest values).  A table of one block takes its candidates from the
+        values it has just screened; a larger one screens again, in blocks,
+        only the rows whose maximum reaches the cut.  Every index at or
+        above the cut is rescored in float64 as its own row sum, so its
+        value depends on its sign vector alone, not on which other
+        candidates are rescored with it; the rescoring goes a block's worth
+        of indices at a time.
         """
-        buf = np.empty_like(self.low16)
-        row_max, tops = [], []
-        for h in range(self.high.shape[0]):
-            vals = self._screen(h, buf)
-            row_max.append(int(vals.max()))
-            if count > 1:
-                tops.append(_largest(vals, count))
-        top = max(row_max)
+        n, size = self.low16.shape
+        rows = self.high16_t.shape[1]
+        block = min(rows, max(1, _SCREEN_ENTRIES // (n * size)))  # high rows
+        buf = np.empty((n, block, size), dtype=np.int16)
+        if block == rows:  # one block from row 0: its flat positions are the indices
+            screened = self._screen(slice(None), buf).ravel()
+            top, tops = int(screened.max()), [screened]
+        else:
+            row_max, tops = [], []
+            for lo in range(0, rows, block):
+                screened = self._screen(slice(lo, lo + block), buf[:, :min(block, rows - lo)])
+                row_max.append(screened.max(axis=1))
+                if count > 1:
+                    tops.append(_largest(screened.ravel(), count))
+            row_max = np.concatenate(row_max)
+            top = int(row_max.max())
         kth = int(_largest(np.concatenate(tops), count).min()) if count > 1 else top
         cut = kth - 2 * self.slack - math.ceil(_TIE_RTOL * (top + self.slack))
-        idx, vals = [], []
-        for h, best in enumerate(row_max):
-            if best >= cut:
-                j = (self._screen(h, buf) >= cut).nonzero()[0]
-                idx.append((h << self.k) + j)
-                vals.append(np.abs(self.low[j] + self.high[h]).sum(axis=1))
-        idx, vals = np.concatenate(idx), np.concatenate(vals)
+        if block == rows:
+            idx = (screened >= cut).nonzero()[0]
+        else:
+            idx = []
+            hot = (row_max >= cut).nonzero()[0]
+            for lo in range(0, hot.size, block):
+                hs = hot[lo:lo + block]
+                r, j = (self._screen(hs, buf[:, :hs.size]) >= cut).nonzero()
+                idx.append((hs[r] << self.k) + j)
+            idx = np.concatenate(idx)
+        vals, chunk = np.empty(idx.size), block * size
+        for lo in range(0, idx.size, chunk):
+            h, j = np.divmod(idx[lo:lo + chunk], size)
+            vals[lo:lo + chunk] = np.abs(self.low[j] + self.high[h]).sum(axis=1)
         top64 = vals.max()
         first = int((vals >= top64 - _TIE_RTOL * top64).argmax())
-        order = np.argsort(-vals, kind="stable")  # idx ascends: ties in index order
+        # idx ascends, so ties stay in index order; the count best hold the
+        # count - 1 best other than first
+        order = np.argsort(-vals, kind="stable")[:count]
         order = np.concatenate(([first], order[order != first]))[:count]
         return idx[order], np.ldexp(vals[order], self.exp)
 
@@ -801,7 +833,9 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9) -> NormBra
     <t, Y> / ||Y||_{inf->1} <= pi(t).  The best is kept, not the last, as
     this Lagrangian bound is not monotone; UV^t wins ties.  The run stops
     once upper - lower <= tol, on a pricing stall, or after max_atoms
-    master solves.
+    master solves.  Where the two ends meet, the lower one can exceed the
+    upper one by a rounding error; it is clamped to the upper one, so the
+    bracket never inverts.
 
     The pool starts from the _PRICING_COLUMNS best atoms of the enumeration
     of t, best first, plus the all-ones atom.  max_atoms bounds the master
@@ -852,7 +886,7 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9) -> NormBra
         if not new.size or new[0] != 0:
             break  # pricing stalled on a pooled atom: numerical plateau
         pool.add(alphas[new], betas[new])
-    return NormBracket(lower=lower, upper=upper, lower_certificate=best,
+    return NormBracket(lower=min(lower, upper), upper=upper, lower_certificate=best,
                        upper_certificate=dec)
 
 

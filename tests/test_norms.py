@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -20,7 +20,8 @@ from randcorr.errors import NumericalError, ValidationError
 from randcorr.linalg import svd, trace_norm, write_matrix_csv
 from randcorr.norms import (EXACT_CAP, GAMMA2_RESCALE_MAX_ITER, GAMMA2_RESCALE_TOL,
                             KG_UPPER, BellFunctional, ConvexDecomposition, NormBracket,
-                            SignPair, _rescale, _SplitTables, _top_atoms,
+                            _SCREEN_ENTRIES, _TIE_RTOL, SignPair, _rescale, _SplitTables,
+                            _top_atoms,
                             bell_functional_from_svd,
                             classical_lower_bound, classical_upper_bound, gamma2_bracket,
                             gamma2_oracle, gap_from_bell,
@@ -268,6 +269,19 @@ def test_screen_near_tie_needs_rescoring(n):
     check_against_reference(a)
 
 
+def screen_blocks(tables):
+    """_SplitTables._screen over every high row in order, in the blocks
+    ranked uses (the last one partial where the rows do not divide): each
+    block's buffer, which the screen leaves holding |L_c + H_c|, and its
+    int16 values, one row of 2^k per high row."""
+    n, size = tables.low16.shape
+    rows = tables.high16_t.shape[1]
+    block = max(1, _SCREEN_ENTRIES // (n * size))
+    for lo in range(0, rows, block):
+        buf = np.empty((n, min(block, rows - lo), size), dtype=np.int16)
+        yield buf, tables._screen(slice(lo, lo + block), buf)
+
+
 def test_screen_error_within_slack():
     # every screened value lies within the proved slack (n + 1 integer units)
     # of the exact value (computed here in float64 from the float64 tables,
@@ -276,34 +290,38 @@ def test_screen_error_within_slack():
         for a in (scale * gaussian(n, n, SeedSpec(65, n)), mixed_magnitudes(n, n),
                   scale * np.eye(n), scale * np.ones((n, n))):
             tables = _SplitTables(a)
-            buf = np.empty_like(tables.low16)
             exact = np.concatenate([np.abs(tables.low + row).sum(axis=1)
                                     for row in tables.high])
-            screened = np.concatenate([tables._screen(h, buf)
-                                       for h in range(tables.high.shape[0])])
-            assert screened.dtype == np.int16
+            blocks = [vals for _, vals in screen_blocks(tables)]
+            assert all(vals.dtype == np.int16 for vals in blocks)
+            screened = np.concatenate([vals.ravel() for vals in blocks])
+            assert screened.shape == exact.shape
             assert np.abs(screened - exact).max() <= tables.slack == n + 1
 
 
 @pytest.mark.parametrize("case", ["ones", "-ones", "flipped", "near_bound", "mixed"])
 def test_int16_screen_never_wraps(case):
     # at n = 24, the largest tables, every screened value equals the int64
-    # sum of the same buffer.  Its terms |L_c + H_c| are >= 0, so the
-    # partial sums rise to that value, and none leaves the int16 range.
-    # 0.888 ones(24) puts the largest value 31 units below 2^15 - 1.
+    # sum of the same block's buffer.  Its terms |L_c + H_c| are >= 0, so
+    # the partial sums rise to that value, and none leaves the int16 range.
+    # 0.888 ones(24) puts the largest value 31 units below 2^15 - 1.  The
+    # 2048 high rows do not fill a whole number of blocks, so the last
+    # block is a partial one.
     n = 24
     flips = np.where(np.arange(n) % 3 == 1, -1.0, 1.0)
     a = {"ones": np.ones((n, n)), "-ones": -np.ones((n, n)),
          "flipped": np.ones((n, n)) * flips, "near_bound": 0.888 * np.ones((n, n)),
          "mixed": mixed_magnitudes(n, 67)}[case]
     tables = _SplitTables(a)
-    buf = np.empty_like(tables.low16)
-    top = 0
-    for h in range(tables.high16.shape[0]):
-        vals = tables._screen(h, buf)  # leaves |L_c + H_c| in buf
+    top, rows, shapes = 0, 0, set()
+    for buf, vals in screen_blocks(tables):
         assert buf.min() >= 0
         assert np.array_equal(vals, buf.sum(axis=0, dtype=np.int64))
         top = max(top, int(vals.max()))
+        rows += vals.shape[0]
+        shapes.add(vals.shape[0])
+    assert rows == tables.high16_t.shape[1] == 2048
+    assert len(shapes) == 2  # full blocks and the partial last one
     assert top <= np.iinfo(np.int16).max
     if case == "near_bound":
         assert top == 2 ** 15 - 1 - 31
@@ -311,13 +329,18 @@ def test_int16_screen_never_wraps(case):
         assert infty_to_one_exact(a)[0] == pytest.approx(576.0 * abs(a[0, 0]), rel=1e-15)
 
 
-@pytest.mark.parametrize("n", [17, 18, 20])
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
 def test_screen_matches_reference_at_large_n(n):
     # the ranking at the sizes the benchmark and the gap reports run, on a
-    # Gaussian and on its orthogonal functional UV^t
+    # Gaussian and on its orthogonal functional UV^t, and at n = 20 on inputs
+    # full of ties: the tables span several screen blocks with a partial
+    # last one, and the rows that reach the cut are screened a second time
     g = small_gaussian(n, 68, n)
     triple = svd(g)
-    for a in (g, triple.u @ triple.v.T):
+    cases = [g, triple.u @ triple.v.T]
+    if n == 20:
+        cases += [np.eye(n), np.ones((n, n)), sylvester_hadamard(32)[:n, :n]]
+    for a in cases:
         check_against_reference(a)
 
 
@@ -328,8 +351,9 @@ def test_tie_band_kept_by_an_exact_screen(monkeypatch):
     # so the tie rule returns index 0.  With a screen that has no error at
     # all (the exact integer values, a zero integer slack), only the tie
     # margin in the cut keeps index 0 a candidate.
-    def exact_screen(self, h, buf):
-        vals = np.abs(self.low + self.high[h]).sum(axis=1)  # exact binary fractions
+    def exact_screen(self, rows, buf):
+        # exact binary fractions, one row of 2^k values per high row
+        vals = np.abs(self.low[None, :, :] + self.high[rows][:, None, :]).sum(axis=2)
         return np.ldexp(vals, self.exp).astype(np.int64)
 
     init = _SplitTables.__init__
@@ -348,6 +372,39 @@ def test_tie_band_kept_by_an_exact_screen(monkeypatch):
     _, pair = infty_to_one_exact(a)
     assert alpha_index(pair.alpha) == 0
     assert alpha_index(top_sign_pairs(a, 4)[0][1].alpha) == 0
+
+
+def test_each_high_row_is_screened_once_then_only_the_rows_at_the_cut(monkeypatch):
+    # a table of one block (n = 13, one high row) takes its candidates from
+    # the values it has just screened; a larger one (n = 20, 128 high rows)
+    # screens each row once, in order, then only the rows whose maximum
+    # reaches the cut, found here from the first pass's own values
+    calls = []
+    screen = _SplitTables._screen
+
+    def counting(self, rows, buf):
+        vals = screen(self, rows, buf)
+        hs = np.atleast_1d(np.arange(self.high.shape[0])[rows])
+        calls.append((hs, vals.reshape(hs.size, -1)))
+        return vals
+
+    monkeypatch.setattr(_SplitTables, "_screen", counting)
+    for n, rows in ((13, 1), (20, 128)):
+        a = small_gaussian(n, 69, n)
+        for count, rank in ((1, lambda: infty_to_one_exact(a)),
+                            (32, lambda: _top_atoms(a, 32))):
+            calls.clear()
+            rank()
+            screened = np.concatenate([hs for hs, _ in calls]).tolist()
+            assert screened[:rows] == list(range(rows))
+            vals = np.concatenate([v for _, v in calls])[:rows]
+            slack = n + 1
+            top = int(vals.max())
+            kth = int(np.sort(vals.ravel())[-count])
+            cut = kth - 2 * slack - math.ceil(_TIE_RTOL * (top + slack))
+            hot = (vals.max(axis=1) >= cut).nonzero()[0].tolist()
+            assert screened[rows:] == (hot if rows > 1 else [])
+            assert 0 < len(hot) < rows or rows == 1
 
 
 @settings(max_examples=20, deadline=None)
@@ -1028,6 +1085,7 @@ def test_classical_report_upper_bounds_the_full_sign_atom_lp(n, max_atoms, tmp_p
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=10 ** 6),
        st.sampled_from([1, 2, 5, 400]))
+@example(n=2, seed=310, max_atoms=5)  # its two ends meet, the lower one 1 ulp above
 def test_classical_report_upper_bounds_the_full_sign_atom_lp_hypothesis(n, seed, max_atoms):
     with tempfile.TemporaryDirectory() as directory:
         assert_classical_report_brackets(gaussian(n, n, SeedSpec(seed, 5)), max_atoms,
