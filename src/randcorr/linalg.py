@@ -74,6 +74,30 @@ def svd(a) -> SvdTriple:
     return triple
 
 
+def gram_eigh(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular values sigma (descending), right singular vectors v and the
+    products a @ v of a square matrix, from the symmetric eigendecomposition
+    a^t a = v diag(w) v^t, without forming the left singular vectors.
+
+    sigma_k is the norm of column k of a @ v: sqrt(w_k) up to the rounding
+    of a^t a, which adds about eps ||a||^2 to every w_k and so lifts a zero
+    singular value to about sqrt(eps) ||a||.  Components with sigma_k = 0
+    are dropped, so sigma > 0 and a = (a @ v) v^t up to the directions
+    dropped.  Nothing here is validated; a caller that needs a certificate
+    checks what it builds from the result.
+    """
+    m = as_matrix(a, square=True)
+    try:
+        _, v = np.linalg.eigh(m.T @ m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
+    mv = m @ v
+    sigma = np.sqrt((mv * mv).sum(axis=0))
+    order = np.argsort(-sigma, kind="stable")
+    order = order[sigma[order] > 0.0]
+    return sigma[order], v[:, order], mv[:, order]
+
+
 def singular_values(a) -> np.ndarray:
     m = as_matrix(a, square=True)
     try:

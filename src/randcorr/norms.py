@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .linalg import SvdTriple, as_matrix, svd
+from .linalg import SvdTriple, as_matrix, gram_eigh, svd
 from .sampling import SeedSpec
 
 if TYPE_CHECKING:
@@ -500,26 +500,30 @@ def infty_to_one_heuristic(a, restarts: int, seed: SeedSpec) -> tuple[float, Sig
     return best_val, best_pair
 
 
-def _rescaled_factorization(du: np.ndarray, dv: np.ndarray, triple: SvdTriple
+def _rescaled_factorization(du: np.ndarray, dv: np.ndarray, sigma: np.ndarray,
+                            v: np.ndarray, mv: np.ndarray
                             ) -> tuple[FactorizationPair, np.ndarray, np.ndarray]:
-    """Un-scale the SVD U' S' V'^t of M = diag(du) t diag(dv) into the
-    factorization t = (diag(du)^-1 U' sqrt(S')) (sqrt(S') V'^t diag(dv)^-1).
+    """Un-scale M = diag(du) t diag(dv) = (MV) V^t, given its singular values
+    sigma > 0, right singular vectors V and the products MV, into the
+    factorization t = (diag(du)^-1 MV S^-1/2) (S^1/2 V^t diag(dv)^-1).  No
+    left singular vectors are needed: MV S^-1 is U.
 
     Rows with du_i = 0 (columns with dv_j = 0) are zero rows (columns) of t
     and get zero factor rows (columns), so nothing is divided by zero.  Also
-    returns the row and column weights diag((MM^t)^(1/2)) and
-    diag((M^tM)^(1/2)); the row weight is u_i ((W o t) v)_i with W = U'V'^t.
+    returns the row and column weights diag((MM^t)^(1/2)) = (MV o MV) S^-1
+    and diag((M^tM)^(1/2)) = (V o V) S; the row weight is u_i ((W o t) v)_i
+    with W = UV^t.
     """
-    root = np.sqrt(triple.sigma)
-    x = triple.u * root
-    y = root[:, None] * triple.v.T
+    root = np.sqrt(sigma)
+    x = mv / root
+    y = root[:, None] * v.T
     rows, cols = du > 0, dv > 0
     x[rows] /= du[rows, None]
     x[~rows] = 0.0
     y[:, cols] /= dv[cols]
     y[:, ~cols] = 0.0
-    row_w = (triple.u * triple.u) @ triple.sigma
-    col_w = (triple.v * triple.v) @ triple.sigma
+    row_w = (mv * mv) @ (1.0 / sigma)
+    col_w = (v * v) @ sigma
     return FactorizationPair(x, y), row_w, col_w
 
 
@@ -551,7 +555,9 @@ def _log_step(d: np.ndarray, d_next: np.ndarray, live: np.ndarray) -> np.ndarray
 def _rescale(m: np.ndarray, triple: SvdTriple, width: float | None = None
              ) -> tuple[FactorizationPair, float, float]:
     """The diagonal-rescaling loop behind gamma2_bracket and gamma2_oracle
-    (see gamma2_bracket for the step), from the SVD `triple` of m.  Returns
+    (see gamma2_bracket for the step), from the SVD `triple` of m: the first
+    iterate un-scales that SVD, every later one the eigendecomposition
+    gram_eigh takes of the rescaled m.  Returns
     the best factorization within TOL_FACTOR_RESIDUAL, its value (the best
     upper bound) and the best lower bound: the largest dual
     ||diag(u) m diag(v)||_tr over unit u, v among the iterates, the plain
@@ -570,16 +576,20 @@ def _rescale(m: np.ndarray, triple: SvdTriple, width: float | None = None
     # zero rows/columns of t keep zero weight; the rest start uniform, so the
     # first iterate is the plain factorization of t itself
     du, dv = live_rows.astype(float), live_cols.astype(float)
+    # in the form gram_eigh gives every later iterate: (S, V, MV = US), with
+    # the zero singular values dropped (they add nothing to t = U S V^t)
+    keep = triple.sigma > 0.0
+    sigma, v, mv = triple.sigma[keep], triple.v[:, keep], (triple.u * triple.sigma)[:, keep]
     best, best_upper, best_dual = None, np.inf, 0.0
     damped, prev = False, None
     for step in range(GAMMA2_RESCALE_MAX_ITER + 1):
         if step:
-            triple = svd(du[:, None] * m * dv)
-        cert, row_w, col_w = _rescaled_factorization(du, dv, triple)
+            sigma, v, mv = gram_eigh(du[:, None] * m * dv)
+        cert, row_w, col_w = _rescaled_factorization(du, dv, sigma, v, mv)
         value = cert.value()
         if value < best_upper and cert.residual(m) <= TOL_FACTOR_RESIDUAL:
             best, best_upper = cert, value
-        dual = float(triple.sigma.sum() / (np.linalg.norm(du) * np.linalg.norm(dv)))
+        dual = float(sigma.sum() / (np.linalg.norm(du) * np.linalg.norm(dv)))
         best_dual = max(best_dual, dual)
         if (best_upper <= (1.0 + GAMMA2_RESCALE_TOL) * best_dual
                 and (width is None or best_upper - max(best_dual, closed_form) <= width)):
@@ -625,9 +635,13 @@ def gamma2_bracket(t, triple: SvdTriple | None = None) -> NormBracket:
     factorization t = x y, found by diagonal rescaling.  gamma2 has the dual
     form max over unit u, v of ||diag(u) t diag(v)||_tr; starting from the
     plain factorization U sqrt(S) . sqrt(S) V^t (u = v uniform), each step
-    takes W = U'V'^t from the SVD of diag(u) t diag(v), sets
-    u <- (W o t) v, normalised (likewise v <- (W o t)^t u), and un-scales
-    that SVD into a factorization of t.
+    sets u <- (W o t) v, normalised (likewise v <- (W o t)^t u), where
+    W = U'V'^t is the polar factor of M = diag(u) t diag(v), and un-scales
+    M into a factorization of t.  M is decomposed from the symmetric
+    eigendecomposition M^t M = V' S'^2 V'^t (linalg.gram_eigh): the
+    factorization and both updates need only S', V' and M V', so U' is
+    never formed.  Only the first iterate takes (and validates) an SVD;
+    every later one is checked by its factorization's residual.
 
     The undamped step can overshoot.  If one lowers the dual
     ||diag(u) t diag(v)||_tr / (||u|| ||v||) below the previous iterate's,

@@ -17,11 +17,11 @@ from scipy.optimize import linprog
 
 from randcorr.cli import main
 from randcorr.errors import NumericalError, ValidationError
-from randcorr.linalg import svd, trace_norm, write_matrix_csv
+from randcorr.linalg import gram_eigh, svd, trace_norm, write_matrix_csv
 from randcorr.norms import (EXACT_CAP, GAMMA2_RESCALE_MAX_ITER, GAMMA2_RESCALE_TOL,
                             KG_UPPER, BellFunctional, ConvexDecomposition, NormBracket,
-                            _SCREEN_ENTRIES, _TIE_RTOL, SignPair, _rescale, _SplitTables,
-                            _top_atoms,
+                            _SCREEN_ENTRIES, _TIE_RTOL, SignPair, _rescale,
+                            _rescaled_factorization, _SplitTables, _top_atoms,
                             bell_functional_from_svd,
                             classical_lower_bound, classical_upper_bound, gamma2_bracket,
                             gamma2_oracle, gap_from_bell,
@@ -590,7 +590,7 @@ def test_oracle_agrees_with_tight_bracket_on_haar():
         assert min(br.lower, br.upper) <= oracle <= br.upper
 
 
-def _oracle_kind(kind, n, seed):
+def _kind_matrix(kind, n, seed):
     gen = np.random.default_rng(seed)
     g = gen.standard_normal((n, n))
     if kind == "psd":
@@ -599,6 +599,14 @@ def _oracle_kind(kind, n, seed):
         return g ** 3
     if kind == "integer":
         return gen.integers(-2, 3, size=(n, n)).astype(float)
+    if kind == "half_rank":
+        spectrum = np.concatenate([gen.uniform(0.2, 2.0, n - n // 2), np.zeros(n // 2)])
+        return bi_invariant(spectrum, SeedSpec(seed, 0))
+    if kind == "rank_one":
+        return np.outer(gen.standard_normal(n), gen.standard_normal(n))
+    if kind == "zero_lines":
+        g[0] = 0.0
+        g[:, -1] = 0.0
     return g / math.sqrt(n)
 
 
@@ -607,12 +615,12 @@ def _oracle_kind(kind, n, seed):
        st.sampled_from(["gaussian", "cubed", "psd", "integer"]),
        st.sampled_from([1e-6, 1e-4, 0.5]))
 def test_oracle_inside_its_own_run_and_the_bracket_hypothesis(n, seed, kind, tol):
-    t = _oracle_kind(kind, n, seed)
+    t = _kind_matrix(kind, n, seed)
     assume(np.any(t))
     import randcorr.norms as norms_mod
     triple = svd(t)
     br = gamma2_bracket(t, triple)
-    with mock.patch.object(norms_mod, "svd", wraps=norms_mod.svd) as rescaling_svds:
+    with mock.patch.object(norms_mod, "gram_eigh", wraps=norms_mod.gram_eigh) as steps:
         cert, upper, dual = _rescale(t, triple, tol)
     _, default_upper, default_dual = _rescale(t, triple)
     oracle = gamma2_oracle(t, tol, triple)
@@ -628,7 +636,7 @@ def test_oracle_inside_its_own_run_and_the_bracket_hypothesis(n, seed, kind, tol
     assert br.lower <= dual and upper <= br.upper
     assert min(br.lower, upper) <= oracle <= br.upper
     slack = 1e-12 * upper
-    if rescaling_svds.call_count < GAMMA2_RESCALE_MAX_ITER:
+    if steps.call_count < GAMMA2_RESCALE_MAX_ITER:
         # the run closed, so the oracle is within tol / 2 of both bounds
         assert upper - dual <= tol
         assert max(upper - oracle, oracle - dual) <= tol / 2 + slack
@@ -685,16 +693,17 @@ def test_rescaled_upper_matches_oracle_and_beats_plain_factorization():
 def _bracket_trace(monkeypatch):
     """Record, per gamma2_bracket call, each iterate's scalings du, dv and
     dual ||diag(du) t diag(dv)||_tr / (||du|| ||dv||), each scaling step's
-    input and whether it was damped, and the number of SVDs taken."""
+    input and whether it was damped, and the number of decompositions taken:
+    SVDs (the first iterate's) and eigendecompositions (every later one's)."""
     import randcorr.norms as norms_mod
-    trace = {"iterates": [], "steps": [], "svds": 0}
+    trace = {"iterates": [], "steps": [], "svds": 0, "eighs": 0}
     real_factorization, real_next = norms_mod._rescaled_factorization, norms_mod._next_scale
-    real_svd = norms_mod.svd
+    real_svd, real_eigh = norms_mod.svd, norms_mod.gram_eigh
 
-    def factorization(du, dv, triple):
-        dual = float(triple.sigma.sum() / (np.linalg.norm(du) * np.linalg.norm(dv)))
+    def factorization(du, dv, sigma, v, mv):
+        dual = float(sigma.sum() / (np.linalg.norm(du) * np.linalg.norm(dv)))
         trace["iterates"].append((du.copy(), dv.copy(), dual))
-        return real_factorization(du, dv, triple)
+        return real_factorization(du, dv, sigma, v, mv)
 
     def next_scale(d, weights, live, damped):
         trace["steps"].append((d.copy(), damped))
@@ -704,20 +713,27 @@ def _bracket_trace(monkeypatch):
         trace["svds"] += 1
         return real_svd(m)
 
+    def counting_eigh(m):
+        trace["eighs"] += 1
+        return real_eigh(m)
+
     monkeypatch.setattr(norms_mod, "_rescaled_factorization", factorization)
     monkeypatch.setattr(norms_mod, "_next_scale", next_scale)
     monkeypatch.setattr(norms_mod, "svd", counting_svd)
+    monkeypatch.setattr(norms_mod, "gram_eigh", counting_eigh)
     return trace
 
 
 def test_bracket_svd_count_at_n400(monkeypatch):
     # the undamped step reaches the 1 + GAMMA2_RESCALE_TOL stop in at most
-    # 4 rescaling SVDs at n = 400 (the damped step alone took 8)
+    # 4 rescaling steps at n = 400 (the damped step alone took 8); only the
+    # first iterate takes an SVD, every later one an eigendecomposition
     for t in range(3):
         g = small_gaussian(400, 42, t)
         trace = _bracket_trace(monkeypatch)
         br = gamma2_bracket(g)
-        assert trace["svds"] == len(trace["iterates"]) <= 5
+        assert trace["svds"] == 1
+        assert trace["svds"] + trace["eighs"] == len(trace["iterates"]) <= 5
         assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * max(d for _, _, d in trace["iterates"])
 
 
@@ -754,17 +770,75 @@ def test_bracket_dual_drop_goes_back_to_previous_iterate(monkeypatch):
 def test_bracket_oscillation_switches_to_damped_step(monkeypatch):
     # on this heavy-tailed 5x5 the undamped step swings back and forth while
     # its dual creeps up: undamped to the end, it ran all 100 steps and
-    # stopped 1.6% above the bound the damped step alone reaches in 19 SVDs
+    # stopped 1.6% above the bound the damped step alone reaches in 19
+    # decompositions
     g = gaussian(5, 5, SeedSpec(61, 608)) ** 3
     trace = _bracket_trace(monkeypatch)
     br = gamma2_bracket(g)
     duals = [d for _, _, d in trace["iterates"]]
     assert any(damped for _, damped in trace["steps"])
     assert all(b >= a for a, b in zip(duals, duals[1:]))
-    assert trace["svds"] <= 30
+    assert trace["svds"] + trace["eighs"] <= 30
     assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * max(duals)
     monkeypatch.undo()
     assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * gamma2_psd_completion(g, tol=1e-6)
+
+
+KINDS = ["gaussian", "cubed", "psd", "integer", "half_rank", "rank_one", "zero_lines"]
+
+
+def _check_eigh_step_against_svd(t, seed):
+    """The rescaling step's eigendecomposition of M = diag(du) t diag(dv),
+    and the iterate un-scaled from it, against the SVD of the same M."""
+    gen = np.random.default_rng(seed)
+    n = t.shape[0]
+    du = np.where(np.any(t, axis=1), gen.uniform(0.1, 1.0, n), 0.0)
+    dv = np.where(np.any(t, axis=0), gen.uniform(0.1, 1.0, n), 0.0)
+    m = du[:, None] * t * dv
+    sigma, v, mv = gram_eigh(m)
+    ref = svd(m)
+    top = ref.sigma[0]
+    assert np.all(sigma > 0.0) and np.all(np.diff(sigma) <= 0.0)
+    assert np.abs(np.pad(sigma, (0, n - sigma.size)) - ref.sigma).max() <= 1e-12 * top
+    assert np.abs(v.T @ v - np.eye(sigma.size)).max() <= 1e-12
+    assert np.abs(mv - m @ v).max() <= 1e-14 * top
+    cert, row_w, col_w = _rescaled_factorization(du, dv, sigma, v, mv)
+    # diag((MM^t)^(1/2)) and diag((M^tM)^(1/2)) from the SVD's U and V
+    assert np.abs(row_w - (ref.u * ref.u) @ ref.sigma).max() <= 1e-12 * top
+    assert np.abs(col_w - (ref.v * ref.v) @ ref.sigma).max() <= 1e-12 * top
+    assert cert.residual(t) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_eigh_step_agrees_with_the_svd_of_the_rescaled_matrix(kind):
+    for n in range(1, 13):
+        for seed in range(3):
+            t = _kind_matrix(kind, n, seed)
+            if np.any(t):
+                _check_eigh_step_against_svd(t, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(KINDS))
+def test_eigh_step_agrees_with_the_svd_of_the_rescaled_matrix_hypothesis(n, seed, kind):
+    t = _kind_matrix(kind, n, seed)
+    assume(np.any(t))
+    _check_eigh_step_against_svd(t, seed)
+
+
+def test_failed_eigendecomposition_is_a_numerical_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    g = small_gaussian(6, 44)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError, match="did not converge"):
+        gram_eigh(g)
+    # the bracket's first iterate is an SVD, so the failure surfaces at
+    # its first rescaling step
+    with pytest.raises(NumericalError, match="did not converge"):
+        gamma2_bracket(g)
 
 
 def test_oracle_cap():
