@@ -27,7 +27,6 @@ EXACT_CAP = 24          # 2^(n-1) sign vectors enumerated exactly up to here
 GAMMA2_RESCALE_TOL = 3e-3       # stop once upper <= (1 + tol) * rescaled trace norm
 GAMMA2_RESCALE_MAX_ITER = 100   # rescaling steps after the plain factorization
 GAMMA2_SCALE_FLOOR = 1e-2       # smallest row/column weight, relative to the largest
-TOL_FACTOR_RESIDUAL = 1e-9      # max reconstruction residual of an upper certificate
 _LOW_BITS = 12                  # sign bits in the exact enumeration's low table (2^12 x n)
 _INT16_MAX = 2 ** 15 - 1        # bound on every partial sum of the exact int16 screen
 _SCREEN_ENTRIES = 2 ** 19       # int16 entries (1 MB) in one block of the screen's buffer
@@ -74,13 +73,29 @@ class SignPair:
 
 @dataclass(frozen=True)
 class DualWitness:
-    """Orthogonal matrix a certifying gamma2(t) >= <t, a>/n."""
+    """Any square a, certifying gamma2(t) >= <t, a> / (n rho), rho >= ||a||_op:
+    for unit x_i, y_j, sum_ij a_ij <x_i, y_j> = sum_k X_k^t a Y_k (X_k the
+    k-th coordinates of the x_i) <= ||a||_op |X| |Y| = n ||a||_op.
+
+    rho^2 is the largest row sum of |fl(a^t a)| + gamma_n |a|^t |a|, with
+    gamma_n = n u / (1 - n u), u = 2^-53: ||a||_op^2 is at most a^t a's
+    largest absolute row sum (an induced norm bounds the spectral radius),
+    and fl(a^t a) errs entrywise by at most gamma_n (|a|^t |a|)_ij in any
+    summation order (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 3.5), whose row sums |a|^t (|a| 1) take O(n^2).  The
+    sums, the pairing and the quotient are exact only to rounding."""
 
     a: np.ndarray
 
     def value(self, t) -> float:
         m = as_matrix(t, square=True)
-        return float((m * self.a).sum() / m.shape[0])
+        if self.a.shape != m.shape:
+            raise ValidationError(f"a {self.a.shape} witness for a {m.shape} matrix")
+        n, abs_a = m.shape[0], np.abs(self.a)
+        nu = n * np.finfo(float).eps / 2
+        rho2 = (np.abs(self.a.T @ self.a).sum(axis=1)
+                + nu / (1.0 - nu) * (abs_a.T @ abs_a.sum(axis=1))).max()
+        return float((m * self.a).sum() / (n * math.sqrt(rho2)))
 
     def to_dict(self) -> dict:
         return {"type": "dual_witness", "a": self.a.tolist()}
@@ -92,27 +107,26 @@ class DualWitness:
 
 @dataclass(frozen=True)
 class FactorizationPair:
-    """Explicit factorization t = x @ y certifying a gamma2 upper bound."""
+    """x @ y ~= t, certifying gamma2(t) <= r(x) c(y) + c(E), E = t - x y, for
+    r and c the largest row and column l2 norms: gamma2(t) <= gamma2(x y) +
+    gamma2(I E) <= r(x) c(y) + r(I) c(E).  The error is charged, not gated."""
 
     x: np.ndarray
     y: np.ndarray
 
-    def value(self) -> float:
+    def value(self, t) -> float:
+        m = as_matrix(t, square=True)
+        e = m - self.x @ self.y
         row = np.sqrt((self.x * self.x).sum(axis=1).max())
         col = np.sqrt((self.y * self.y).sum(axis=0).max())
-        return float(row * col)
-
-    def residual(self, t) -> float:
-        m = as_matrix(t)
-        denom = max(1.0, float(np.abs(m).max()))
-        return float(np.abs(self.x @ self.y - m).max() / denom)
+        return float(row * col + np.sqrt((e * e).sum(axis=0).max()))
 
     def to_dict(self) -> dict:
         return {"type": "factorization", "x": self.x.tolist(), "y": self.y.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FactorizationPair":
-        return cls(np.asarray(d["x"], dtype=float), np.asarray(d["y"], dtype=float))
+        return cls(as_matrix(d["x"]), as_matrix(d["y"]))
 
 
 @dataclass
@@ -557,12 +571,12 @@ def _rescale(m: np.ndarray, triple: SvdTriple, width: float | None = None
     """The diagonal-rescaling loop behind gamma2_bracket and gamma2_oracle
     (see gamma2_bracket for the step), from the SVD `triple` of m: the first
     iterate un-scales that SVD, every later one the eigendecomposition
-    gram_eigh takes of the rescaled m.  Returns
-    the best factorization within TOL_FACTOR_RESIDUAL, its value (the best
-    upper bound) and the best lower bound: the largest dual
-    ||diag(u) m diag(v)||_tr over unit u, v among the iterates, the plain
-    ||m||_tr / n (u, v uniform) and max |m_ij| (u, v coordinate vectors;
-    this is gamma2 itself for PSD m, where the iterates' dual lags).
+    gram_eigh takes of the rescaled m.  Returns the factorization of least
+    value(m), that value (the best upper bound) and the best lower bound:
+    the largest dual ||diag(u) m diag(v)||_tr over unit u, v among the
+    iterates, the plain ||m||_tr / n (u, v uniform) and max |m_ij| (u, v
+    coordinate vectors; this is gamma2 itself for PSD m, where the
+    iterates' dual lags).
 
     The loop stops once upper <= (1 + GAMMA2_RESCALE_TOL) * (the iterates'
     best dual) and, when `width` is given, also upper - lower <= width, or
@@ -586,8 +600,8 @@ def _rescale(m: np.ndarray, triple: SvdTriple, width: float | None = None
         if step:
             sigma, v, mv = gram_eigh(du[:, None] * m * dv)
         cert, row_w, col_w = _rescaled_factorization(du, dv, sigma, v, mv)
-        value = cert.value()
-        if value < best_upper and cert.residual(m) <= TOL_FACTOR_RESIDUAL:
+        value = cert.value(m)
+        if value < best_upper:
             best, best_upper = cert, value
         dual = float(sigma.sum() / (np.linalg.norm(du) * np.linalg.norm(dv)))
         best_dual = max(best_dual, dual)
@@ -612,9 +626,6 @@ def _rescale(m: np.ndarray, triple: SvdTriple, width: float | None = None
                 dv_next = _next_scale(dv, col_w, live_cols, damped)
         prev = (dual, du, dv, row_w, col_w)
         du, dv = du_next, dv_next
-    if best is None:
-        raise NumericalError("no gamma2 factorization met the residual tolerance",
-                             detail={"tol": TOL_FACTOR_RESIDUAL})
     return best, best_upper, max(best_dual, closed_form)
 
 
@@ -626,22 +637,22 @@ def _nonzero_square(t) -> np.ndarray:
 
 
 def gamma2_bracket(t, triple: SvdTriple | None = None) -> NormBracket:
-    """Two-sided gamma2 bracket.
+    """Two-sided gamma2 bracket, each end its certificate's value(t).
 
-    lower = ||t||_tr / n, witnessed by the orthogonal dual functional UV^t
-    from the SVD t = U S V^t.
+    lower = DualWitness(UV^t).value(t) from the SVD t = U S V^t, ||t||_tr / n
+    up to rounding; where the two ends meet it can exceed the upper one by
+    a rounding error, and is clamped to it, so the bracket never inverts.
 
-    upper = max row norm of x times max column norm of y for an explicit
-    factorization t = x y, found by diagonal rescaling.  gamma2 has the dual
-    form max over unit u, v of ||diag(u) t diag(v)||_tr; starting from the
-    plain factorization U sqrt(S) . sqrt(S) V^t (u = v uniform), each step
+    upper = FactorizationPair(x, y).value(t) for x y ~= t found by diagonal
+    rescaling.  gamma2 has the dual form max over unit u, v of
+    ||diag(u) t diag(v)||_tr; starting from the plain factorization U sqrt(S) . sqrt(S) V^t (u = v uniform), each step
     sets u <- (W o t) v, normalised (likewise v <- (W o t)^t u), where
     W = U'V'^t is the polar factor of M = diag(u) t diag(v), and un-scales
     M into a factorization of t.  M is decomposed from the symmetric
     eigendecomposition M^t M = V' S'^2 V'^t (linalg.gram_eigh): the
     factorization and both updates need only S', V' and M V', so U' is
     never formed.  Only the first iterate takes (and validates) an SVD;
-    every later one is checked by its factorization's residual.
+    every later one is charged its factorization's reconstruction error.
 
     The undamped step can overshoot.  If one lowers the dual
     ||diag(u) t diag(v)||_tr / (||u|| ||v||) below the previous iterate's,
@@ -652,11 +663,10 @@ def gamma2_bracket(t, triple: SvdTriple | None = None) -> NormBracket:
     damped step u <- sqrt(u o ((W o t) v)), the geometric mean of u and
     (W o t) v, from there on.
 
-    The best iterate whose reconstruction residual is at most
-    TOL_FACTOR_RESIDUAL is kept, so the upper bound never exceeds the plain
-    one.  Iteration stops once the upper bound is within a factor
-    1 + GAMMA2_RESCALE_TOL of the largest dual seen (itself a lower bound on
-    gamma2), or after GAMMA2_RESCALE_MAX_ITER steps.
+    The iterate of least value(t) is kept, so the upper bound never exceeds
+    the plain factorization's.  Iteration stops once the upper bound is
+    within a factor 1 + GAMMA2_RESCALE_TOL of the largest dual seen (itself
+    a lower bound on gamma2), or after GAMMA2_RESCALE_MAX_ITER steps.
 
     `triple` is the SVD of t when the caller already holds it (a gap takes
     the Bell functional from the same SVD); without it the bracket takes
@@ -664,10 +674,9 @@ def gamma2_bracket(t, triple: SvdTriple | None = None) -> NormBracket:
     """
     m = _nonzero_square(t)
     triple = svd(m) if triple is None else triple
-    lower = float(triple.sigma.sum() / m.shape[0])
     witness = DualWitness(triple.u @ triple.v.T)
     best, upper, _ = _rescale(m, triple)
-    return NormBracket(lower=lower, upper=upper,
+    return NormBracket(lower=min(witness.value(m), upper), upper=upper,
                        lower_certificate=witness, upper_certificate=best)
 
 
@@ -909,28 +918,28 @@ def quantum_classical_gap(t, heuristic_restarts: int = HEURISTIC_RESTARTS,
     """Estimated ratio of classical to quantum norm of t.
 
     Numerator: the certified classical lower bound <t, UV^t>/||UV^t||.
-    Denominator: ||t||_tr / n, the quantum norm value that the trace-norm
+    Denominator: the certified gamma2 lower bound DualWitness(UV^t).value(t),
+    ||t||_tr / n up to rounding: the quantum norm value that the trace-norm
     convergence theorem makes asymptotically exact for flat bi-invariant
     ensembles.  A value > 1 flags t/gamma2(t) as non-classical; when n
     exceeds EXACT_CAP the Bell norm is the alternating-ascent estimate and
     the gap is an uncertified (optimistic) estimate.  One SVD of t gives
-    both the functional and the denominator.
+    the functional, whose UV^t also witnesses the denominator.
     """
     m = as_matrix(t, square=True)
     if not np.any(m):
         raise ValidationError("quantum_classical_gap requires a nonzero matrix")
-    triple = svd(m)
-    bell = bell_functional_from_svd(m, heuristic_restarts, seed, triple)
-    return gap_from_bell(m, bell, float(triple.sigma.sum() / m.shape[0]))
+    bell = bell_functional_from_svd(m, heuristic_restarts, seed)
+    return gap_from_bell(m, bell, DualWitness(bell.a).value(m))
 
 
-def gap_from_bell(t, bell: BellFunctional, trace_lower: float) -> float:
-    """The quantum_classical_gap of t from its Bell functional and its
-    ||t||_tr / n (the gamma2 bracket's lower end)."""
+def gap_from_bell(t, bell: BellFunctional, gamma2_lower: float) -> float:
+    """The quantum_classical_gap of t from its Bell functional and a gamma2
+    lower bound (the gamma2 bracket's lower end)."""
     m = as_matrix(t, square=True)
     norm_value = bell.eps_one_norm if bell.exact else bell.heuristic_lower
     numerator = float((m * bell.a).sum() / norm_value)
-    return numerator / trace_lower
+    return numerator / gamma2_lower
 
 
 def tau_gap_bound(n: int, m: int, seed: SeedSpec) -> float:

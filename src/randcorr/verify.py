@@ -5,10 +5,11 @@ A single-matrix report's certificates are re-evaluated against its embedded
 matrix. Each certificate's claim fixes the payload class; the payload must
 round-trip through that class's from_dict/to_dict unchanged, with what
 the matrix fixes (a Bell functional's near_singular flag) rebuilt from it,
-and the stored value must equal the re-evaluated one (a decomposition's is
-its upper_bound: the weight sum plus the l1 mass of the matrix minus its
-reconstruction). The report's `results` are rebuilt by report_results, the
-function its command writes them with. An experiment report is rebuilt
+and the stored value must equal the re-evaluated one, the value the
+command stores: each payload's value charges its own error, so no
+tolerance gates it, and no bracket's lower end may exceed its upper one.
+The report's `results` are rebuilt by report_results, the function its
+command writes them with. An experiment report is rebuilt
 from its config and its per-trial values, with trial i laid out as the
 seeded trial at position i of the scenario's grid; no trial is re-run.
 """
@@ -19,17 +20,16 @@ import math
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .experiments import (ExperimentConfig, ExperimentReport, TrialRecord, grid,
-                          summarize_records, verdicts)
+from .experiments import (SCHEMA_VERSION, ExperimentConfig, ExperimentReport, TrialRecord,
+                          grid, summarize_records, verdicts)
 from .linalg import SPECTRAL_VALUES, as_matrix, operator_norm, svd
-from .norms import (TOL_FACTOR_RESIDUAL, BellFunctional, ConvexDecomposition, DualWitness,
-                    FactorizationPair, SignPair, _near_singular, classical_lower_bound,
-                    gap_from_bell, infty_to_one_exact)
+from .norms import (BellFunctional, ConvexDecomposition, DualWitness, FactorizationPair,
+                    SignPair, _near_singular, classical_lower_bound, gap_from_bell,
+                    infty_to_one_exact)
 from .sampling import SeedSpec
 from .spectral import BRENT_RTOL, density, ks_distance_of_draw, threshold_objective
 
 _REL_TOL = 1e-12            # stored and rebuilt numbers agree to this, relative
-_ORTHOGONALITY_TOL = 1e-6   # max ||a a^t - I||_F of a gamma2 dual witness
 # what a malformed report (a missing key, a non-numeric entry) raises
 _MALFORMED = (ValidationError, NumericalError, KeyError, TypeError, ValueError,
               AttributeError, IndexError)
@@ -70,17 +70,13 @@ def _diff(stored, fresh, path: str = "") -> list[str]:
 
 # --- certificate re-evaluation, one function per claim ------------------------
 
-def _witness_value(witness: DualWitness, t) -> float:
-    n = witness.a.shape[0]
-    if not np.linalg.norm(witness.a @ witness.a.T - np.eye(n)) <= _ORTHOGONALITY_TOL:
-        raise ValidationError("witness not orthogonal")
-    return witness.value(t)
-
-
-def _factorization_value(pair: FactorizationPair, t) -> float:
-    if not pair.residual(t) <= TOL_FACTOR_RESIDUAL:
-        raise ValidationError("factorization does not reproduce the matrix")
-    return pair.value()
+def _infty_to_one(pair: SignPair, t) -> float:
+    """The exact inf->1 norm of t, re-enumerated, which the pair must attain."""
+    norm = infty_to_one_exact(t)[0]
+    problems = _diff(pair.pairing(t), norm, "the sign pair's value")
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return norm
 
 
 def _decomposition_value(dec: ConvexDecomposition, t) -> float:
@@ -117,13 +113,18 @@ def _classical_lower(bell: BellFunctional, t) -> float:
 
 # claim: (payload class, re-evaluation of the claimed value against t)
 _CERTIFICATES = {
+    "infty_to_one": (SignPair, _infty_to_one),
     "infty_to_one_lower": (SignPair, SignPair.pairing),
-    "gamma2_lower": (DualWitness, _witness_value),
-    "gamma2_upper": (FactorizationPair, _factorization_value),
+    "gamma2_lower": (DualWitness, DualWitness.value),
+    "gamma2_upper": (FactorizationPair, FactorizationPair.value),
     "classical_lower": (BellFunctional, _classical_lower),
     "classical_upper": (ConvexDecomposition, _decomposition_value),
     "bell_functional": (BellFunctional, _bell_norm),
 }
+# (lower, upper) claim pairs: the two ends of one bracket
+_BRACKETS = (("classical_lower", "classical_upper"), ("gamma2_lower", "gamma2_upper"))
+# the claim whose value a `norm --which` report states
+_NORM_CLAIMS = {"infty-to-one": "infty_to_one", "infty-to-one-heuristic": "infty_to_one_lower"}
 
 
 def law_results(law, config: dict) -> dict:
@@ -148,7 +149,7 @@ def report_results(kind: str, config: dict, matrix, values: dict, payloads: dict
     if kind == "norm":
         which = config["which"]
         return {"value": SPECTRAL_VALUES[which](matrix) if which in SPECTRAL_VALUES
-                else values.get("infty_to_one_lower")}
+                else values.get(_NORM_CLAIMS[which])}
     if kind == "gamma2":
         return {"lower": values.get("gamma2_lower"), "upper": values.get("gamma2_upper")}
     if kind == "classical":
@@ -197,13 +198,13 @@ def _oracle_failures(oracle, lower: float, upper: float) -> list[str]:
             f"[{lower!r}, {upper!r}] the oracle lies in"]
 
 
-def _classical_bracket_failures(lower: float, upper: float) -> list[str]:
-    """lower <= pi(t) <= upper, the decomposition's upper_bound, so a
-    re-evaluated lower bound above the re-evaluated upper one by more than
+def _bracket_failures(lower: float, upper: float) -> list[str]:
+    """Each end of a bracket is a re-evaluated certificate's value, which
+    charges its own error, so a lower end above the upper one by more than
     _REL_TOL relative means a false certificate."""
     if lower <= upper + _REL_TOL * max(1.0, abs(upper)):
         return []
-    return [f"classical bracket: lower {lower!r} above upper {upper!r}"]
+    return [f"lower {lower!r} above upper {upper!r}"]
 
 
 def _verify_single(doc: dict) -> list[str]:
@@ -213,8 +214,8 @@ def _verify_single(doc: dict) -> list[str]:
     report_results does not rebuild them: gamma2's oracle, which must lie in
     the re-evaluated bracket; threshold's alpha0, across which the objective
     must change sign (alpha0 -+ (tol + BRENT_RTOL alpha0)); and spectral's
-    csv. Any other entry fails. A classical report's lower bound must also
-    not exceed its upper one."""
+    csv. Any other entry fails. No bracket's lower end may exceed its upper
+    one (see _BRACKETS)."""
     try:
         mat = as_matrix(doc["matrix"]) if "matrix" in doc else None
     except _MALFORMED as exc:
@@ -241,6 +242,8 @@ def _verify_single(doc: dict) -> list[str]:
         values[claims], payloads[claims] = value, payload
         failures += _diff(cert, {"claims": claims, "value": value,
                                  "certificate": payload.to_dict()}, label)
+    failures += [f"{low}, {up}: {line}" for low, up in _BRACKETS if {low, up} <= values.keys()
+                 for line in _bracket_failures(values[low], values[up])]
     kind, config = doc.get("kind"), doc.get("config")
     stored = {"gamma2": ("oracle",), "threshold": ("alpha0",),
               "spectral": ("csv",)}.get(kind, ())
@@ -254,9 +257,6 @@ def _verify_single(doc: dict) -> list[str]:
                 "gamma2_lower", "gamma2_upper"} <= values.keys():
             failures += _oracle_failures(results["oracle"], values["gamma2_lower"],
                                          values["gamma2_upper"])
-        elif kind == "classical":
-            failures += _classical_bracket_failures(values["classical_lower"],
-                                                    values["classical_upper"])
     except _MALFORMED as exc:
         failures.append(f"results: re-evaluation failed: {exc!r}")
         fresh_results = results
@@ -291,7 +291,11 @@ def _verify_experiment(doc: dict) -> list[str]:
 
 def verify_report(doc: dict) -> list[str]:
     """What fails to verify in a report, one line each; empty when every
-    certificate and every rebuilt entry matches."""
+    certificate and every rebuilt entry matches. A report of another
+    schema_version than SCHEMA_VERSION is one failure, checked first."""
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        return [f"schema_version: {doc.get('schema_version')!r}, "
+                f"not the supported {SCHEMA_VERSION!r}"]
     if doc.get("kind") == "experiment":
         return _verify_experiment(doc)
     return _verify_single(doc)

@@ -13,7 +13,7 @@ from randcorr.linalg import read_matrix_csv, write_matrix_csv
 from randcorr.norms import (BellFunctional, FactorizationPair, bell_functional_from_svd,
                             classical_lower_bound, classical_upper_bound, gap_from_bell,
                             quantum_classical_gap)
-from randcorr.sampling import SeedSpec, gaussian
+from randcorr.sampling import SeedSpec, gaussian, haar_orthogonal
 
 
 @pytest.fixture()
@@ -593,14 +593,14 @@ def test_classical_lower_above_upper_fails():
     # lower <= pi(t) <= upper, with no slack beyond rounding; a weight sum of
     # 0.5 that reconstructs I_2 only to 1/2 certifies 0.5 + 2, not 0.5
     from randcorr.norms import ConvexDecomposition
-    from randcorr.verify import _classical_bracket_failures
+    from randcorr.verify import _bracket_failures
     for lower, upper, fails in ((1.0, 0.5, True), (1.0 + 1e-11, 1.0, True),
                                 (1.0 + 1e-13, 1.0, False), (1.0, 1.0, False)):
-        assert bool(_classical_bracket_failures(lower, upper)) == fails
+        assert bool(_bracket_failures(lower, upper)) == fails
     ones = np.ones((1, 2))
     dec = ConvexDecomposition(np.array([0.5]), ones, ones)
     assert dec.upper_bound(np.eye(2)) == 2.5
-    assert _classical_bracket_failures(1.0, dec.upper_bound(np.eye(2))) == []
+    assert _bracket_failures(1.0, dec.upper_bound(np.eye(2))) == []
 
 
 @pytest.mark.parametrize("command, edit", [
@@ -808,9 +808,10 @@ def hadamard8():
 
 
 def test_verify_rejects_factorization_off_by_5e_7(tmp_path, capsys):
-    # gamma2_bracket keeps only factorizations reproducing t to 1e-9; one
-    # scaled by 1 - 5e-7, with its value and results updated, would put the
-    # upper bound below gamma2(H8) = sqrt(8) = the certified lower bound
+    # a factorization scaled by 1 - 5e-7, stated at r(x) c(y) with its
+    # results updated, would put the upper bound below gamma2(H8) = sqrt(8)
+    # = the certified lower bound; its value charges the error 5e-7 H8,
+    # which brings it back to sqrt(8)
     mpath = tmp_path / "h8.csv"
     write_matrix_csv(mpath, hadamard8())
     out = str(tmp_path / "gamma2.json")
@@ -819,15 +820,118 @@ def test_verify_rejects_factorization_off_by_5e_7(tmp_path, capsys):
     doc = json.loads(open(out).read())
     [cert] = [c for c in doc["certificates"] if c["claims"] == "gamma2_upper"]
     x = np.asarray(cert["certificate"]["x"]) * (1.0 - 5e-7)
+    y = np.asarray(cert["certificate"]["y"])
     cert["certificate"]["x"] = x.tolist()
-    cert["value"] = FactorizationPair(x, np.asarray(cert["certificate"]["y"])).value()
+    cert["value"] = float(np.sqrt((x * x).sum(axis=1).max() * (y * y).sum(axis=0).max()))
     doc["results"]["upper"] = cert["value"]
     assert doc["results"]["upper"] < doc["results"]["lower"] == pytest.approx(math.sqrt(8))
+    assert FactorizationPair(x, y).value(hadamard8()) >= doc["results"]["lower"]
     with open(out, "w") as fh:
         json.dump(doc, fh)
     capsys.readouterr()
     assert main(["verify-certificate", out]) == 1
-    assert "does not reproduce the matrix" in capsys.readouterr().out
+    assert "FAIL certificate 1 (gamma2_upper).value" in capsys.readouterr().out
+
+
+def _sampled_report(tmp_path, sample, command):
+    """The report `command` writes on the matrix `sample` draws, verified."""
+    mpath, out = str(tmp_path / "t.csv"), str(tmp_path / "report.json")
+    assert main(["sample", *sample.split(), "--out", mpath]) == 0
+    assert main([*command.split(), "--matrix", mpath, "--out", out]) == 0
+    assert main(["verify-certificate", out]) == 0
+    return out, json.loads(open(out).read())
+
+
+def _fails_verification(out, doc, capsys, expect):
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    assert expect in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["gamma2", "gap"])
+def test_verify_rejects_a_scaled_dual_witness(tmp_path, capsys, command):
+    # gamma2 of an orthogonal matrix is 1; a witness scaled by 1 + 1e-7, its
+    # value and the results restated, claimed a lower bound above the upper
+    # one, and verified while witnesses were gated at ||a a^t - I||_F <= 1e-6
+    out, doc = _sampled_report(tmp_path, "--kind haar_orthogonal --n 8 --seed 3", command)
+    [cert] = [c for c in doc["certificates"] if c["claims"] == "gamma2_lower"]
+    cert["certificate"]["a"] = (np.asarray(cert["certificate"]["a"]) * (1.0 + 1e-7)).tolist()
+    cert["value"] *= 1.0 + 1e-7
+    if command == "gamma2":
+        doc["results"]["lower"] = cert["value"]
+    else:
+        doc["results"]["gamma2_lower"] = cert["value"]
+        doc["results"]["gap"] /= 1.0 + 1e-7
+    _fails_verification(out, doc, capsys, "(gamma2_lower).value")
+
+
+def test_verify_rejects_an_edited_factorization_entry(tmp_path, capsys):
+    # moved by 5e-10 / max |y[25]|, x[0][25] changes x y by at most 5e-10,
+    # which the 1e-9 residual gate let through, value left as it was
+    out, doc = _sampled_report(tmp_path, "--kind gaussian --n 26 --seed 7",
+                               "gap --restarts 2")
+    [cert] = [c for c in doc["certificates"] if c["claims"] == "gamma2_upper"]
+    x, y = cert["certificate"]["x"], np.asarray(cert["certificate"]["y"])
+    x[0][25] += 5e-10 / np.abs(y[25]).max()
+    _fails_verification(out, doc, capsys, "(gamma2_upper).value")
+
+
+def test_verify_rejects_a_witness_of_another_shape(tmp_path, capsys):
+    # a 1 x 1 witness [[1]] broadcast over J_4 paired to 16 / 4 = 4 > gamma2(J_4) = 1
+    mpath, out = str(tmp_path / "ones.csv"), str(tmp_path / "gamma2.json")
+    write_matrix_csv(mpath, np.ones((4, 4)))
+    assert main(["gamma2", "--matrix", mpath, "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    [cert] = [c for c in doc["certificates"] if c["claims"] == "gamma2_lower"]
+    cert["certificate"]["a"], cert["value"], doc["results"]["lower"] = [[1.0]], 4.0, 4.0
+    _fails_verification(out, doc, capsys, "(gamma2_lower): re-evaluation failed")
+
+
+@pytest.mark.parametrize("trial", [21, 88, 97, 98])
+def test_gamma2_bracket_at_its_first_iterate_does_not_invert(tmp_path, trial):
+    # the bracket closes at its first iterate on these orthogonal matrices,
+    # where its lower end used to exceed its upper end by a rounding error
+    mpath, out = str(tmp_path / "o.csv"), str(tmp_path / "gamma2.json")
+    write_matrix_csv(mpath, haar_orthogonal(8, SeedSpec(40, trial)))
+    assert main(["gamma2", "--matrix", mpath, "--oracle", "--out", out]) == 0
+    results = json.loads(open(out).read())["results"]
+    assert results["lower"] <= results["oracle"] <= results["upper"]
+    assert main(["verify-certificate", out]) == 0
+
+
+@pytest.mark.parametrize("which, edit", [
+    ("infty-to-one-heuristic", "which"), ("infty-to-one", "which"),
+    ("infty-to-one-heuristic", "which_and_claim")])
+def test_verify_binds_the_norm_claim_to_which(tmp_path, capsys, which, edit):
+    # one restart of the ascent reaches 78.23 here, the exact norm is 96.79:
+    # a heuristic report relabelled infty-to-one (its claim renamed too) fails
+    out, doc = _sampled_report(tmp_path, "--kind gaussian --n 16 --seed 7",
+                               f"norm --which {which} --restarts 1")
+    other = {"infty-to-one": "infty-to-one-heuristic",
+             "infty-to-one-heuristic": "infty-to-one"}[which]
+    doc["config"]["which"] = other
+    if edit == "which_and_claim":
+        doc["certificates"][0]["claims"] = "infty_to_one"
+    _fails_verification(out, doc, capsys,
+                        "(infty_to_one): re-evaluation failed" if edit == "which_and_claim"
+                        else "FAIL results.value")
+
+
+@pytest.mark.parametrize("version", ["99", 1, None])
+def test_verify_rejects_another_schema_version(id4, tmp_path, capsys, version):
+    from randcorr.verify import verify_report
+    out = str(tmp_path / "norm.json")
+    assert main(["norm", "--matrix", id4, "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    if version is None:
+        del doc["schema_version"]
+    else:
+        doc["schema_version"] = version
+    assert verify_report(doc) == [
+        f"schema_version: {version!r}, not the supported '1'"]
+    _fails_verification(out, doc, capsys, "FAIL schema_version")
 
 
 def test_verify_claim_fixes_the_payload_class(tmp_path, capsys):

@@ -19,7 +19,8 @@ from randcorr.cli import main
 from randcorr.errors import NumericalError, ValidationError
 from randcorr.linalg import gram_eigh, svd, trace_norm, write_matrix_csv
 from randcorr.norms import (EXACT_CAP, GAMMA2_RESCALE_MAX_ITER, GAMMA2_RESCALE_TOL,
-                            KG_UPPER, BellFunctional, ConvexDecomposition, NormBracket,
+                            KG_UPPER, BellFunctional, ConvexDecomposition, DualWitness,
+                            FactorizationPair, NormBracket,
                             _SCREEN_ENTRIES, _TIE_RTOL, SignPair, _rescale,
                             _rescaled_factorization, _SplitTables, _top_atoms,
                             bell_functional_from_svd,
@@ -32,6 +33,11 @@ from randcorr.sampling import SeedSpec, bi_invariant, gaussian, haar_orthogonal
 from psd_completion_reference import GAMMA2_ORACLE_CAP, gamma2_psd_completion
 
 CHSH = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def residual(pair, t):
+    """max |x y - t| / max(1, max |t|): how far a factorization is from t."""
+    return float(np.abs(pair.x @ pair.y - t).max() / max(1.0, float(np.abs(t).max())))
 
 
 def brute_force_infty_to_one(a):
@@ -501,8 +507,8 @@ def test_bracket_certificates_re_evaluate():
     g = small_gaussian(12, 36)
     br = gamma2_bracket(g)
     assert br.lower_certificate.value(g) == pytest.approx(br.lower, rel=1e-12)
-    assert br.upper_certificate.value() == pytest.approx(br.upper, rel=1e-12)
-    assert br.upper_certificate.residual(g) <= 1e-9
+    assert br.upper_certificate.value(g) == pytest.approx(br.upper, rel=1e-12)
+    assert residual(br.upper_certificate, g) <= 1e-9
 
 
 def test_bracket_ratio_scale_with_n():
@@ -629,7 +635,7 @@ def test_oracle_inside_its_own_run_and_the_bracket_hypothesis(n, seed, kind, tol
     # the bracket's, from the same iterates
     assert default_upper == br.upper
     assert upper <= default_upper and dual >= default_dual
-    assert cert.value() == upper and cert.residual(t) <= 1e-9
+    assert cert.value(t) == upper and residual(cert, t) <= 1e-9
     assert min(dual, upper) <= oracle <= upper
     # the run's lower bound counts the bracket's lower end; its upper
     # bound falls below that only where the two meet, by a rounding error
@@ -650,7 +656,7 @@ def test_oracle_stays_below_the_certified_upper_bound_where_the_reference_does_n
     # of that run's bounds, so it cannot
     g = small_gaussian(8, 41, trial)
     cert, upper, _ = _rescale(g, svd(g), 1e-6)
-    assert cert.residual(g) <= 1e-9
+    assert residual(cert, g) <= 1e-9
     assert gamma2_psd_completion(g, tol=1e-6) > upper + 1e-4
     assert gamma2_oracle(g, tol=1e-6) <= upper
 
@@ -687,7 +693,7 @@ def test_rescaled_upper_matches_oracle_and_beats_plain_factorization():
         oracle = gamma2_psd_completion(g, tol=1e-6)
         assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * oracle + 1e-6
         assert br.upper <= plain_factorization_value(g)
-        assert br.upper_certificate.residual(g) <= 1e-9
+        assert residual(br.upper_certificate, g) <= 1e-9
 
 
 def _bracket_trace(monkeypatch):
@@ -762,7 +768,7 @@ def test_bracket_dual_drop_goes_back_to_previous_iterate(monkeypatch):
     accepted = duals[:k] + duals[k + 1:]
     assert all(b >= a for a, b in zip(accepted, accepted[1:]))
     assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * max(accepted)
-    assert br.upper_certificate.residual(OVERSHOOT) <= 1e-9
+    assert residual(br.upper_certificate, OVERSHOOT) <= 1e-9
     monkeypatch.undo()
     assert br.upper <= (1.0 + GAMMA2_RESCALE_TOL) * gamma2_psd_completion(OVERSHOOT, tol=1e-6)
 
@@ -787,6 +793,34 @@ def test_bracket_oscillation_switches_to_damped_step(monkeypatch):
 KINDS = ["gaussian", "cubed", "psd", "integer", "half_rank", "rank_one", "zero_lines"]
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(KINDS), st.sampled_from([1e-1, 1e-3, 1e-6]))
+def test_any_witness_and_factorization_bracket_the_reference_hypothesis(n, seed, kind, eps):
+    # any a and any x, y certify their values, the witness's operator norm
+    # and the factorization's error charged: (1 + eps) UV^t would pair to
+    # (1 + eps) ||t||_tr / n, and (1 - eps) x y to (1 - eps) r(x) c(y),
+    # past gamma2 wherever the bracket is tight, if neither were charged
+    t = _kind_matrix(kind, n, seed)
+    assume(np.any(t))
+    gen = np.random.default_rng(seed)
+    br = gamma2_bracket(t)
+    cert = br.upper_certificate
+    # the reference lies within tol / 2 below gamma2 and 5e-4 relative above
+    tol = 1e-4
+    ref = gamma2_psd_completion(t, tol=tol)
+    noise = lambda *shape: eps * gen.standard_normal(shape)
+    witnesses = [gen.standard_normal((n, n)),
+                 (1.0 + eps) * br.lower_certificate.a + noise(n, n)]
+    pairs = [FactorizationPair(gen.standard_normal((n, 3)), gen.standard_normal((3, n))),
+             FactorizationPair((1.0 - eps) * cert.x, cert.y),
+             FactorizationPair(cert.x + noise(*cert.x.shape), cert.y + noise(*cert.y.shape))]
+    for a in witnesses:
+        assert DualWitness(a).value(t) <= ref + tol
+    for pair in pairs:
+        assert ref <= (1.0 + 5e-4) * (pair.value(t) + tol)
+
+
 def _check_eigh_step_against_svd(t, seed):
     """The rescaling step's eigendecomposition of M = diag(du) t diag(dv),
     and the iterate un-scaled from it, against the SVD of the same M."""
@@ -806,7 +840,7 @@ def _check_eigh_step_against_svd(t, seed):
     # diag((MM^t)^(1/2)) and diag((M^tM)^(1/2)) from the SVD's U and V
     assert np.abs(row_w - (ref.u * ref.u) @ ref.sigma).max() <= 1e-12 * top
     assert np.abs(col_w - (ref.v * ref.v) @ ref.sigma).max() <= 1e-12 * top
-    assert cert.residual(t) <= 1e-12
+    assert residual(cert, t) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", KINDS)
