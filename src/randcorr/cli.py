@@ -184,8 +184,7 @@ def _write_out(args, default_name: str, text: str) -> None:
 
 def _emit(doc: dict, args, headline: str) -> None:
     print(headline)
-    seed = getattr(args, "seed", 0) or 0
-    _write_out(args, f"{doc['kind']}-seed{seed}.json",
+    _write_out(args, f"{doc['kind']}-seed{getattr(args, 'seed', 0)}.json",
                json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
@@ -206,15 +205,13 @@ def _cmd_sample(args) -> int:
 
 def _cmd_norm(args) -> int:
     mat = read_matrix_csv(args.matrix)
-    config = {"subcommand": "norm", "matrix": args.matrix, "which": args.which,
-              "restarts": args.restarts, "seed": args.seed}
     claims = {}
     if args.which == "infty-to-one":
         claims["infty_to_one"] = infty_to_one_exact(mat)
     elif args.which == "infty-to-one-heuristic":
         claims["infty_to_one_lower"] = infty_to_one_heuristic(mat, args.restarts,
                                                               SeedSpec(args.seed, 0))
-    doc = _report("norm", config, {}, mat, claims)
+    doc = _report("norm", {"matrix": args.matrix, "which": args.which}, {}, mat, claims)
     _emit(doc, args, format(doc["results"]["value"], ".12g"))
     return 0
 
@@ -230,12 +227,10 @@ def _cmd_gamma2(args) -> int:
     # one SVD for both the bracket and the oracle, which continues its loop
     triple = svd(mat)
     bracket = gamma2_bracket(mat, triple)
-    config = {"subcommand": "gamma2", "matrix": args.matrix,
-              "oracle": args.oracle, "tol": args.tol}
     claims = {"gamma2_lower": (bracket.lower, bracket.lower_certificate),
               "gamma2_upper": (bracket.upper, bracket.upper_certificate)}
     oracle = {"oracle": gamma2_oracle(mat, args.tol, triple)} if args.oracle else {}
-    doc = _report("gamma2", config, oracle, mat, claims)
+    doc = _report("gamma2", {"matrix": args.matrix}, oracle, mat, claims)
     _emit(doc, args, f"gamma2 in [{bracket.lower:.12g}, {bracket.upper:.12g}]")
     return 0
 
@@ -244,11 +239,9 @@ def _cmd_classical(args) -> int:
     _check_tol(args.tol)
     mat = read_matrix_csv(args.matrix)
     bracket = classical_upper_bound(mat, max_atoms=args.max_atoms, tol=args.tol)
-    config = {"subcommand": "classical", "matrix": args.matrix,
-              "max_atoms": args.max_atoms, "tol": args.tol}
     claims = {"classical_lower": (bracket.lower, bracket.lower_certificate),
               "classical_upper": (bracket.upper, bracket.upper_certificate)}
-    doc = _report("classical", config, {}, mat, claims)
+    doc = _report("classical", {"matrix": args.matrix, "tol": args.tol}, {}, mat, claims)
     _emit(doc, args, f"projective norm in [{bracket.lower:.12g}, {bracket.upper:.12g}]"
           + ("" if doc["results"]["converged"]
              else " (column generation stopped unconverged)"))
@@ -261,12 +254,10 @@ def _cmd_gap(args) -> int:
     triple = svd(mat)
     bracket = gamma2_bracket(mat, triple)
     bell = bell_functional_from_svd(mat, args.restarts, SeedSpec(args.seed, 0), triple)
-    config = {"subcommand": "gap", "matrix": args.matrix,
-              "restarts": args.restarts, "seed": args.seed}
     claims = {"bell_functional": (bell.eps_one_norm, bell),
               "gamma2_lower": (bracket.lower, bracket.lower_certificate),
               "gamma2_upper": (bracket.upper, bracket.upper_certificate)}
-    doc = _report("gap", config, {}, mat, claims)
+    doc = _report("gap", {"matrix": args.matrix}, {}, mat, claims)
     _emit(doc, args, f"quantum-classical gap estimate {doc['results']['gap']:.12g}"
           + ("" if bell.exact else " (heuristic Bell norm, not certified)"))
     return 0
@@ -275,8 +266,7 @@ def _cmd_gap(args) -> int:
 def _cmd_spectral(args) -> int:
     alpha = parse_scalar(args.alpha)
     law = spectral.density(alpha, grid_points=args.grid_points)
-    config = {"subcommand": "spectral", "alpha": alpha,
-              "grid_points": args.grid_points}
+    config = {"alpha": alpha, "grid_points": args.grid_points}
     if args.ks_n:
         if not args.ks_m:
             raise ValidationError("--ks-n requires --ks-m")
@@ -295,9 +285,8 @@ def _cmd_threshold(args) -> int:
     _check_tol(args.tol)
     gap_constant = parse_scalar(args.gap)
     value = spectral.alpha_threshold(gap_constant, tol=args.tol)
-    config = {"subcommand": "threshold", "gap_constant": gap_constant,
-              "tol": args.tol}
-    doc = _report("threshold", config, {"alpha0": value})
+    doc = _report("threshold", {"gap_constant": gap_constant, "tol": args.tol},
+                  {"alpha0": value})
     _emit(doc, args, f"alpha0 = {value:.4f}")
     return 0
 
@@ -350,10 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="randcorr",
         description="Random correlation matrices: quantum/classical norms, "
                     "spectral laws, seeded experiments.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+    def common(p, seed=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--out", default=None, help="report/output path")
 
     p = sub.add_parser("sample", help="draw one matrix from an ensemble")
@@ -383,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "steps), and their midpoint")
     p.add_argument("--tol", type=float, default=1e-4,
                    help="absolute width, upper - lower, at which the oracle stops")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=_cmd_gamma2)
 
     p = sub.add_parser("classical", help="projective-norm bracket")
@@ -399,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9,
                    help="absolute width, upper - lower, at which column "
                         "generation stops")
-    p.add_argument("--out", default=None, help="report path")
+    common(p, seed=False)
     p.set_defaults(func=_cmd_classical)
 
     p = sub.add_parser("gap", help="classical/quantum norm ratio estimate")
@@ -421,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", required=True,
                    help='gap constant, e.g. "sqrt(16/15)"')
     p.add_argument("--tol", type=float, default=1e-4)
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("experiment", help="run a seeded Monte Carlo scenario")

@@ -317,8 +317,7 @@ def _trial_qc_gap(cfg, size, seed):
         gap = quantum_classical_gap(np.ones((n, n)))
         return {"gap": gap, "control_event": float(gap <= 1.0 + 1e-9)}
     gap = quantum_classical_gap(gaussian(n, n, seed) / math.sqrt(n), seed=seed)
-    return {"gap": gap, "gap_gt_1_event": float(gap > 1.0),
-            "exact_mode": float(n <= EXACT_CAP)}
+    return {"gap": gap, "gap_gt_1_event": float(gap > 1.0)}
 
 
 def _verdict_qc_gap(cfg, trials, summaries):
@@ -347,9 +346,7 @@ def _trial_nonlocality_sweep(cfg, size, seed):
     tau = unit_rows_correlation(n, m, seed)
     bell = bell_functional_from_svd(tau, seed=seed)
     lower = classical_lower_bound(tau, bell)
-    return {"classical_lower": lower,
-            "certificate_event": float(lower > 1.0),
-            "exact_mode": float(bell.exact)}
+    return {"classical_lower": lower, "certificate_event": float(lower > 1.0)}
 
 
 def _verdict_nonlocality_sweep(cfg, trials, summaries):

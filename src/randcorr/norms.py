@@ -312,7 +312,15 @@ class _SplitTables:
         cut = kth - 2 slack - ceil(_TIE_RTOL (top + slack)).
     Each vector at or above the cut is rescored as the float64 sum of its
     own row |low_j + high_h|, so its value is the same whichever other
-    vectors reach the cut; the ranking is then one sort of those values.
+    vectors reach the cut.  The candidates are rescored a block at a time,
+    in index order, and only two running sets are kept: the count best so
+    far (ties in index order), and the strict prefix-maximum records within
+    2 _TIE_RTOL of the running maximum.  The tie rule's choice, the first
+    index within _TIE_RTOL of the final maximum M, beats every value before
+    it, so it is a record; every running maximum is at most M, so its value
+    stays above (1 - 2 _TIE_RTOL) times each one (the factor 2 covers the
+    rounding), and it is never dropped.  So memory does not grow with the
+    number of candidates, which is every sign vector of eye(n).
     """
 
     def __init__(self, m: np.ndarray):
@@ -368,8 +376,10 @@ class _SplitTables:
         only the rows whose maximum reaches the cut.  Every index at or
         above the cut is rescored in float64 as its own row sum, so its
         value depends on its sign vector alone, not on which other
-        candidates are rescored with it; the rescoring goes a block's worth
-        of indices at a time.
+        candidates are rescored with it.  The rescoring goes a block's worth
+        of indices at a time, in index order, and keeps only the records
+        the tie rule can pick and the count best (see _SplitTables), so the
+        memory it takes does not grow with ties.
         """
         n, size = self.low16.shape
         rows = self.high16_t.shape[1]
@@ -389,27 +399,51 @@ class _SplitTables:
             top = int(row_max.max())
         kth = int(_largest(np.concatenate(tops), count).min()) if count > 1 else top
         cut = kth - 2 * self.slack - math.ceil(_TIE_RTOL * (top + self.slack))
+        # the candidates, ascending, a block's worth at a time
         if block == rows:
-            idx = (screened >= cut).nonzero()[0]
+            chunks = [(screened >= cut).nonzero()[0]]
         else:
-            idx = []
             hot = (row_max >= cut).nonzero()[0]
-            for lo in range(0, hot.size, block):
-                hs = hot[lo:lo + block]
-                r, j = (self._screen(hs, buf[:, :hs.size]) >= cut).nonzero()
-                idx.append((hs[r] << self.k) + j)
-            idx = np.concatenate(idx)
-        vals, chunk = np.empty(idx.size), block * size
-        for lo in range(0, idx.size, chunk):
-            h, j = np.divmod(idx[lo:lo + chunk], size)
-            vals[lo:lo + chunk] = np.abs(self.low[j] + self.high[h]).sum(axis=1)
-        top64 = vals.max()
-        first = int((vals >= top64 - _TIE_RTOL * top64).argmax())
-        # idx ascends, so ties stay in index order; the count best hold the
-        # count - 1 best other than first
-        order = np.argsort(-vals, kind="stable")[:count]
-        order = np.concatenate(([first], order[order != first]))[:count]
-        return idx[order], np.ldexp(vals[order], self.exp)
+            chunks = (self._reaching(hot[lo:lo + block], cut, buf)
+                      for lo in range(0, hot.size, block))
+        # kept as they stream past: the strict prefix-maximum records near
+        # the running maximum, among which the tie rule's choice lies, and
+        # the count best, ties in index order
+        rec_i, best_i = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        rec_v, best_v = np.empty(0), np.empty(0)
+        for idx in chunks:
+            h, j = np.divmod(idx, size)
+            terms = self.low[j]
+            terms += self.high[h]
+            vals = np.abs(terms, out=terms).sum(axis=1)
+            cur = rec_v[-1] if rec_v.size else -np.inf
+            new = vals > np.maximum.accumulate(np.concatenate(([cur], vals[:-1])))
+            rec_i, rec_v = np.concatenate((rec_i, idx[new])), np.concatenate((rec_v, vals[new]))
+            near = rec_v >= rec_v[-1] * (1.0 - 2.0 * _TIE_RTOL)
+            rec_i, rec_v = rec_i[near], rec_v[near]
+            if count > 1:
+                # a later index enters only above the count-th best so far
+                over = vals > best_v[-1] if best_v.size == count else slice(None)
+                idx, vals = idx[over], vals[over]
+                if vals.size > count:
+                    over = vals >= _largest(vals, count).min()
+                    idx, vals = idx[over], vals[over]
+                order = np.argsort(-np.concatenate((best_v, vals)), kind="stable")[:count]
+                best_i = np.concatenate((best_i, idx))[order]
+                best_v = np.concatenate((best_v, vals))[order]
+        top64 = rec_v[-1]
+        first = int((rec_v >= top64 - _TIE_RTOL * top64).argmax())
+        # the count best hold the count - 1 best other than first
+        others = best_i != rec_i[first]
+        indices = np.concatenate((rec_i[first:first + 1], best_i[others]))[:count]
+        values = np.concatenate((rec_v[first:first + 1], best_v[others]))[:count]
+        return indices, np.ldexp(values, self.exp)
+
+    def _reaching(self, rows: np.ndarray, cut: int, buf: np.ndarray) -> np.ndarray:
+        """The indices in high rows `rows` (ascending) whose screened value
+        reaches the cut, ascending."""
+        r, j = (self._screen(rows, buf[:, :rows.size]) >= cut).nonzero()
+        return (rows[r] << self.k) + j
 
     def pairs(self, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sign vectors `indices` as alphas, their betas = sign(m^t alpha) and

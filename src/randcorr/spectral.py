@@ -54,8 +54,12 @@ def _roots_batch(alpha: float, zs: np.ndarray) -> np.ndarray:
     D0 = b^2 - 3c, D1 = 2b^3 - 9bc + 27d and R = +-sqrt(D1^2 - 4 D0^3) takes
     the sign that adds to D1 without cancellation.  Only the largest root r
     is taken from it; the other two solve the deflated quadratic
-    s^2 + (b + r) s - d/r by the stable formula (one root from the sum with
-    no cancellation, the other from the product)."""
+    s^2 + e1 s + e0, e0 = -d/r, by the stable formula (one root from the sum
+    with no cancellation, the other from the product).  Matching the s
+    coefficients gives two forms of e1: b + r, and (e0 - c)/r from
+    c = e0 - r e1.  At large alpha, b and r are both about alpha/|z| in
+    size and b + r cancels; there e0 - c adds terms of one sign, so e1 is
+    taken from it wherever |b + r| < |b|/2."""
     a3, a2, a1, a0 = _cubic_coeffs(alpha, zs)
     b, c, d = a2 / a3, a1 / a3, a0 / a3
     d0 = b * b - 3.0 * c
@@ -69,6 +73,7 @@ def _roots_batch(alpha: float, zs: np.ndarray) -> np.ndarray:
     r = cardano[np.abs(cardano).argmax(axis=0), np.arange(cardano.shape[1])]
     # d = -alpha/z^2 is never 0, so neither is any root
     e1, e0 = b + r, -d / r
+    e1 = np.where(np.abs(e1) < 0.5 * np.abs(b), (e0 - c) / r, e1)
     q = -(e1 + _aligned_sqrt(e1 * e1 - 4.0 * e0, e1)) / 2.0
     roots = np.stack([r, q, e0 / q], axis=1)
     a3c, a2c, a1c = a3[:, None], a2[:, None], a1[:, None]

@@ -9,9 +9,10 @@ and the stored value must equal the re-evaluated one, the value the
 command stores: each payload's value charges its own error, so no
 tolerance gates it, and no bracket's lower end may exceed its upper one.
 The report's `results` are rebuilt by report_results, the function its
-command writes them with. An experiment report is rebuilt
-from its config and its per-trial values, with trial i laid out as the
-seeded trial at position i of the scenario's grid; no trial is re-run.
+command writes them with, and its `config` holds exactly the keys that
+rebuild reads. An experiment report is rebuilt from its config and its
+per-trial values, with trial i laid out as the seeded trial at position i
+of the scenario's grid; no trial is re-run.
 """
 from __future__ import annotations
 
@@ -140,6 +141,14 @@ def law_results(law, config: dict) -> dict:
     return results
 
 
+# each kind's config keys: what its rebuild reads, and `matrix`, a CSV path (a label)
+_CONFIG_KEYS = {"norm": [{"matrix", "which"}], "gamma2": [{"matrix"}],
+                "classical": [{"matrix", "tol"}], "gap": [{"matrix"}],
+                "spectral": [{"alpha", "grid_points"},  # with a KS draw, or none
+                             {"alpha", "grid_points", "ks_n", "ks_m", "seed"}],
+                "threshold": [{"gap_constant", "tol"}]}
+
+
 def report_results(kind: str, config: dict, matrix, values: dict, payloads: dict) -> dict:
     """The `results` of a report of `kind` that follow from its config, its
     matrix and its certificates' values and payloads (dicts keyed by claim):
@@ -215,7 +224,7 @@ def _verify_single(doc: dict) -> list[str]:
     the re-evaluated bracket; threshold's alpha0, across which the objective
     must change sign (alpha0 -+ (tol + BRENT_RTOL alpha0)); and spectral's
     csv. Any other entry fails. No bracket's lower end may exceed its upper
-    one (see _BRACKETS)."""
+    one (see _BRACKETS), and the config holds the keys of _CONFIG_KEYS."""
     try:
         mat = as_matrix(doc["matrix"]) if "matrix" in doc else None
     except _MALFORMED as exc:
@@ -249,6 +258,9 @@ def _verify_single(doc: dict) -> list[str]:
               "spectral": ("csv",)}.get(kind, ())
     try:
         fresh_results = report_results(kind, config, mat, values, payloads)
+        if config.keys() not in _CONFIG_KEYS[kind]:
+            failures.append(f"config: keys {sorted(config)}, not one of "
+                            f"{[sorted(keys) for keys in _CONFIG_KEYS[kind]]}")
         fresh_results.update((key, results[key]) for key in stored
                              if key in results and key not in fresh_results)
         if kind == "threshold":

@@ -190,13 +190,13 @@ def test_parser_built_once_keeps_no_state_between_calls(tmp_path):
     mat = gaussian(6, 6, SeedSpec(7, 1)) / math.sqrt(6)
     mpath = tmp_path / "g6.csv"
     write_matrix_csv(mpath, mat)
-    configs = []
-    for i, extra in enumerate((["--max-atoms", "5"], [])):
+    # one master solve cannot close this bracket, and the default budget does
+    converged = []
+    for i, extra in enumerate((["--max-atoms", "1"], [])):
         out = str(tmp_path / f"classical{i}.json")
         assert main(["classical", "--matrix", str(mpath), *extra, "--out", out]) == 0
-        configs.append(json.loads(open(out).read())["config"])
-    assert configs[0]["max_atoms"] == 5
-    assert configs[1]["max_atoms"] == 400
+        converged.append(json.loads(open(out).read())["results"]["converged"])
+    assert converged == [False, True]
 
 
 def test_classical_refuses_above_exact_cap_after_reading_the_csv(tmp_path, monkeypatch,
@@ -228,19 +228,34 @@ def test_classical_takes_no_seed(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-def test_classical_config_has_no_seed_and_stored_seeds_still_verify(tmp_path,
-                                                                    monkeypatch):
-    # reports written while classical took --seed carry it in their config
+@pytest.mark.parametrize("command", ["gamma2 --matrix {m}", "threshold --gap sqrt(16/15)"])
+def test_gamma2_and_threshold_take_no_seed(tmp_path, capsys, command):
+    # neither draws anything: a seed would only have named the default file
+    mpath = tmp_path / "chsh.csv"
+    write_matrix_csv(mpath, np.array([[1.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(SystemExit) as exc:
+        main(command.format(m=mpath).split() + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_classical_config_has_no_seed_and_a_stored_seed_fails(tmp_path, monkeypatch,
+                                                              capsys):
+    # the config holds only what the rebuild reads, so a seed, which
+    # reports written while classical took --seed carry, fails
     monkeypatch.setenv("RANDCORR_OUT", str(tmp_path / "reports"))
     mpath = tmp_path / "g6.csv"
     write_matrix_csv(mpath, gaussian(6, 6, SeedSpec(7, 1)) / math.sqrt(6))
     assert main(["classical", "--matrix", str(mpath)]) == 0
     out = tmp_path / "reports" / "classical-seed0.json"
     doc = json.loads(out.read_text())
-    assert "seed" not in doc["config"]
+    assert set(doc["config"]) == {"matrix", "tol"}
     doc["config"]["seed"] = 0
     out.write_text(json.dumps(doc))
-    assert main(["verify-certificate", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify-certificate", str(out)]) == 1
+    assert ("FAIL config: keys ['matrix', 'seed', 'tol'], not one of [['matrix', 'tol']]"
+            in capsys.readouterr().out)
 
 
 def test_verify_detects_tampered_decomposition(tmp_path, capsys):
@@ -292,6 +307,15 @@ def test_threshold_above_one_verifies(tmp_path):
     out = str(tmp_path / "threshold.json")
     assert main(["threshold", "--gap", "2sqrt(16/15)", "--out", out]) == 0
     assert json.loads(open(out).read())["results"]["alpha0"] > 1.0
+    assert main(["verify-certificate", out]) == 0
+
+
+def test_threshold_at_gap_1e6_verifies(tmp_path):
+    # its doubling bracket passes alpha = 2^40, where density once raised
+    out = str(tmp_path / "threshold.json")
+    assert main(["threshold", "--gap", "1e6", "--out", out]) == 0
+    assert json.loads(open(out).read())["results"]["alpha0"] == pytest.approx(7.205e11,
+                                                                             rel=1e-3)
     assert main(["verify-certificate", out]) == 0
 
 
@@ -679,7 +703,7 @@ def test_spectral_without_ks_n_records_no_draw(tmp_path):
     assert main(["spectral", "--alpha", "0.5", "--grid-points", "500", "--seed", "3",
                  "--out", out]) == 0
     doc = json.loads(open(out).read())
-    assert set(doc["config"]) == {"subcommand", "alpha", "grid_points"}
+    assert set(doc["config"]) == {"alpha", "grid_points"}
     assert "ks_distance" not in doc["results"]
 
 

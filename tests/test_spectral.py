@@ -255,6 +255,17 @@ def test_closed_form_roots_and_scan_match_the_reference_hypothesis(log_alpha):
     check_roots_and_branch(math.exp(log_alpha))
 
 
+@pytest.mark.parametrize("k", range(30, 47))
+def test_density_at_very_large_alpha(k):
+    # b + r cancels in the deflation there, which once gave a wrong edge at
+    # 2^40 and 2^43 and a wrong mass at 2^45; C_alpha tends to 8/(3pi)
+    law = density(2.0 ** k)
+    assert abs(law.total_mass() - 1.0) <= 1e-5
+    assert law.c_alpha == pytest.approx(8 / (3 * math.pi), rel=1e-6)
+    if k % 4 == 0 or k in (43, 45):
+        check_roots_and_branch(2.0 ** k)
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3, 64, 1000])
 def test_follow_scan_equals_the_loop_on_exact_ties(rows):
     # roots on a small integer lattice: many rows hold two roots at the same
