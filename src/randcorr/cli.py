@@ -21,8 +21,8 @@ from . import spectral
 from .errors import NumericalError, ValidationError
 from .linalg import SPECTRAL_VALUES, read_matrix_csv, svd, write_matrix_csv
 from .norms import (GAMMA2_RESCALE_MAX_ITER, HEURISTIC_RESTARTS, bell_functional_from_svd,
-                    classical_upper_bound, gamma2_bracket, gamma2_oracle,
-                    infty_to_one_exact, infty_to_one_heuristic)
+                    classical_lower_bound, classical_upper_bound, gamma2_bracket,
+                    gamma2_oracle, infty_to_one_exact, infty_to_one_heuristic)
 from .sampling import ENSEMBLE_KINDS, EnsembleSpec, SeedSpec
 from .experiments import SCHEMA_VERSION, ExperimentConfig, default_config, run_experiment
 from .verify import law_results, report_results, verify_report
@@ -184,8 +184,13 @@ def _write_out(args, default_name: str, text: str) -> None:
 
 def _emit(doc: dict, args, headline: str) -> None:
     print(headline)
-    _write_out(args, f"{doc['kind']}-seed{getattr(args, 'seed', 0)}.json",
-               json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    config = doc["config"]
+    if "matrix" in config:  # named after its CSV (a norm after `which` too)
+        stem = os.path.splitext(os.path.basename(config["matrix"]))[0]
+        name = "-".join(filter(None, [doc["kind"], config.get("which"), stem]))
+    else:
+        name = f"{doc['kind']}-seed{getattr(args, 'seed', 0)}"
+    _write_out(args, name + ".json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -253,13 +258,14 @@ def _cmd_gap(args) -> int:
     # one SVD for both the gamma2 bracket and the Bell functional
     triple = svd(mat)
     bracket = gamma2_bracket(mat, triple)
-    bell = bell_functional_from_svd(mat, args.restarts, SeedSpec(args.seed, 0), triple)
-    claims = {"bell_functional": (bell.eps_one_norm, bell),
+    bell = bell_functional_from_svd(mat, triple=triple)
+    claims = {"classical_lower": (classical_lower_bound(mat, bell), bell),
               "gamma2_lower": (bracket.lower, bracket.lower_certificate),
               "gamma2_upper": (bracket.upper, bracket.upper_certificate)}
     doc = _report("gap", {"matrix": args.matrix}, {}, mat, claims)
     _emit(doc, args, f"quantum-classical gap estimate {doc['results']['gap']:.12g}"
-          + ("" if bell.exact else " (heuristic Bell norm, not certified)"))
+          + ("" if doc["results"]["bell_norm_exact"]
+             else " (heuristic Bell norm, not certified)"))
     return 0
 
 
@@ -267,9 +273,11 @@ def _cmd_spectral(args) -> int:
     alpha = parse_scalar(args.alpha)
     law = spectral.density(alpha, grid_points=args.grid_points)
     config = {"alpha": alpha, "grid_points": args.grid_points}
-    if args.ks_n:
-        if not args.ks_m:
-            raise ValidationError("--ks-n requires --ks-m")
+    if (args.ks_n, args.ks_m) != (None, None):
+        for flag, value in (("--ks-n", args.ks_n), ("--ks-m", args.ks_m)):
+            if value is None or value < 1:
+                raise ValidationError(f"a KS draw takes --ks-n and --ks-m, each >= 1: "
+                                      f"{flag} is {value}")
         config.update(ks_n=args.ks_n, ks_m=args.ks_m, seed=args.seed)
     results = law_results(law, config)
     if args.csv:
@@ -394,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="classical/quantum norm ratio estimate")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--restarts", type=int, default=HEURISTIC_RESTARTS)
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=_cmd_gap)
 
     p = sub.add_parser("spectral", help="limiting law of the Gaussian product")

@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import flatness_from_sigma, svd
-from .norms import (EXACT_CAP, HEURISTIC_RESTARTS, bell_functional_from_svd,
-                    classical_lower_bound, gamma2_bracket, gap_from_bell,
-                    infty_to_one_exact, quantum_classical_gap, tau_gap_bound)
+from .norms import (EXACT_CAP, bell_functional_from_svd, classical_lower_bound,
+                    gamma2_bracket, gap_from_bell, infty_to_one_exact,
+                    quantum_classical_gap, tau_gap_bound)
 from .sampling import (SeedSpec, bi_invariant, gaussian, haar_orthogonal,
                        unit_rows_correlation)
 
@@ -377,7 +377,7 @@ def _trial_mean_width(cfg, size, seed):
     n = size["n"]
     g = gaussian(n, n, seed)
     triple = svd(g)  # one SVD gives the trace norm and the functional UV^t
-    bell = bell_functional_from_svd(g, HEURISTIC_RESTARTS, seed, triple)
+    bell = bell_functional_from_svd(g, seed, triple)
     # <g, a> over the Bell norm a gap divides by: gap_from_bell with denominator 1
     classical = gap_from_bell(g, bell, 1.0)
     return {"quantum_width_scaled": float(triple.sigma.sum()) / n ** 1.5,

@@ -71,11 +71,8 @@ class SignPair:
         return cls(np.asarray(d["alpha"], dtype=float), np.asarray(d["beta"], dtype=float))
 
 
-@dataclass(frozen=True)
-class DualWitness:
-    """Any square a, certifying gamma2(t) >= <t, a> / (n rho), rho >= ||a||_op:
-    for unit x_i, y_j, sum_ij a_ij <x_i, y_j> = sum_k X_k^t a Y_k (X_k the
-    k-th coordinates of the x_i) <= ||a||_op |X| |Y| = n ||a||_op.
+def op_norm_bound(a: np.ndarray) -> float:
+    """rho(a) >= ||a||_op of a square a, with no SVD.
 
     rho^2 is the largest row sum of |fl(a^t a)| + gamma_n |a|^t |a|, with
     gamma_n = n u / (1 - n u), u = 2^-53: ||a||_op^2 is at most a^t a's
@@ -83,7 +80,20 @@ class DualWitness:
     and fl(a^t a) errs entrywise by at most gamma_n (|a|^t |a|)_ij in any
     summation order (Higham, "Accuracy and Stability of Numerical
     Algorithms", 3.5), whose row sums |a|^t (|a| 1) take O(n^2).  The
-    sums, the pairing and the quotient are exact only to rounding."""
+    sums and the square root are exact only to rounding."""
+    n, abs_a = a.shape[0], np.abs(a)
+    nu = n * np.finfo(float).eps / 2
+    return math.sqrt((np.abs(a.T @ a).sum(axis=1)
+                      + nu / (1.0 - nu) * (abs_a.T @ abs_a.sum(axis=1))).max())
+
+
+@dataclass(frozen=True)
+class DualWitness:
+    """Any square a, certifying gamma2(t) >= <t, a> / (n rho(a)), rho(a) =
+    op_norm_bound(a) >= ||a||_op: for unit x_i, y_j, sum_ij a_ij <x_i, y_j>
+    = sum_k X_k^t a Y_k (X_k the k-th coordinates of the x_i) <=
+    ||a||_op |X| |Y| = n ||a||_op.  The pairing and the quotient are exact
+    only to rounding."""
 
     a: np.ndarray
 
@@ -91,11 +101,7 @@ class DualWitness:
         m = as_matrix(t, square=True)
         if self.a.shape != m.shape:
             raise ValidationError(f"a {self.a.shape} witness for a {m.shape} matrix")
-        n, abs_a = m.shape[0], np.abs(self.a)
-        nu = n * np.finfo(float).eps / 2
-        rho2 = (np.abs(self.a.T @ self.a).sum(axis=1)
-                + nu / (1.0 - nu) * (abs_a.T @ abs_a.sum(axis=1))).max()
-        return float((m * self.a).sum() / (n * math.sqrt(rho2)))
+        return float((m * self.a).sum() / (m.shape[0] * op_norm_bound(self.a)))
 
     def to_dict(self) -> dict:
         return {"type": "dual_witness", "a": self.a.tolist()}
@@ -216,34 +222,23 @@ class NormBracket:
 
 @dataclass
 class BellFunctional:
-    """A Bell functional a with its inf->1 norm (exact, or a certified upper
-    bound with the heuristic lower estimate carried separately)."""
+    """A Bell functional a, an upper bound eps_one_norm on its inf->1 norm
+    and a sign pair.  Up to EXACT_CAP the bound is the enumerated norm, which
+    the pair attains; above it, n op_norm_bound(a) >= n ||a||_op, and the
+    pair's value (the ascent's) is the estimate a gap divides by."""
 
     a: np.ndarray
     eps_one_norm: float
-    exact: bool
-    heuristic_lower: float | None = None
-    near_singular: bool = False
-    attaining: SignPair | None = None
+    attaining: SignPair
 
     def to_dict(self) -> dict:
-        d = {"type": "bell_functional", "a": self.a.tolist(),
-             "eps_one_norm": self.eps_one_norm, "exact": self.exact,
-             "near_singular": self.near_singular}
-        if self.heuristic_lower is not None:
-            d["heuristic_lower"] = self.heuristic_lower
-        if self.attaining is not None:
-            d["attaining"] = self.attaining.to_dict()
-        return d
+        return {"type": "bell_functional", "a": self.a.tolist(),
+                "eps_one_norm": self.eps_one_norm, "attaining": self.attaining.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BellFunctional":
-        lower, attaining = d.get("heuristic_lower"), d.get("attaining")
-        return cls(a=as_matrix(d["a"], square=True),
-                   eps_one_norm=float(d["eps_one_norm"]), exact=bool(d["exact"]),
-                   heuristic_lower=None if lower is None else float(lower),
-                   near_singular=bool(d["near_singular"]),
-                   attaining=None if attaining is None else SignPair.from_dict(attaining))
+        return cls(a=as_matrix(d["a"], square=True), eps_one_norm=float(d["eps_one_norm"]),
+                   attaining=SignPair.from_dict(d["attaining"]))
 
 
 @functools.lru_cache(maxsize=_LOW_BITS + 1)
@@ -521,8 +516,8 @@ def infty_to_one_heuristic(a, restarts: int, seed: SeedSpec) -> tuple[float, Sig
 
     From each random start, alternately set beta = sign(a^t alpha) and
     alpha = sign(a beta) until neither step strictly increases the value;
-    the result is the best fixed point over all restarts (never decreases
-    as restarts grow).
+    the result is the best fixed point's pair over all restarts, with the
+    value that pair attains (never decreases as restarts grow).
     """
     m = as_matrix(a, square=True)
     if restarts < 1:
@@ -542,9 +537,10 @@ def infty_to_one_heuristic(a, restarts: int, seed: SeedSpec) -> tuple[float, Sig
                 break
             val = new
             alpha = alpha_next
-        if val > best_val:
-            best_val = val
-            best_pair = SignPair(alpha, _sign(m.T @ alpha))
+        pair = SignPair(alpha, beta)  # beta = sign(a^t alpha) at the break
+        value = pair.pairing(m)
+        if value > best_val:
+            best_val, best_pair = value, pair
     return best_val, best_pair
 
 
@@ -738,48 +734,38 @@ def gamma2_oracle(t, tol: float = 1e-4, triple: SvdTriple | None = None) -> floa
 
 
 def classical_lower_bound(t, bell: BellFunctional) -> float:
-    """Certified lower bound <t, a>/||a|| on the projective norm of t.
+    """Certified lower bound <t, a>/||a|| on the projective norm of t, for an
+    a of t's shape.
 
     Remains valid when bell.eps_one_norm is an upper bound on the true norm.
     """
     m = as_matrix(t, square=True)
+    if bell.a.shape != m.shape:
+        raise ValidationError(f"a {bell.a.shape} Bell functional for a {m.shape} matrix")
     if bell.eps_one_norm <= 0:
         raise ValidationError("Bell functional norm must be positive")
     return float((m * bell.a).sum() / bell.eps_one_norm)
 
 
-def _near_singular(sigma: np.ndarray) -> bool:
-    """The Bell functional's warning flag, from the descending singular
-    values of t: the smallest is within 1e-10 (relative) of zero, so UV^t
-    is not unique."""
-    return bool(sigma[-1] <= 1e-10 * max(sigma[0], 1e-300))
-
-
-def bell_functional_from_svd(t, heuristic_restarts: int = HEURISTIC_RESTARTS,
-                             seed: SeedSpec = SeedSpec(0, 0),
+def bell_functional_from_svd(t, seed: SeedSpec = SeedSpec(0, 0),
                              triple: SvdTriple | None = None) -> BellFunctional:
     """The orthogonal functional UV^t from the SVD of t.
 
-    For n <= EXACT_CAP the inf->1 norm is computed exactly; above the cap
-    the certified upper bound n is stored (alpha^t a beta <= n ||a||_op,
-    and a is orthogonal) and the alternating-ascent estimate is reported
-    separately.  Near-singular inputs keep the (non-unique) UV^t and set a
-    warning flag.  `triple` is the SVD of t when the caller already holds
-    it (a gap also reads its trace norm); without it one is taken here.
+    For n <= EXACT_CAP its inf->1 norm is enumerated, with the attaining
+    pair; above the cap n op_norm_bound(a) is stored, with the pair of
+    HEURISTIC_RESTARTS ascent starts from `seed`.  `triple` is the SVD of t
+    when the caller already holds it (a gap also reads its trace norm);
+    without it one is taken here.
     """
     m = as_matrix(t, square=True)
     triple = svd(m) if triple is None else triple
     a = triple.u @ triple.v.T
     n = a.shape[0]
-    near_singular = _near_singular(triple.sigma)
     if n <= EXACT_CAP:
         value, pair = infty_to_one_exact(a)
-        return BellFunctional(a=a, eps_one_norm=value, exact=True,
-                              near_singular=near_singular, attaining=pair)
-    h_val, h_pair = infty_to_one_heuristic(a, heuristic_restarts, seed)
-    return BellFunctional(a=a, eps_one_norm=float(n), exact=False,
-                          heuristic_lower=h_val, near_singular=near_singular,
-                          attaining=h_pair)
+        return BellFunctional(a=a, eps_one_norm=value, attaining=pair)
+    _, pair = infty_to_one_heuristic(a, HEURISTIC_RESTARTS, seed)
+    return BellFunctional(a=a, eps_one_norm=n * op_norm_bound(a), attaining=pair)
 
 
 _MASTER_OPTIONS = (("output_flag", False), ("presolve", "off"),
@@ -931,8 +917,7 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9) -> NormBra
         dual = y.reshape(n, n)
         values, alphas, betas = _top_atoms(dual, _PRICING_COLUMNS, _PRICE_CAP)
         if values[0] > 0.0:
-            bell = BellFunctional(a=dual, eps_one_norm=float(values[0]), exact=True,
-                                  near_singular=best.near_singular,
+            bell = BellFunctional(a=dual, eps_one_norm=float(values[0]),
                                   attaining=SignPair(alphas[0], betas[0]))
             value = classical_lower_bound(m, bell)
             if value > lower:
@@ -947,8 +932,7 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9) -> NormBra
                        upper_certificate=dec)
 
 
-def quantum_classical_gap(t, heuristic_restarts: int = HEURISTIC_RESTARTS,
-                          seed: SeedSpec = SeedSpec(0, 0)) -> float:
+def quantum_classical_gap(t, seed: SeedSpec = SeedSpec(0, 0)) -> float:
     """Estimated ratio of classical to quantum norm of t.
 
     Numerator: the certified classical lower bound <t, UV^t>/||UV^t||.
@@ -963,15 +947,17 @@ def quantum_classical_gap(t, heuristic_restarts: int = HEURISTIC_RESTARTS,
     m = as_matrix(t, square=True)
     if not np.any(m):
         raise ValidationError("quantum_classical_gap requires a nonzero matrix")
-    bell = bell_functional_from_svd(m, heuristic_restarts, seed)
+    bell = bell_functional_from_svd(m, seed)
     return gap_from_bell(m, bell, DualWitness(bell.a).value(m))
 
 
 def gap_from_bell(t, bell: BellFunctional, gamma2_lower: float) -> float:
     """The quantum_classical_gap of t from its Bell functional and a gamma2
-    lower bound (the gamma2 bracket's lower end)."""
+    lower bound (the gamma2 bracket's lower end).  Above EXACT_CAP it divides
+    by the attaining pair's value, an estimate of the Bell norm."""
     m = as_matrix(t, square=True)
-    norm_value = bell.eps_one_norm if bell.exact else bell.heuristic_lower
+    norm_value = (bell.eps_one_norm if m.shape[0] <= EXACT_CAP
+                  else bell.attaining.pairing(bell.a))
     numerator = float((m * bell.a).sum() / norm_value)
     return numerator / gamma2_lower
 

@@ -3,11 +3,12 @@ compare the stored report with the rebuild as a whole.
 
 A single-matrix report's certificates are re-evaluated against its embedded
 matrix. Each certificate's claim fixes the payload class; the payload must
-round-trip through that class's from_dict/to_dict unchanged, with what
-the matrix fixes (a Bell functional's near_singular flag) rebuilt from it,
-and the stored value must equal the re-evaluated one, the value the
-command stores: each payload's value charges its own error, so no
-tolerance gates it, and no bracket's lower end may exceed its upper one.
+round-trip through that class's from_dict/to_dict unchanged, and the
+stored value must equal the re-evaluated one, the value the command
+stores: each payload's value charges its own error, so no tolerance gates
+it, and no bracket's lower end may exceed its upper one.  Only `norm
+--which trace|operator|flatness` reports, values of the singular values,
+take an SVD.
 The report's `results` are rebuilt by report_results, the function its
 command writes them with, and its `config` holds exactly the keys that
 rebuild reads. An experiment report is rebuilt from its config and its
@@ -23,10 +24,10 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .experiments import (SCHEMA_VERSION, ExperimentConfig, ExperimentReport, TrialRecord,
                           grid, summarize_records, verdicts)
-from .linalg import SPECTRAL_VALUES, as_matrix, operator_norm, svd
-from .norms import (BellFunctional, ConvexDecomposition, DualWitness, FactorizationPair,
-                    SignPair, _near_singular, classical_lower_bound, gap_from_bell,
-                    infty_to_one_exact)
+from .linalg import SPECTRAL_VALUES, as_matrix
+from .norms import (EXACT_CAP, BellFunctional, ConvexDecomposition, DualWitness,
+                    FactorizationPair, SignPair, classical_lower_bound, gap_from_bell,
+                    infty_to_one_exact, op_norm_bound)
 from .sampling import SeedSpec
 from .spectral import BRENT_RTOL, density, ks_distance_of_draw, threshold_objective
 
@@ -89,26 +90,15 @@ def _decomposition_value(dec: ConvexDecomposition, t) -> float:
     return dec.upper_bound(t)
 
 
-def _bell_norm(bell: BellFunctional, t) -> float:
-    """The functional's inf->1 norm: enumerated when exact, else n ||a||_op
-    (alpha^t a beta <= n ||a||_op for any a, orthogonal or not). The stored
-    eps_one_norm must agree with it, the attaining pair must reach the
-    value a gap divides by (the norm, or heuristic_lower above EXACT_CAP),
-    and near_singular must be the flag the singular values of t give."""
-    a = bell.a
-    norm = infty_to_one_exact(a)[0] if bell.exact else a.shape[0] * operator_norm(a)
-    reached = "eps_one_norm" if bell.exact else "heuristic_lower"
-    problems = (_diff(bell.eps_one_norm, norm, "eps_one_norm")
-                + _diff(getattr(bell, reached), bell.attaining.pairing(a),
-                        f"{reached} (its attaining pair)")
-                + _diff(bell.near_singular, _near_singular(svd(t).sigma), "near_singular"))
+def _classical_lower(bell: BellFunctional, t) -> float:
+    """<t, a> / eps_one_norm, once eps_one_norm is the functional's norm
+    bound: up to EXACT_CAP the norm re-enumerated, which the attaining pair
+    must reach; above it n op_norm_bound(a), whose pair only the gap reads."""
+    a, n = bell.a, len(bell.a)
+    norm = _infty_to_one(bell.attaining, a) if n <= EXACT_CAP else n * op_norm_bound(a)
+    problems = _diff(bell.eps_one_norm, norm, "eps_one_norm")
     if problems:
         raise ValidationError("; ".join(problems))
-    return norm
-
-
-def _classical_lower(bell: BellFunctional, t) -> float:
-    _bell_norm(bell, t)
     return classical_lower_bound(t, bell)
 
 
@@ -120,7 +110,6 @@ _CERTIFICATES = {
     "gamma2_upper": (FactorizationPair, FactorizationPair.value),
     "classical_lower": (BellFunctional, _classical_lower),
     "classical_upper": (ConvexDecomposition, _decomposition_value),
-    "bell_functional": (BellFunctional, _bell_norm),
 }
 # (lower, upper) claim pairs: the two ends of one bracket
 _BRACKETS = (("classical_lower", "classical_upper"), ("gamma2_lower", "gamma2_upper"))
@@ -168,10 +157,10 @@ def report_results(kind: str, config: dict, matrix, values: dict, payloads: dict
         return {"lower": lower, "upper": upper, "converged": closed, "certified": closed,
                 "residual": payloads["classical_upper"].reconstruction_residual(matrix)}
     if kind == "gap":
-        bell, lower = payloads["bell_functional"], values["gamma2_lower"]
-        return {"gap": gap_from_bell(matrix, bell, lower), "bell_norm_exact": bell.exact,
-                "bell_norm": values["bell_functional"], "gamma2_lower": lower,
-                "gamma2_upper": values.get("gamma2_upper")}
+        bell, lower = payloads["classical_lower"], values["gamma2_lower"]
+        return {"gap": gap_from_bell(matrix, bell, lower),
+                "bell_norm_exact": len(matrix) <= EXACT_CAP, "bell_norm": bell.eps_one_norm,
+                "gamma2_lower": lower, "gamma2_upper": values.get("gamma2_upper")}
     if kind == "spectral":
         return law_results(density(config["alpha"], config["grid_points"]), config)
     if kind == "threshold":

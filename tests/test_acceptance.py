@@ -14,7 +14,7 @@ from randcorr.experiments import default_config, run_experiment
 from randcorr.linalg import operator_norm, trace_norm, write_matrix_csv
 from randcorr.norms import (classical_lower_bound, classical_upper_bound,
                             gamma2_bracket, infty_to_one_exact,
-                            infty_to_one_heuristic, BellFunctional)
+                            infty_to_one_heuristic, BellFunctional, SignPair)
 from randcorr.sampling import SeedSpec, bi_invariant, gaussian
 from randcorr.spectral import (alpha_threshold, c_alpha, density,
                                empirical_spectrum, ks_distance)
@@ -161,7 +161,8 @@ def test_criterion_9_oracle_equivalence_suite():
         inside += (bracket.lower - 1e-6 <= val <= bracket.upper + 1e-6)
 
     lower = classical_lower_bound(
-        CHSH, BellFunctional(a=CHSH, eps_one_norm=2.0, exact=True))
+        CHSH, BellFunctional(a=CHSH, eps_one_norm=2.0,
+                             attaining=SignPair(np.ones(2), np.ones(2))))
     upper = classical_upper_bound(CHSH).upper_certificate.weight_sum()
     pinned = abs(lower - 2.0) <= 1e-6 and abs(upper - 2.0) <= 1e-6
 

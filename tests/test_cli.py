@@ -10,10 +10,11 @@ from randcorr.errors import NumericalError
 from randcorr.experiments import (ExperimentConfig, TrialRecord, default_config,
                                   summarize_records, verdicts)
 from randcorr.linalg import read_matrix_csv, write_matrix_csv
-from randcorr.norms import (BellFunctional, FactorizationPair, bell_functional_from_svd,
-                            classical_lower_bound, classical_upper_bound, gap_from_bell,
+from randcorr.norms import (FactorizationPair, bell_functional_from_svd,
+                            classical_lower_bound, classical_upper_bound,
                             quantum_classical_gap)
 from randcorr.sampling import SeedSpec, gaussian, haar_orthogonal
+from randcorr.verify import verify_report
 
 
 @pytest.fixture()
@@ -69,9 +70,9 @@ def test_gap_report_matches_quantum_classical_gap(tmp_path, capsys):
     mpath = tmp_path / "g.csv"
     write_matrix_csv(mpath, mat)
     out = str(tmp_path / "gap.json")
-    assert main(["gap", "--matrix", str(mpath), "--seed", "4", "--out", out]) == 0
+    assert main(["gap", "--matrix", str(mpath), "--out", out]) == 0
     doc = json.loads(open(out).read())
-    want = quantum_classical_gap(np.asarray(doc["matrix"]), seed=SeedSpec(4, 0))
+    want = quantum_classical_gap(np.asarray(doc["matrix"]))
     assert doc["results"]["gap"] == want
 
 
@@ -96,6 +97,30 @@ def test_gap_takes_one_svd_of_the_matrix(tmp_path, monkeypatch):
     monkeypatch.setattr(norms_mod, "svd", counting(norms_mod.svd))
     assert main(["gap", "--matrix", str(mpath)]) == 0
     assert seen.count(True) == 1
+
+
+@pytest.mark.parametrize("command, n, svds", [
+    ("classical", 6, 0), ("gap", 6, 0), ("gap", 20, 0), ("gap", 26, 0), ("gamma2", 6, 0),
+    ("gamma2 --oracle", 6, 0), ("norm", 6, 0), ("norm --which infty-to-one-heuristic", 6, 0),
+    ("norm --which trace", 6, 1)])
+def test_verify_takes_no_svd(tmp_path, monkeypatch, command, n, svds):
+    # a Bell functional's norm is re-enumerated, or bounded by n rho(a)
+    # above EXACT_CAP, and every other certificate is re-paired or
+    # re-multiplied: only a value of the singular values takes an SVD
+    mpath, out = tmp_path / "g.csv", tmp_path / "report.json"
+    write_matrix_csv(mpath, gaussian(n, n, SeedSpec(19, n)) / math.sqrt(n))
+    assert main([*command.split(), "--matrix", str(mpath), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    calls, real = [], np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    # linalg.svd, singular_values and the norms built on them all call it
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert verify_report(doc) == []
+    assert len(calls) == svds
 
 
 def test_classical_unconverged_certifies_a_looser_upper_bound(tmp_path, capsys):
@@ -170,7 +195,7 @@ def test_verify_rejects_an_edited_dual_functional(tmp_path, capsys, edit):
     mat = np.asarray(doc["matrix"])
     assert doc["results"]["lower"] > classical_lower_bound(mat, bell_functional_from_svd(mat))
     lower = doc["certificates"][0]
-    assert lower["claims"] == "classical_lower" and lower["certificate"]["exact"]
+    assert lower["claims"] == "classical_lower"
     if edit == "entry":
         y = lower["certificate"]["a"]
         i, j = np.unravel_index(np.argmax(np.abs(y)), (6, 6))
@@ -239,6 +264,31 @@ def test_gamma2_and_threshold_take_no_seed(tmp_path, capsys, command):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--restarts", "2"], ["--seed", "1"]])
+def test_gap_takes_no_restarts_or_seed(tmp_path, capsys, flag):
+    # above EXACT_CAP the ascent's pair only picks the estimate's
+    # denominator, and at or below it nothing is drawn
+    mpath = tmp_path / "chsh.csv"
+    write_matrix_csv(mpath, np.array([[1.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(SystemExit) as exc:
+        main(["gap", "--matrix", str(mpath), *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+def test_out_env_names_reports_after_their_matrix(tmp_path, monkeypatch):
+    # two matrices leave two reports, each naming its own CSV
+    monkeypatch.setenv("RANDCORR_OUT", str(tmp_path / "reports"))
+    for i, name in enumerate(("first", "second")):
+        write_matrix_csv(tmp_path / f"{name}.csv", gaussian(4, 4, SeedSpec(9, i)))
+        assert main(["gamma2", "--matrix", str(tmp_path / f"{name}.csv")]) == 0
+    for name in ("first", "second"):
+        doc = json.loads((tmp_path / "reports" / f"gamma2-{name}.json").read_text())
+        assert doc["config"]["matrix"] == str(tmp_path / f"{name}.csv")
+    assert sorted(os.listdir(tmp_path / "reports")) == ["gamma2-first.json",
+                                                       "gamma2-second.json"]
+
+
 def test_classical_config_has_no_seed_and_a_stored_seed_fails(tmp_path, monkeypatch,
                                                               capsys):
     # the config holds only what the rebuild reads, so a seed, which
@@ -247,7 +297,7 @@ def test_classical_config_has_no_seed_and_a_stored_seed_fails(tmp_path, monkeypa
     mpath = tmp_path / "g6.csv"
     write_matrix_csv(mpath, gaussian(6, 6, SeedSpec(7, 1)) / math.sqrt(6))
     assert main(["classical", "--matrix", str(mpath)]) == 0
-    out = tmp_path / "reports" / "classical-seed0.json"
+    out = tmp_path / "reports" / "classical-g6.json"
     doc = json.loads(out.read_text())
     assert set(doc["config"]) == {"matrix", "tol"}
     doc["config"]["seed"] = 0
@@ -275,23 +325,25 @@ def test_verify_detects_tampered_decomposition(tmp_path, capsys):
 
 
 def test_verify_rejects_scaled_bell_functional_above_cap(tmp_path, capsys):
-    # above EXACT_CAP the functional's norm is certified by n ||a||_op; a
-    # doubled a has norm up to 2n, so the stored claim n must not verify
+    # above EXACT_CAP the functional's norm is certified by n rho(a) >=
+    # n ||a||_op; a doubled a has twice that bound, so the stored one fails
     mat = gaussian(26, 26, SeedSpec(3, 2)) / math.sqrt(26)
     mpath = tmp_path / "g26.csv"
     write_matrix_csv(mpath, mat)
     out = str(tmp_path / "gap.json")
-    assert main(["gap", "--matrix", str(mpath), "--restarts", "2", "--out", out]) == 0
+    assert main(["gap", "--matrix", str(mpath), "--out", out]) == 0
     assert main(["verify-certificate", out]) == 0
     doc = json.loads(open(out).read())
-    [cert] = [c for c in doc["certificates"] if c["claims"] == "bell_functional"]
-    assert cert["value"] == 26.0 and not cert["certificate"]["exact"]
-    cert["certificate"]["a"] = (2.0 * np.asarray(cert["certificate"]["a"])).tolist()
+    [cert] = [c for c in doc["certificates"] if c["claims"] == "classical_lower"]
+    a = np.asarray(cert["certificate"]["a"])
+    assert cert["certificate"]["eps_one_norm"] >= 26.0 * np.linalg.norm(a, 2)
+    assert doc["results"]["bell_norm_exact"] is False
+    cert["certificate"]["a"] = (2.0 * a).tolist()
     with open(out, "w") as fh:
         json.dump(doc, fh)
     capsys.readouterr()
     assert main(["verify-certificate", out]) == 1
-    assert "bell_functional" in capsys.readouterr().out
+    assert "(classical_lower): re-evaluation failed: eps_one_norm" in capsys.readouterr().out
 
 
 def test_threshold_subcommand(capsys):
@@ -707,14 +759,28 @@ def test_spectral_without_ks_n_records_no_draw(tmp_path):
     assert "ks_distance" not in doc["results"]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--ks-m", "30"], "--ks-n is None"),
+    (["--ks-n", "0", "--ks-m", "30"], "--ks-n is 0"),
+    (["--ks-n", "40", "--ks-m", "0"], "--ks-m is 0")])
+def test_spectral_takes_both_ks_flags_or_neither(tmp_path, capsys, flags, message):
+    # a KS draw needs both sizes, each at least 1; anything else is refused
+    # rather than dropped from the report
+    out = tmp_path / "report.json"
+    assert main(["spectral", "--alpha", "0.5", "--grid-points", "500", *flags,
+                 "--out", str(out)]) == 2
+    assert message in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, edit", [
-    ("gap", "near_singular"), ("classical", "near_singular"),
+    ("gap", "attaining"), ("classical", "attaining"),
     ("norm --which trace", "value"), ("norm --which operator", "value"),
     ("norm --which flatness", "value"), ("classical", "residual"),
     ("classical", "payload_residual")])
 def test_verify_rebuilds_what_the_matrix_fixes(tmp_path, capsys, command, edit):
-    # the Bell functional's near_singular flag, the trace, operator and
-    # flatness values and a decomposition's residual follow from the matrix
+    # the Bell functional's attaining pair, the trace, operator and flatness
+    # values and a decomposition's residual follow from the matrix
     mpath = tmp_path / "g.csv"
     write_matrix_csv(mpath, gaussian(6, 6, SeedSpec(13, 0)) / math.sqrt(6))
     out = str(tmp_path / "report.json")
@@ -722,9 +788,12 @@ def test_verify_rebuilds_what_the_matrix_fixes(tmp_path, capsys, command, edit):
     assert main(["verify-certificate", out]) == 0
     doc = json.loads(open(out).read())
     payloads = {c["claims"]: c["certificate"] for c in doc.get("certificates", [])}
-    if edit == "near_singular":
-        bell = payloads["bell_functional" if command == "gap" else "classical_lower"]
-        bell["near_singular"] = not bell["near_singular"]
+    if edit == "attaining":
+        # the sign whose flip moves the pair's value most: a dual Y has
+        # other attaining pairs, which verify like the stored one
+        bell = payloads["classical_lower"]
+        a, pair = np.asarray(bell["a"]), bell["attaining"]
+        pair["alpha"][int(np.argmax(np.abs(a @ pair["beta"])))] *= -1
     elif edit == "value":
         doc["results"]["value"] *= 2.0
     elif edit == "residual":
@@ -753,31 +822,6 @@ def test_reports_with_retired_settings_verify(tmp_path, scenario, group, key, va
     assert main(["experiment", "--config", str(cfg_path), "--out", out]) in (0, 3)
     assert json.loads(open(out).read())["config"][group][key] == value
     assert main(["verify-certificate", out]) == 0
-
-
-def test_verify_checks_heuristic_lower_above_cap(tmp_path, capsys):
-    # above EXACT_CAP the gap divides by the heuristic lower value, so its
-    # attaining pair must reach it: a lowered value, with the gap recomputed
-    # to match, fails
-    mpath = tmp_path / "g26.csv"
-    write_matrix_csv(mpath, gaussian(26, 26, SeedSpec(13, 1)) / math.sqrt(26))
-    out = str(tmp_path / "gap26.json")
-    assert main(["gap", "--matrix", str(mpath), "--restarts", "2", "--out", out]) == 0
-    assert main(["verify-certificate", out]) == 0
-    doc = json.loads(open(out).read())
-    [payload] = [c["certificate"] for c in doc["certificates"]
-                 if c["claims"] == "bell_functional"]
-    assert payload["exact"] is False
-    payload["heuristic_lower"] *= 0.8
-    bell = BellFunctional(np.asarray(payload["a"]), payload["eps_one_norm"], False,
-                          heuristic_lower=payload["heuristic_lower"])
-    doc["results"]["gap"] = gap_from_bell(np.asarray(doc["matrix"]), bell,
-                                          doc["results"]["gamma2_lower"])
-    with open(out, "w") as fh:
-        json.dump(doc, fh)
-    capsys.readouterr()
-    assert main(["verify-certificate", out]) == 1
-    assert "heuristic_lower" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("entry", ["results", "certificate", "NaN", "Infinity"])
@@ -895,7 +939,7 @@ def test_verify_rejects_an_edited_factorization_entry(tmp_path, capsys):
     # moved by 5e-10 / max |y[25]|, x[0][25] changes x y by at most 5e-10,
     # which the 1e-9 residual gate let through, value left as it was
     out, doc = _sampled_report(tmp_path, "--kind gaussian --n 26 --seed 7",
-                               "gap --restarts 2")
+                               "gap")
     [cert] = [c for c in doc["certificates"] if c["claims"] == "gamma2_upper"]
     x, y = cert["certificate"]["x"], np.asarray(cert["certificate"]["y"])
     x[0][25] += 5e-10 / np.abs(y[25]).max()
@@ -911,6 +955,28 @@ def test_verify_rejects_a_witness_of_another_shape(tmp_path, capsys):
     [cert] = [c for c in doc["certificates"] if c["claims"] == "gamma2_lower"]
     cert["certificate"]["a"], cert["value"], doc["results"]["lower"] = [[1.0]], 4.0, 4.0
     _fails_verification(out, doc, capsys, "(gamma2_lower): re-evaluation failed")
+
+
+def test_verify_rejects_a_bell_functional_of_another_shape(tmp_path, capsys):
+    # a 1 x 1 functional [[1]] of norm 1, broadcast over t, would pair to
+    # sum(t): a gap report restated to match must not verify that forged gap
+    out, doc = _sampled_report(tmp_path, "--kind gaussian --n 6 --seed 5", "gap")
+    total = float(np.asarray(doc["matrix"]).sum())
+    [cert] = [c for c in doc["certificates"] if c["claims"] == "classical_lower"]
+    cert["certificate"].update(a=[[1.0]], eps_one_norm=1.0,
+                               attaining={"type": "sign_pair", "alpha": [1], "beta": [1]})
+    cert["value"] = total
+    doc["results"].update(bell_norm=1.0, gap=total / doc["results"]["gamma2_lower"])
+    _fails_verification(out, doc, capsys, "(classical_lower): re-evaluation failed")
+
+
+def test_verify_rebuilds_the_gap_from_the_pair_above_cap(tmp_path, capsys):
+    # above EXACT_CAP no enumeration checks the attaining pair, but the gap
+    # divides by its value, so a flipped sign moves the rebuilt gap
+    out, doc = _sampled_report(tmp_path, "--kind gaussian --n 26 --seed 7", "gap")
+    [cert] = [c for c in doc["certificates"] if c["claims"] == "classical_lower"]
+    cert["certificate"]["attaining"]["alpha"][0] *= -1
+    _fails_verification(out, doc, capsys, "results.gap: ")
 
 
 @pytest.mark.parametrize("trial", [21, 88, 97, 98])
@@ -945,7 +1011,6 @@ def test_verify_binds_the_norm_claim_to_which(tmp_path, capsys, which, edit):
 
 @pytest.mark.parametrize("version", ["99", 1, None])
 def test_verify_rejects_another_schema_version(id4, tmp_path, capsys, version):
-    from randcorr.verify import verify_report
     out = str(tmp_path / "norm.json")
     assert main(["norm", "--matrix", id4, "--out", out]) == 0
     doc = json.loads(open(out).read())
@@ -986,7 +1051,7 @@ def test_verify_rejects_edits_outside_the_claimed_value(tmp_path, capsys, edit):
     out = str(tmp_path / "gap.json")
     assert main(["gap", "--matrix", str(mpath), "--out", out]) == 0
     doc = json.loads(open(out).read())
-    [cert] = [c for c in doc["certificates"] if c["claims"] == "bell_functional"]
+    [cert] = [c for c in doc["certificates"] if c["claims"] == "classical_lower"]
     payload = cert["certificate"]
     if edit == "eps_one_norm":
         payload["eps_one_norm"] *= 1.5
@@ -1122,4 +1187,4 @@ def test_inputs_not_mutated(id4):
 def test_out_env_default_dir(id4, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RANDCORR_OUT", str(tmp_path / "reports"))
     assert main(["norm", "--matrix", id4, "--which", "operator"]) == 0
-    assert (tmp_path / "reports" / "norm-seed0.json").exists()
+    assert (tmp_path / "reports" / "norm-operator-id4.json").exists()

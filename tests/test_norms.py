@@ -20,14 +20,14 @@ from randcorr.cli import main
 from randcorr.errors import NumericalError, ValidationError
 from randcorr.linalg import gram_eigh, svd, trace_norm, write_matrix_csv
 from randcorr.norms import (EXACT_CAP, GAMMA2_RESCALE_MAX_ITER, GAMMA2_RESCALE_TOL,
-                            KG_UPPER, BellFunctional, ConvexDecomposition, DualWitness,
-                            FactorizationPair, NormBracket,
+                            HEURISTIC_RESTARTS, KG_UPPER, BellFunctional,
+                            ConvexDecomposition, DualWitness, FactorizationPair, NormBracket,
                             _SCREEN_ENTRIES, _TIE_RTOL, SignPair, _rescale,
                             _rescaled_factorization, _SplitTables, _top_atoms,
                             bell_functional_from_svd,
                             classical_lower_bound, classical_upper_bound, gamma2_bracket,
                             gamma2_oracle, gap_from_bell,
-                            infty_to_one_exact, infty_to_one_heuristic,
+                            infty_to_one_exact, infty_to_one_heuristic, op_norm_bound,
                             quantum_classical_gap, tau_gap_bound)
 from randcorr.sampling import SeedSpec, bi_invariant, gaussian, haar_orthogonal
 
@@ -943,16 +943,19 @@ def test_oracle_cap():
 
 # --- classical bounds ----------------------------------------------------------
 
+ONES_PAIR = SignPair(np.ones(2), np.ones(2))  # attains 2 on eye(2) and CHSH
+
+
 def test_classical_lower_identity_and_chsh():
-    bell = BellFunctional(a=np.eye(2), eps_one_norm=2.0, exact=True)
+    bell = BellFunctional(a=np.eye(2), eps_one_norm=2.0, attaining=ONES_PAIR)
     assert classical_lower_bound(np.eye(2), bell) == pytest.approx(1.0)
-    bell = BellFunctional(a=CHSH, eps_one_norm=2.0, exact=True)
+    bell = BellFunctional(a=CHSH, eps_one_norm=2.0, attaining=ONES_PAIR)
     assert classical_lower_bound(CHSH, bell) == pytest.approx(2.0)
 
 
 def test_classical_lower_valid_with_upper_bound_norm():
     # an over-estimated functional norm can only weaken the bound
-    bell_loose = BellFunctional(a=CHSH, eps_one_norm=3.0, exact=False)
+    bell_loose = BellFunctional(a=CHSH, eps_one_norm=3.0, attaining=ONES_PAIR)
     assert classical_lower_bound(CHSH, bell_loose) == pytest.approx(4 / 3)
 
 
@@ -960,7 +963,7 @@ def test_bell_functional_orthogonal_input():
     o = haar_orthogonal(10, SeedSpec(41, 0))
     bell = bell_functional_from_svd(o)
     assert np.allclose(bell.a, o, atol=1e-9)
-    assert bell.exact
+    assert bell.attaining.pairing(bell.a) == bell.eps_one_norm == infty_to_one_exact(o)[0]
 
 
 def test_bell_functional_diagonal():
@@ -979,19 +982,23 @@ def test_bell_functional_band_at_n16():
     assert 0.77 <= np.mean(vals) <= 0.97
 
 
-def test_bell_functional_near_singular_flag():
-    rank1 = np.outer(np.ones(4), np.ones(4))
-    bell = bell_functional_from_svd(rank1)
-    assert bell.near_singular
-
-
 def test_bell_functional_heuristic_above_cap():
     g = small_gaussian(30, 43)
-    bell = bell_functional_from_svd(g, heuristic_restarts=10, seed=SeedSpec(44, 0))
-    assert not bell.exact
-    assert bell.eps_one_norm == pytest.approx(min(30, 30 * np.linalg.svd(bell.a, compute_uv=False)[0]))
-    assert bell.heuristic_lower is not None
-    assert bell.heuristic_lower <= bell.eps_one_norm + 1e-9
+    bell = bell_functional_from_svd(g, seed=SeedSpec(44, 0))
+    assert bell.eps_one_norm == 30 * op_norm_bound(bell.a)
+    assert bell.eps_one_norm == pytest.approx(30.0, rel=1e-12)
+    want = infty_to_one_heuristic(bell.a, HEURISTIC_RESTARTS, SeedSpec(44, 0))[1]
+    assert bell.attaining.to_dict() == want.to_dict()
+    assert bell.attaining.pairing(bell.a) < bell.eps_one_norm
+
+
+@pytest.mark.parametrize("n", range(EXACT_CAP + 1, 41))
+def test_bell_functional_norm_bound_above_cap_covers_the_operator_norm(n):
+    # n rho(a) >= n ||a||_op >= ||a||_{inf->1}; a bare n sits below
+    # n sigma_max(a) on every one of these draws
+    for i in range(3):
+        a = bell_functional_from_svd(gaussian(n, n, SeedSpec(7, i)) / math.sqrt(n))
+        assert a.eps_one_norm >= n * np.linalg.svd(a.a, compute_uv=False)[0]
 
 
 def _bracket_parts(bracket):
@@ -1552,15 +1559,15 @@ def test_gap_large_n_heuristic_estimate():
     # above the exact cap the Bell norm is heuristic; the gap estimate sits
     # near 1/0.92 at this size (report-grade, not certified)
     for t in range(3):
-        gap = quantum_classical_gap(small_gaussian(200, 52, t),
-                                    heuristic_restarts=30, seed=SeedSpec(53, t))
+        gap = quantum_classical_gap(small_gaussian(200, 52, t), seed=SeedSpec(53, t))
         assert gap >= 1.02
 
 
 def test_classical_lower_large_n_floor():
-    # with the certified norm upper bound n, the lower bound equals trace/n
+    # with the certified norm upper bound n rho(a), the lower bound equals
+    # trace/n up to rho(a) - 1, about 1e-12 here
     t = small_gaussian(200, 54)
-    bell = bell_functional_from_svd(t, heuristic_restarts=5, seed=SeedSpec(55, 0))
+    bell = bell_functional_from_svd(t, seed=SeedSpec(55, 0))
     lower = classical_lower_bound(t, bell)
     floor = (math.sqrt(16 / 15) - 0.05) * trace_norm(t) / 200
     assert lower >= floor

@@ -51,7 +51,7 @@ SINGLE = {
     "classical": "classical --matrix {m6}",
     "classical-max-atoms-2": "classical --max-atoms 2 --matrix {m6}",
     "gap-n6": "gap --matrix {m6}",
-    "gap-n26": "gap --restarts 2 --matrix {m26}",
+    "gap-n26": "gap --matrix {m26}",
     "spectral-ks": "spectral --alpha 0.5 --grid-points 500 --ks-n 40 --ks-m 20 --seed 3",
     "threshold": "threshold --gap sqrt(16/15)",
 }
