@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -312,12 +313,14 @@ def _cmd_experiment(args) -> int:
             sizes=defaults.sizes if args.n is None else args.n,
             trials=defaults.trials if args.trials is None else args.trials,
             master_seed=args.seed)
+    start = time.perf_counter()
     report = run_experiment(cfg, threads=args.threads)
+    seconds = time.perf_counter() - start  # printed only: reports stay byte-identical
     _write_out(args, f"experiment-{cfg.scenario}-seed{cfg.master_seed}.json",
-               report.to_csv() if args.format == "csv"
-               else report.to_json(include_timing=args.timings) + "\n")
+               report.to_csv() if args.format == "csv" else report.to_json() + "\n")
     print(f"scenario {cfg.scenario}: "
-          + ("all verdicts passed" if report.passed() else "VERDICT FAILURE"))
+          + ("all verdicts passed" if report.passed() else "VERDICT FAILURE")
+          + f" in {seconds:.2f} s")
     for v in report.verdicts:
         print(f"  [{'PASS' if v.passed else 'FAIL'}] {v.name}: "
               f"value={v.value:.6g} threshold={v.threshold:.6g}")
@@ -426,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="full JSON config file")
     p.add_argument("--n", type=int, nargs="*", default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--timings", action="store_true",
-                   help="include wall-clock in the report (breaks byte-identity)")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="Python threads running trials (default: one per core); "
                         "with more than one, set OPENBLAS_NUM_THREADS=1, as OpenBLAS "

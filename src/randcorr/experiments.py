@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -135,24 +134,20 @@ class ExperimentReport:
     trials: list[TrialRecord]
     summaries: list[dict]
     verdicts: list[Verdict]
-    wall_clock_s: float = 0.0
 
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {"schema_version": SCHEMA_VERSION, "kind": "experiment",
-             "scenario": self.config.scenario,
-             "config": self.config.to_dict(),
-             "trials": [t.to_dict() for t in self.trials],
-             "summaries": self.summaries,
-             "verdicts": [v.to_dict() for v in self.verdicts]}
-        if include_timing:
-            d["wall_clock_s"] = self.wall_clock_s
-        return d
+    def to_dict(self) -> dict:
+        return {"schema_version": SCHEMA_VERSION, "kind": "experiment",
+                "scenario": self.config.scenario,
+                "config": self.config.to_dict(),
+                "trials": [t.to_dict() for t in self.trials],
+                "summaries": self.summaries,
+                "verdicts": [v.to_dict() for v in self.verdicts]}
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
         size_keys, value_keys = [], []
@@ -627,7 +622,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     if threads < 1:
         raise ValidationError("threads must be >= 1")
     sizes = grid(cfg)
-    start = time.perf_counter()
     args = (itertools.repeat(cfg), range(len(sizes)), sizes)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -636,5 +630,4 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
         records = list(map(run_trial, *args))
     summaries = summarize_records(records)
     return ExperimentReport(config=cfg, trials=records, summaries=summaries,
-                            verdicts=verdicts(cfg, records, summaries),
-                            wall_clock_s=time.perf_counter() - start)
+                            verdicts=verdicts(cfg, records, summaries))

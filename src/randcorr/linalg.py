@@ -11,9 +11,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-TOL_ORTH = 1e-9
-TOL_RECON = 1e-9
-
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
     """Validate and convert to a float64 2-d array with finite entries."""
@@ -29,49 +26,25 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdTriple:
-    """Singular value decomposition a = u @ diag(sigma) @ v.T.
-
-    sigma is sorted descending and non-negative; u and v are orthogonal
-    within TOL_ORTH.
-    """
+    """Singular value decomposition a = u @ diag(sigma) @ v.T, as LAPACK
+    returns it: sigma descending and non-negative, u and v orthogonal up to
+    rounding."""
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
-
-    def orthogonality_residual(self) -> float:
-        n = self.u.shape[0]
-        eye = np.eye(n)
-        ru = np.linalg.norm(self.u @ self.u.T - eye)
-        rv = np.linalg.norm(self.v @ self.v.T - eye)
-        return max(ru, rv)
-
-    def reconstruction_residual(self, a: np.ndarray) -> float:
-        denom = np.linalg.norm(a)
-        if denom == 0.0:
-            return np.linalg.norm(self.reconstruct())
-        return np.linalg.norm(self.reconstruct() - a) / denom
-
 
 def svd(a) -> SvdTriple:
-    """Full SVD of a square matrix, validated against its invariants."""
+    """Full SVD of a square matrix.  Not validated: every certificate built
+    from it charges its own error (see norms), and the rest are labelled
+    estimates.  A LAPACK failure raises NumericalError."""
     m = as_matrix(a, square=True)
     try:
         u, s, vt = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    triple = SvdTriple(u=u, sigma=s, v=vt.T)
-    r_orth = triple.orthogonality_residual()
-    r_recon = triple.reconstruction_residual(m)
-    if r_orth > TOL_ORTH or r_recon > TOL_RECON:
-        raise NumericalError(
-            "SVD result violates tolerances",
-            detail={"orth_residual": r_orth, "recon_residual": r_recon},
-        )
-    return triple
+    return SvdTriple(u=u, sigma=s, v=vt.T)
 
 
 def gram_eigh(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -223,9 +223,9 @@ class NormBracket:
 @dataclass
 class BellFunctional:
     """A Bell functional a, an upper bound eps_one_norm on its inf->1 norm
-    and a sign pair.  Up to EXACT_CAP the bound is the enumerated norm, which
-    the pair attains; above it, n op_norm_bound(a) >= n ||a||_op, and the
-    pair's value (the ascent's) is the estimate a gap divides by."""
+    and a sign pair, as bell_functional builds them: up to EXACT_CAP the
+    enumerated norm, which the pair attains; above it n op_norm_bound(a),
+    and the ascent's pair, whose value is the estimate a gap divides by."""
 
     a: np.ndarray
     eps_one_norm: float
@@ -453,8 +453,6 @@ class _SplitTables:
         partial = np.matmul(alphas[:, None, :], self.m)
         betas = _sign(partial[:, 0])
         values = np.matmul(partial, betas[:, :, None])[:, 0, 0]
-        if not ((np.abs(alphas) == 1.0).all() and (np.abs(betas) == 1.0).all()):
-            raise ValidationError("sign vectors must have entries exactly +-1")
         return values, alphas, betas
 
     def pair(self, i: int) -> tuple[float, SignPair]:
@@ -681,8 +679,8 @@ def gamma2_bracket(t, triple: SvdTriple | None = None) -> NormBracket:
     M into a factorization of t.  M is decomposed from the symmetric
     eigendecomposition M^t M = V' S'^2 V'^t (linalg.gram_eigh): the
     factorization and both updates need only S', V' and M V', so U' is
-    never formed.  Only the first iterate takes (and validates) an SVD;
-    every later one is charged its factorization's reconstruction error.
+    never formed.  Only the first iterate takes an SVD; none is validated,
+    as every iterate is charged its factorization's reconstruction error.
 
     The undamped step can overshoot.  If one lowers the dual
     ||diag(u) t diag(v)||_tr / (||u|| ||v||) below the previous iterate's,
@@ -747,25 +745,35 @@ def classical_lower_bound(t, bell: BellFunctional) -> float:
     return float((m * bell.a).sum() / bell.eps_one_norm)
 
 
+def bell_functional(a, seed: SeedSpec = SeedSpec(0, 0)) -> BellFunctional:
+    """The Bell functional a with its inf->1 norm bound and sign pair: the
+    one place that builds them, for the commands and for verify-certificate,
+    which rebuilds a stored functional from its a and compares the whole.
+
+    For n <= EXACT_CAP the norm is enumerated (infty_to_one_exact), and the
+    pair is the tie rule's, which attains it.  Above the cap the bound is
+    n op_norm_bound(a) >= n ||a||_op, and the pair is the best of
+    HEURISTIC_RESTARTS ascent starts from `seed`: its value, a lower bound
+    on the norm, is the estimate a gap divides by.
+    """
+    m = as_matrix(a, square=True)
+    n = m.shape[0]
+    if n <= EXACT_CAP:
+        value, pair = infty_to_one_exact(m)
+        return BellFunctional(a=m, eps_one_norm=value, attaining=pair)
+    _, pair = infty_to_one_heuristic(m, HEURISTIC_RESTARTS, seed)
+    return BellFunctional(a=m, eps_one_norm=n * op_norm_bound(m), attaining=pair)
+
+
 def bell_functional_from_svd(t, seed: SeedSpec = SeedSpec(0, 0),
                              triple: SvdTriple | None = None) -> BellFunctional:
-    """The orthogonal functional UV^t from the SVD of t.
-
-    For n <= EXACT_CAP its inf->1 norm is enumerated, with the attaining
-    pair; above the cap n op_norm_bound(a) is stored, with the pair of
-    HEURISTIC_RESTARTS ascent starts from `seed`.  `triple` is the SVD of t
-    when the caller already holds it (a gap also reads its trace norm);
-    without it one is taken here.
+    """bell_functional of the orthogonal functional UV^t from the SVD of t,
+    its ascent (above EXACT_CAP) started from `seed`.  `triple` is the SVD
+    of t when the caller already holds it (a gap also reads its trace
+    norm); without it one is taken here.
     """
-    m = as_matrix(t, square=True)
-    triple = svd(m) if triple is None else triple
-    a = triple.u @ triple.v.T
-    n = a.shape[0]
-    if n <= EXACT_CAP:
-        value, pair = infty_to_one_exact(a)
-        return BellFunctional(a=a, eps_one_norm=value, attaining=pair)
-    _, pair = infty_to_one_heuristic(a, HEURISTIC_RESTARTS, seed)
-    return BellFunctional(a=a, eps_one_norm=n * op_norm_bound(a), attaining=pair)
+    triple = svd(t) if triple is None else triple
+    return bell_functional(triple.u @ triple.v.T, seed)
 
 
 _MASTER_OPTIONS = (("output_flag", False), ("presolve", "off"),
@@ -873,12 +881,14 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9) -> NormBra
     (the weight sum plus the elastic slacks' reconstruction error).  Lower
     end: the best BellFunctional among UV^t from the SVD of t (round 0)
     and each round's dual Y, priced exactly: by weak duality
-    <t, Y> / ||Y||_{inf->1} <= pi(t).  The best is kept, not the last, as
-    this Lagrangian bound is not monotone; UV^t wins ties.  The run stops
-    once upper - lower <= tol, on a pricing stall, or after max_atoms
-    master solves.  Where the two ends meet, the lower one can exceed the
-    upper one by a rounding error; it is clamped to the upper one, so the
-    bracket never inverts.
+    <t, Y> / ||Y||_{inf->1} <= pi(t).  Y's functional is taken from the
+    round's pricing enumeration, not enumerated again; it is bit for bit
+    bell_functional(Y), which verify-certificate rebuilds.  The best is
+    kept, not the last, as this Lagrangian bound is not monotone; UV^t wins
+    ties.  The run stops once upper - lower <= tol, on a pricing stall, or
+    after max_atoms master solves.  Where the two ends meet, the lower one
+    can exceed the upper one by a rounding error; it is clamped to the
+    upper one, so the bracket never inverts.
 
     The pool starts from the _PRICING_COLUMNS best atoms of the enumeration
     of t, best first, plus the all-ones atom.  max_atoms bounds the master
@@ -953,12 +963,11 @@ def quantum_classical_gap(t, seed: SeedSpec = SeedSpec(0, 0)) -> float:
 
 def gap_from_bell(t, bell: BellFunctional, gamma2_lower: float) -> float:
     """The quantum_classical_gap of t from its Bell functional and a gamma2
-    lower bound (the gamma2 bracket's lower end).  Above EXACT_CAP it divides
-    by the attaining pair's value, an estimate of the Bell norm."""
+    lower bound (the gamma2 bracket's lower end).  It divides by the value
+    of the functional's sign pair: up to EXACT_CAP the enumerated norm,
+    which the pair attains, above it the ascent's estimate of the norm."""
     m = as_matrix(t, square=True)
-    norm_value = (bell.eps_one_norm if m.shape[0] <= EXACT_CAP
-                  else bell.attaining.pairing(bell.a))
-    numerator = float((m * bell.a).sum() / norm_value)
+    numerator = float((m * bell.a).sum() / bell.attaining.pairing(bell.a))
     return numerator / gamma2_lower
 
 

@@ -6,9 +6,13 @@ matrix. Each certificate's claim fixes the payload class; the payload must
 round-trip through that class's from_dict/to_dict unchanged, and the
 stored value must equal the re-evaluated one, the value the command
 stores: each payload's value charges its own error, so no tolerance gates
-it, and no bracket's lower end may exceed its upper one.  Only `norm
---which trace|operator|flatness` reports, values of the singular values,
-take an SVD.
+it, and no bracket's lower end may exceed its upper one.  A payload that
+states an exact norm is rebuilt whole: an `infty_to_one` pair by
+infty_to_one_exact of the matrix, a `classical_lower` functional by
+norms.bell_functional of its own a (past the enumeration's cap, the
+ascent from the default seed that `gap` runs), so only the pair the
+program writes verifies.  Only `norm --which trace|operator|flatness`
+reports, values of the singular values, take an SVD.
 The report's `results` are rebuilt by report_results, the function its
 command writes them with, and its `config` holds exactly the keys that
 rebuild reads. An experiment report is rebuilt from its config and its
@@ -25,9 +29,9 @@ from .errors import NumericalError, ValidationError
 from .experiments import (SCHEMA_VERSION, ExperimentConfig, ExperimentReport, TrialRecord,
                           grid, summarize_records, verdicts)
 from .linalg import SPECTRAL_VALUES, as_matrix
-from .norms import (EXACT_CAP, BellFunctional, ConvexDecomposition, DualWitness,
-                    FactorizationPair, SignPair, classical_lower_bound, gap_from_bell,
-                    infty_to_one_exact, op_norm_bound)
+from .norms import (BellFunctional, ConvexDecomposition, DualWitness, FactorizationPair,
+                    SignPair, bell_functional, classical_lower_bound, gap_from_bell,
+                    infty_to_one_exact)
 from .sampling import SeedSpec
 from .spectral import BRENT_RTOL, density, ks_distance_of_draw, threshold_objective
 
@@ -72,12 +76,18 @@ def _diff(stored, fresh, path: str = "") -> list[str]:
 
 # --- certificate re-evaluation, one function per claim ------------------------
 
-def _infty_to_one(pair: SignPair, t) -> float:
-    """The exact inf->1 norm of t, re-enumerated, which the pair must attain."""
-    norm = infty_to_one_exact(t)[0]
-    problems = _diff(pair.pairing(t), norm, "the sign pair's value")
+def _rebuilt(stored, fresh) -> None:
+    """Raise unless the stored payload equals `fresh`, its rebuild."""
+    problems = _diff(stored.to_dict(), fresh.to_dict())
     if problems:
         raise ValidationError("; ".join(problems))
+
+
+def _infty_to_one(pair: SignPair, t) -> float:
+    """The exact inf->1 norm of t, re-enumerated; the stored pair must be
+    the enumeration's own (the tie rule's)."""
+    norm, fresh = infty_to_one_exact(t)
+    _rebuilt(pair, fresh)
     return norm
 
 
@@ -91,14 +101,9 @@ def _decomposition_value(dec: ConvexDecomposition, t) -> float:
 
 
 def _classical_lower(bell: BellFunctional, t) -> float:
-    """<t, a> / eps_one_norm, once eps_one_norm is the functional's norm
-    bound: up to EXACT_CAP the norm re-enumerated, which the attaining pair
-    must reach; above it n op_norm_bound(a), whose pair only the gap reads."""
-    a, n = bell.a, len(bell.a)
-    norm = _infty_to_one(bell.attaining, a) if n <= EXACT_CAP else n * op_norm_bound(a)
-    problems = _diff(bell.eps_one_norm, norm, "eps_one_norm")
-    if problems:
-        raise ValidationError("; ".join(problems))
+    """<t, a> / eps_one_norm, once the functional equals bell_functional(a),
+    the program's one build of its norm bound and sign pair."""
+    _rebuilt(bell, bell_functional(bell.a))
     return classical_lower_bound(t, bell)
 
 
@@ -159,7 +164,9 @@ def report_results(kind: str, config: dict, matrix, values: dict, payloads: dict
     if kind == "gap":
         bell, lower = payloads["classical_lower"], values["gamma2_lower"]
         return {"gap": gap_from_bell(matrix, bell, lower),
-                "bell_norm_exact": len(matrix) <= EXACT_CAP, "bell_norm": bell.eps_one_norm,
+                # exact where the norm bound is attained: wherever it is enumerated
+                "bell_norm_exact": bell.eps_one_norm == bell.attaining.pairing(bell.a),
+                "bell_norm": bell.eps_one_norm,
                 "gamma2_lower": lower, "gamma2_upper": values.get("gamma2_upper")}
     if kind == "spectral":
         return law_results(density(config["alpha"], config["grid_points"]), config)
@@ -282,12 +289,10 @@ def _verify_experiment(doc: dict) -> list[str]:
         trials = [TrialRecord(i, SeedSpec(cfg.master_seed, i).stream_seed(), size,
                               t.values) for i, (t, size) in enumerate(zip(stored, sizes))]
         summaries = summarize_records(trials)
-        fresh = ExperimentReport(cfg, trials, summaries,
-                                 verdicts(cfg, trials, summaries),
-                                 doc.get("wall_clock_s", 0.0))
+        fresh = ExperimentReport(cfg, trials, summaries, verdicts(cfg, trials, summaries))
     except _MALFORMED as exc:
         return [f"report cannot be rebuilt: {exc!r}"]
-    return _diff(doc, fresh.to_dict(include_timing="wall_clock_s" in doc))
+    return _diff(doc, fresh.to_dict())
 
 
 def verify_report(doc: dict) -> list[str]:

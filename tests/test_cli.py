@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -496,11 +497,20 @@ def test_verify_rejects_edited_or_malformed_experiment(tmp_path, capsys, edit):
     assert capsys.readouterr().out.startswith("FAIL ")
 
 
-def test_timed_experiment_report_verifies(tmp_path):
+def test_experiment_prints_its_time_and_takes_no_timings_flag(tmp_path, capsys):
+    # the wall time goes to stdout, never into the report, whose bytes it
+    # would break: a report's timing entry verified whatever it held
     out = str(tmp_path / "exp.json")
-    assert main(["experiment", "--scenario", "tau_approximation", "--trials",
-                 "3", "--seed", "11", "--timings", "--out", out]) == 0
-    assert "wall_clock_s" in json.loads(open(out).read())
+    argv = ["experiment", "--scenario", "tau_approximation", "--trials", "3",
+            "--seed", "11", "--out", out]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--timings"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert re.match(r"scenario tau_approximation: all verdicts passed in \d+\.\d\d s\n",
+                    capsys.readouterr().out)
+    assert "wall_clock_s" not in json.loads(open(out).read())
     assert main(["verify-certificate", out]) == 0
 
 
@@ -971,12 +981,41 @@ def test_verify_rejects_a_bell_functional_of_another_shape(tmp_path, capsys):
 
 
 def test_verify_rebuilds_the_gap_from_the_pair_above_cap(tmp_path, capsys):
-    # above EXACT_CAP no enumeration checks the attaining pair, but the gap
-    # divides by its value, so a flipped sign moves the rebuilt gap
+    # above EXACT_CAP the gap divides by the attaining pair's value, and the
+    # pair is rebuilt by the ascent `gap` runs, so a flipped sign fails there
     out, doc = _sampled_report(tmp_path, "--kind gaussian --n 26 --seed 7", "gap")
     [cert] = [c for c in doc["certificates"] if c["claims"] == "classical_lower"]
     cert["certificate"]["attaining"]["alpha"][0] *= -1
-    _fails_verification(out, doc, capsys, "results.gap: ")
+    _fails_verification(out, doc, capsys, "(classical_lower): re-evaluation failed")
+
+
+def test_verify_rejects_a_forged_pair_with_its_gap_restated_above_cap(tmp_path, capsys):
+    # every other alpha sign flipped takes the pair's value from 24.05 to
+    # -3.15, and the gap restated to match read -8.26: it verified while
+    # only an enumeration below the cap checked a pair
+    out, doc = _sampled_report(tmp_path, "--kind gaussian --n 26 --seed 7", "gap")
+    [cert] = [c for c in doc["certificates"] if c["claims"] == "classical_lower"]
+    bell = cert["certificate"]
+    bell["attaining"]["alpha"][::2] = [-s for s in bell["attaining"]["alpha"][::2]]
+    a, pair = np.asarray(bell["a"]), bell["attaining"]
+    value = float(np.asarray(pair["alpha"], dtype=float) @ a @ np.asarray(pair["beta"], dtype=float))
+    assert value < 0.0
+    t = np.asarray(doc["matrix"])
+    doc["results"]["gap"] = float((t * a).sum() / value) / doc["results"]["gamma2_lower"]
+    assert doc["results"]["gap"] < 0.0
+    _fails_verification(out, doc, capsys, "(classical_lower): re-evaluation failed")
+
+
+@pytest.mark.parametrize("command, claim", [
+    ("classical", "classical_lower"), ("gap", "classical_lower"), ("norm", "infty_to_one")])
+def test_verify_rejects_a_negated_pair(tmp_path, capsys, command, claim):
+    # (-alpha, -beta) attains the same value as (alpha, beta), but it is not
+    # the pair the enumeration's tie rule picks, which has alpha_1 = +1
+    out, doc = _sampled_report(tmp_path, "--kind gaussian --n 6 --seed 5", command)
+    [cert] = [c for c in doc["certificates"] if c["claims"] == claim]
+    pair = cert["certificate"].get("attaining", cert["certificate"])
+    pair["alpha"], pair["beta"] = [-s for s in pair["alpha"]], [-s for s in pair["beta"]]
+    _fails_verification(out, doc, capsys, f"({claim}): re-evaluation failed")
 
 
 @pytest.mark.parametrize("trial", [21, 88, 97, 98])

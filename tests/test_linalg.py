@@ -23,6 +23,11 @@ def test_as_matrix_rejects_bad_input():
         as_matrix([[1.0, 2.0]], square=True)
 
 
+def _reconstruction_residual(triple, a) -> float:
+    """||U S V^t - a||_F / ||a||_F: LAPACK's accuracy, which svd no longer gates."""
+    return np.linalg.norm((triple.u * triple.sigma) @ triple.v.T - a) / np.linalg.norm(a)
+
+
 def test_svd_identity():
     triple = svd(np.eye(3))
     assert np.allclose(triple.sigma, [1.0, 1.0, 1.0])
@@ -31,13 +36,13 @@ def test_svd_identity():
 def test_svd_signed_diagonal():
     triple = svd(np.diag([3.0, -4.0]))
     assert np.allclose(triple.sigma, [4.0, 3.0])
-    assert triple.reconstruction_residual(np.diag([3.0, -4.0])) < 1e-14
+    assert _reconstruction_residual(triple, np.diag([3.0, -4.0])) < 1e-14
 
 
 def test_svd_gaussian_reconstruction_and_jacobi_cross_check():
     g = gaussian(8, 8, SeedSpec(1234, 0))
     triple = svd(g)
-    assert triple.reconstruction_residual(g) <= 1e-10
+    assert _reconstruction_residual(triple, g) <= 1e-10
     ref = jacobi_singular_values(g)
     assert np.allclose(triple.sigma, ref, rtol=1e-10, atol=1e-12)
 
@@ -49,8 +54,10 @@ def test_svd_reconstruction_sweep():
         n = 2 + (trial % 63)
         g = gaussian(n, n, SeedSpec(777, trial))
         triple = svd(g)
-        assert triple.reconstruction_residual(g) <= 1e-9
-        assert triple.orthogonality_residual() <= 1e-9
+        assert _reconstruction_residual(triple, g) <= 1e-9
+        eye = np.eye(n)
+        assert np.linalg.norm(triple.u @ triple.u.T - eye) <= 1e-9
+        assert np.linalg.norm(triple.v @ triple.v.T - eye) <= 1e-9
         assert np.all(np.diff(triple.sigma) <= 1e-12)
         assert np.all(triple.sigma >= 0)
         count += 1

@@ -24,7 +24,7 @@ from randcorr.norms import (EXACT_CAP, GAMMA2_RESCALE_MAX_ITER, GAMMA2_RESCALE_T
                             ConvexDecomposition, DualWitness, FactorizationPair, NormBracket,
                             _SCREEN_ENTRIES, _TIE_RTOL, SignPair, _rescale,
                             _rescaled_factorization, _SplitTables, _top_atoms,
-                            bell_functional_from_svd,
+                            bell_functional, bell_functional_from_svd,
                             classical_lower_bound, classical_upper_bound, gamma2_bracket,
                             gamma2_oracle, gap_from_bell,
                             infty_to_one_exact, infty_to_one_heuristic, op_norm_bound,
@@ -999,6 +999,44 @@ def test_bell_functional_norm_bound_above_cap_covers_the_operator_norm(n):
     for i in range(3):
         a = bell_functional_from_svd(gaussian(n, n, SeedSpec(7, i)) / math.sqrt(n))
         assert a.eps_one_norm >= n * np.linalg.svd(a.a, compute_uv=False)[0]
+
+
+def _lower_certificate_is_rebuilt(t):
+    # classical_upper_bound builds each round's functional from its pricing
+    # enumeration, verify-certificate with bell_functional: bit for bit one
+    for max_atoms in (400, 2):
+        bell = classical_upper_bound(t, max_atoms=max_atoms).lower_certificate
+        assert bell.to_dict() == bell_functional(bell.a).to_dict()
+
+
+def _integer_with_ties(seed):
+    return np.round(1.5 * gaussian(5, 5, SeedSpec(seed, 0)))
+
+
+@pytest.mark.parametrize("t", [
+    *(gaussian(n, n, SeedSpec(29, n)) / math.sqrt(n) for n in range(3, 9)),
+    CHSH, np.eye(4), np.ones((3, 3)), *(_integer_with_ties(seed) for seed in range(3))])
+def test_classical_lower_certificate_is_bell_functional_of_its_matrix(t):
+    _lower_certificate_is_rebuilt(t)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10 ** 6),
+       st.booleans())
+def test_classical_lower_certificate_is_bell_functional_hypothesis(n, seed, integer):
+    t = gaussian(n, n, SeedSpec(seed, 3))
+    _lower_certificate_is_rebuilt(np.round(2.0 * t) if integer else t)
+
+
+@pytest.mark.parametrize("n", range(2, EXACT_CAP + 1))
+def test_gap_from_bell_divides_by_the_enumerated_norm_up_to_the_cap(n):
+    # up to the cap the pair's value is the enumerated norm bit for bit, so
+    # dividing by it, as above the cap, moves no gap
+    t = gaussian(n, n, SeedSpec(31, n)) / math.sqrt(n)
+    bell = bell_functional_from_svd(t)
+    lower = DualWitness(bell.a).value(t)
+    assert bell.attaining.pairing(bell.a) == bell.eps_one_norm
+    assert gap_from_bell(t, bell, lower) == float((t * bell.a).sum() / bell.eps_one_norm) / lower
 
 
 def _bracket_parts(bracket):
