@@ -381,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report `oracle`: the bracket's rescaling run "
                         "continued until its best upper and lower bounds "
                         f"are --tol apart (or for {GAMMA2_RESCALE_MAX_ITER} "
-                        "steps), and their midpoint")
+                        "steps), and the midpoint of its upper bound and its "
+                        "dual witness's value")
     p.add_argument("--tol", type=float, default=1e-4,
                    help="absolute width, upper - lower, at which the oracle stops")
     common(p, seed=False)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import flatness_from_sigma, svd
 from .norms import (EXACT_CAP, bell_functional_from_svd, classical_lower_bound,
-                    gamma2_bracket, gap_from_bell, infty_to_one_exact,
+                    gamma2_bracket, infty_to_one_exact,
                     quantum_classical_gap, tau_gap_bound)
 from .sampling import (SeedSpec, bi_invariant, gaussian, haar_orthogonal,
                        unit_rows_correlation)
@@ -278,8 +278,9 @@ def _trial_quantum_norm_convergence(cfg, size, seed):
     if flat > flat_max:
         raise ValidationError(
             f"flatness precondition failed: {flat:.3f} > {flat_max}")
-    bracket = gamma2_bracket(t, triple)
-    return {"bracket_ratio": bracket.ratio(), "flatness": flat}
+    # the gamma2 upper bound over ||t||_tr / n, the paper's step (i) estimate
+    upper = gamma2_bracket(t, triple).upper
+    return {"bracket_ratio": upper / float(triple.sigma.sum() / n), "flatness": flat}
 
 
 def _verdict_quantum_norm_convergence(cfg, trials, summaries):
@@ -373,8 +374,8 @@ def _trial_mean_width(cfg, size, seed):
     g = gaussian(n, n, seed)
     triple = svd(g)  # one SVD gives the trace norm and the functional UV^t
     bell = bell_functional_from_svd(g, seed, triple)
-    # <g, a> over the Bell norm a gap divides by: gap_from_bell with denominator 1
-    classical = gap_from_bell(g, bell, 1.0)
+    # <g, a> over the Bell norm a gap divides by: gap_from_bell's numerator
+    classical = float((g * bell.a).sum() / bell.attaining.pairing(bell.a))
     return {"quantum_width_scaled": float(triple.sigma.sum()) / n ** 1.5,
             "classical_width_scaled": classical / math.sqrt(n)}
 

@@ -89,26 +89,65 @@ def op_norm_bound(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class DualWitness:
-    """Any square a, certifying gamma2(t) >= <t, a> / (n rho(a)), rho(a) =
-    op_norm_bound(a) >= ||a||_op: for unit x_i, y_j, sum_ij a_ij <x_i, y_j>
-    = sum_k X_k^t a Y_k (X_k the k-th coordinates of the x_i) <=
-    ||a||_op |X| |Y| = n ||a||_op.  The pairing and the quotient are exact
-    only to rounding."""
+    """Scalings u, v and any square a, certifying gamma2(t) >=
+    <t, diag(u) a diag(v)> / (||u|| ||v|| rho(a)), rho(a) = op_norm_bound(a)
+    >= ||a||_op: for unit x_i, y_j, sum_ij u_i a_ij v_j <x_i, y_j> =
+    sum_k (u o X_k)^t a (v o Y_k) (X_k the k-th coordinates of the x_i)
+    <= ||a||_op sum_k |u o X_k| |v o Y_k| <= ||a||_op ||u|| ||v||, by
+    Cauchy-Schwarz and sum_k X_ik^2 = 1.  This is the dual form of gamma2
+    (Linial-Shraibman 2009) with a charged for its operator norm.
 
+    ||u|| ||v|| is one square root of the product of the sums of squares,
+    so the uniform witness u = v = 1 divides by n exactly: with a = UV^t
+    from the SVD of t it is ||t||_tr / n.  u and v must be finite, of a's
+    sizes and of nonzero norm.  The pairing and the quotient are exact only
+    to rounding."""
+
+    u: np.ndarray
+    v: np.ndarray
     a: np.ndarray
+
+    def __post_init__(self):
+        self._norm()
+
+    def _norm(self) -> float:
+        """||u|| ||v||, once u and v are checked."""
+        for name, d, size in (("u", self.u, self.a.shape[0]), ("v", self.v, self.a.shape[1])):
+            if d.shape != (size,) or not np.isfinite(d).all():
+                raise ValidationError(f"{name} must be {size} finite scalings for a "
+                                      f"{self.a.shape} witness, not shape {d.shape}")
+        norm = math.sqrt(float((self.u * self.u).sum() * (self.v * self.v).sum()))
+        if not 0.0 < norm < math.inf:
+            raise ValidationError(f"u and v must have finite nonzero norms, not {norm!r}")
+        return norm
 
     def value(self, t) -> float:
         m = as_matrix(t, square=True)
         if self.a.shape != m.shape:
             raise ValidationError(f"a {self.a.shape} witness for a {m.shape} matrix")
-        return float((m * self.a).sum() / (m.shape[0] * op_norm_bound(self.a)))
+        pairing = (self.u[:, None] * m * self.v * self.a).sum()
+        return float(pairing / (self._norm() * op_norm_bound(self.a)))
 
     def to_dict(self) -> dict:
-        return {"type": "dual_witness", "a": self.a.tolist()}
+        return {"type": "dual_witness", "u": self.u.tolist(), "v": self.v.tolist(),
+                "a": self.a.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DualWitness":
-        return cls(as_matrix(d["a"], square=True))
+        """A stored witness, which must be in the canonical form _rescale
+        writes: max |u| = max |v| = max |a| = 1, u_i = 0 exactly where row i
+        of a is zero and v_j = 0 exactly where column j is.  The value does
+        not change when u, v or a is scaled, nor (beyond rounding) when a
+        small entry appears outside that support, so without this form such
+        an edit of a report would still verify."""
+        w = cls(np.asarray(d["u"], dtype=float), np.asarray(d["v"], dtype=float),
+                as_matrix(d["a"], square=True))
+        if not np.abs(w.u).max() == np.abs(w.v).max() == np.abs(w.a).max() == 1.0:
+            raise ValidationError("u, v and a must each have largest |entry| exactly 1")
+        if (np.any((w.u == 0.0) != ~np.any(w.a, axis=1))
+                or np.any((w.v == 0.0) != ~np.any(w.a, axis=0))):
+            raise ValidationError("u (v) must be zero exactly on the zero rows (columns) of a")
+        return w
 
 
 @dataclass(frozen=True)
@@ -215,9 +254,6 @@ class NormBracket:
         if self.lower > self.upper + 1e-12 * max(1.0, abs(self.upper)):
             raise NumericalError(
                 f"bracket inverted: lower={self.lower} > upper={self.upper}")
-
-    def ratio(self) -> float:
-        return self.upper / self.lower if self.lower > 0 else np.inf
 
 
 @dataclass
@@ -595,25 +631,36 @@ def _log_step(d: np.ndarray, d_next: np.ndarray, live: np.ndarray) -> np.ndarray
 
 
 def _rescale(m: np.ndarray, triple: SvdTriple, width: float | None = None
-             ) -> tuple[FactorizationPair, float, float]:
+             ) -> tuple[FactorizationPair, float, DualWitness]:
     """The diagonal-rescaling loop behind gamma2_bracket and gamma2_oracle
     (see gamma2_bracket for the step), from the SVD `triple` of m: the first
     iterate un-scales that SVD, every later one the eigendecomposition
     gram_eigh takes of the rescaled m.  Returns the factorization of least
-    value(m), that value (the best upper bound) and the best lower bound:
-    the largest dual ||diag(u) m diag(v)||_tr over unit u, v among the
-    iterates, the plain ||m||_tr / n (u, v uniform) and max |m_ij| (u, v
-    coordinate vectors; this is gamma2 itself for PSD m, where the
-    iterates' dual lags).
+    value(m), that value (the best upper bound) and the better of two dual
+    witnesses, as the floats below rank them:
+    - the best-dual iterate's (du, dv, W), its dual ||M||_tr / (||du||
+      ||dv||), M = diag(du) m diag(dv), the largest among the iterates.  W
+      is the polar factor (MV' S'^-1) V'^t of M with its left factor
+      orthonormalised: W = Q diag(sign r_kk) V'^t for MV' = QR, so <M, W>
+      = sum |r_kk|, the dual up to rounding.  MV' S'^-1 itself is
+      orthonormal only up to about eps ||M||^2 / (s_i s_j), which rho(W)
+      would charge in full, and which a rank-deficient M makes O(1).  W
+      is built once, after the loop, zero on the zero rows and columns of
+      m, and du, dv and W are each divided by their largest |entry|: the
+      canonical form DualWitness.from_dict requires;
+    - the coordinate witness (e_i, e_j, sign(m_ij) e_i e_j^t) of the largest
+      |m_ij|, worth max |m_ij|: gamma2 itself for PSD m, where the iterates'
+      dual lags.
 
     The loop stops once upper <= (1 + GAMMA2_RESCALE_TOL) * (the iterates'
-    best dual) and, when `width` is given, also upper - lower <= width, or
-    after GAMMA2_RESCALE_MAX_ITER steps.  A width only adds a condition, so
-    a run with one takes the same iterates and never stops earlier than a
-    run without: its upper bound is at most, and its lower bound at least,
-    theirs.
+    best dual) and, when `width` is given, also upper - max(best dual,
+    max |m_ij|) <= width, or after GAMMA2_RESCALE_MAX_ITER steps.  It reads
+    only these floats, so no step pays for a witness.  A width only adds a
+    condition, so a run with one takes the same iterates and never stops
+    earlier than a run without: its upper bound is at most, and its best
+    dual at least, theirs.
     """
-    closed_form = max(float(triple.sigma.sum() / m.shape[0]), float(np.abs(m).max()))
+    top = float(np.abs(m).max())
     live_rows, live_cols = np.any(m, axis=1), np.any(m, axis=0)
     # zero rows/columns of t keep zero weight; the rest start uniform, so the
     # first iterate is the plain factorization of t itself
@@ -622,7 +669,7 @@ def _rescale(m: np.ndarray, triple: SvdTriple, width: float | None = None
     # the zero singular values dropped (they add nothing to t = U S V^t)
     keep = triple.sigma > 0.0
     sigma, v, mv = triple.sigma[keep], triple.v[:, keep], (triple.u * triple.sigma)[:, keep]
-    best, best_upper, best_dual = None, np.inf, 0.0
+    best, best_upper, best_dual, dual_iterate = None, np.inf, 0.0, None
     damped, prev = False, None
     for step in range(GAMMA2_RESCALE_MAX_ITER + 1):
         if step:
@@ -632,9 +679,10 @@ def _rescale(m: np.ndarray, triple: SvdTriple, width: float | None = None
         if value < best_upper:
             best, best_upper = cert, value
         dual = float(sigma.sum() / (np.linalg.norm(du) * np.linalg.norm(dv)))
-        best_dual = max(best_dual, dual)
+        if dual > best_dual:
+            best_dual, dual_iterate = dual, (du, dv, v, mv)
         if (best_upper <= (1.0 + GAMMA2_RESCALE_TOL) * best_dual
-                and (width is None or best_upper - max(best_dual, closed_form) <= width)):
+                and (width is None or best_upper - max(best_dual, top) <= width)):
             break
         du_next = _next_scale(du, row_w, live_rows, damped)
         dv_next = _next_scale(dv, col_w, live_cols, damped)
@@ -654,7 +702,17 @@ def _rescale(m: np.ndarray, triple: SvdTriple, width: float | None = None
                 dv_next = _next_scale(dv, col_w, live_cols, damped)
         prev = (dual, du, dv, row_w, col_w)
         du, dv = du_next, dv_next
-    return best, best_upper, max(best_dual, closed_form)
+    if top > best_dual:
+        i, j = np.unravel_index(np.argmax(np.abs(m)), m.shape)
+        u, v, a = np.zeros(m.shape[0]), np.zeros(m.shape[1]), np.zeros_like(m)
+        u[i], v[j], a[i, j] = 1.0, 1.0, _sign(m[i, j])
+        return best, best_upper, DualWitness(u, v, a)
+    du, dv, v, mv = dual_iterate
+    q, r = np.linalg.qr(mv)
+    w = (q * _sign(r.diagonal())) @ v.T
+    w[du == 0.0] = 0.0
+    w[:, dv == 0.0] = 0.0
+    return best, best_upper, DualWitness(du / du.max(), dv / dv.max(), w / np.abs(w).max())
 
 
 def _nonzero_square(t) -> np.ndarray:
@@ -667,9 +725,11 @@ def _nonzero_square(t) -> np.ndarray:
 def gamma2_bracket(t, triple: SvdTriple | None = None) -> NormBracket:
     """Two-sided gamma2 bracket, each end its certificate's value(t).
 
-    lower = DualWitness(UV^t).value(t) from the SVD t = U S V^t, ||t||_tr / n
-    up to rounding; where the two ends meet it can exceed the upper one by
-    a rounding error, and is clamped to it, so the bracket never inverts.
+    lower = DualWitness(u, v, a).value(t), the witness the rescaling run
+    below keeps: its best-dual iterate's, or the coordinate witness of the
+    largest |t_ij| when that is larger (see _rescale).  Where the two ends
+    meet it can exceed the upper one by a rounding error, and is clamped to
+    it, so the bracket never inverts.
 
     upper = FactorizationPair(x, y).value(t) for x y ~= t found by diagonal
     rescaling.  gamma2 has the dual form max over unit u, v of
@@ -680,7 +740,8 @@ def gamma2_bracket(t, triple: SvdTriple | None = None) -> NormBracket:
     eigendecomposition M^t M = V' S'^2 V'^t (linalg.gram_eigh): the
     factorization and both updates need only S', V' and M V', so U' is
     never formed.  Only the first iterate takes an SVD; none is validated,
-    as every iterate is charged its factorization's reconstruction error.
+    as every iterate is charged its factorization's reconstruction error,
+    and the witness is charged rho(W), which need not be exactly 1.
 
     The undamped step can overshoot.  If one lowers the dual
     ||diag(u) t diag(v)||_tr / (||u|| ||v||) below the previous iterate's,
@@ -693,8 +754,9 @@ def gamma2_bracket(t, triple: SvdTriple | None = None) -> NormBracket:
 
     The iterate of least value(t) is kept, so the upper bound never exceeds
     the plain factorization's.  Iteration stops once the upper bound is
-    within a factor 1 + GAMMA2_RESCALE_TOL of the largest dual seen (itself
-    a lower bound on gamma2), or after GAMMA2_RESCALE_MAX_ITER steps.
+    within a factor 1 + GAMMA2_RESCALE_TOL of the largest dual seen, or
+    after GAMMA2_RESCALE_MAX_ITER steps; a closed bracket's ends are then
+    that close, up to the witness's rounding charge.
 
     `triple` is the SVD of t when the caller already holds it (a gap takes
     the Bell functional from the same SVD); without it the bracket takes
@@ -702,8 +764,7 @@ def gamma2_bracket(t, triple: SvdTriple | None = None) -> NormBracket:
     """
     m = _nonzero_square(t)
     triple = svd(m) if triple is None else triple
-    witness = DualWitness(triple.u @ triple.v.T)
-    best, upper, _ = _rescale(m, triple)
+    best, upper, witness = _rescale(m, triple)
     return NormBracket(lower=min(witness.value(m), upper), upper=upper,
                        lower_certificate=witness, upper_certificate=best)
 
@@ -712,23 +773,23 @@ def gamma2_oracle(t, tol: float = 1e-4, triple: SvdTriple | None = None) -> floa
     """gamma2 to an absolute accuracy `tol`: the rescaling loop of
     gamma2_bracket, continued until its best upper bound is within `tol`
     of its best lower bound (or for GAMMA2_RESCALE_MAX_ITER steps), returns
-    the midpoint of the two.  The lower bound is the best dual seen, at
-    least ||t||_tr / n and max |t_ij|.  Both ends bound gamma2, so the
-    result is within tol / 2 of it when the run closes, and within half
+    the midpoint of the upper bound and its dual witness's value.  Both are
+    certified bounds on gamma2, so the result is within tol / 2 of it when
+    the run closes (up to the witness's rounding charge), and within half
     the width reached when it does not.
 
     The run never stops before gamma2_bracket's does and takes the same
-    iterates from the same SVD, so its bounds lie inside the bracket
-    gamma2_bracket(t, triple) reports, and so does the result.  Where the
-    two bounds meet, the lower one can exceed the upper one by a rounding
-    error; it is clamped to the upper one, so the result never exceeds the
-    bracket's upper end.  `triple` is the SVD of t when the caller already
-    holds it.
+    iterates from the same SVD, so its upper bound is at most the
+    bracket's, and its best dual at least the bracket's.  Where the two
+    bounds meet, the lower one can exceed the
+    upper one by a rounding error; it is clamped to the upper one, so the
+    result never exceeds the bracket's upper end.  `triple` is the SVD of t
+    when the caller already holds it.
     """
     m = _nonzero_square(t)
     triple = svd(m) if triple is None else triple
-    _, upper, lower = _rescale(m, triple, tol)
-    return 0.5 * (min(lower, upper) + upper)
+    _, upper, witness = _rescale(m, triple, tol)
+    return 0.5 * (min(witness.value(m), upper) + upper)
 
 
 def classical_lower_bound(t, bell: BellFunctional) -> float:
@@ -943,32 +1004,38 @@ def classical_upper_bound(t, max_atoms: int = 400, tol: float = 1e-9) -> NormBra
 
 
 def quantum_classical_gap(t, seed: SeedSpec = SeedSpec(0, 0)) -> float:
-    """Estimated ratio of classical to quantum norm of t.
+    """Estimated ratio of classical to quantum norm of t: gap_from_bell of
+    the orthogonal functional UV^t from one SVD of t.
 
     Numerator: the certified classical lower bound <t, UV^t>/||UV^t||.
-    Denominator: the certified gamma2 lower bound DualWitness(UV^t).value(t),
-    ||t||_tr / n up to rounding: the quantum norm value that the trace-norm
-    convergence theorem makes asymptotically exact for flat bi-invariant
-    ensembles.  A value > 1 flags t/gamma2(t) as non-classical; when n
-    exceeds EXACT_CAP the Bell norm is the alternating-ascent estimate and
-    the gap is an uncertified (optimistic) estimate.  One SVD of t gives
-    the functional, whose UV^t also witnesses the denominator.
+    Denominator: the uniform dual witness of UV^t, ||t||_tr / n up to
+    rounding, a certified gamma2 lower bound: the quantum norm value that
+    the trace-norm convergence theorem makes asymptotically exact for flat
+    bi-invariant ensembles.  A value > 1 flags t/gamma2(t) as
+    non-classical; when n exceeds EXACT_CAP the Bell norm is the
+    alternating-ascent estimate and the gap is an uncertified (optimistic)
+    estimate.
     """
     m = as_matrix(t, square=True)
     if not np.any(m):
         raise ValidationError("quantum_classical_gap requires a nonzero matrix")
-    bell = bell_functional_from_svd(m, seed)
-    return gap_from_bell(m, bell, DualWitness(bell.a).value(m))
+    return gap_from_bell(m, bell_functional_from_svd(m, seed))
 
 
-def gap_from_bell(t, bell: BellFunctional, gamma2_lower: float) -> float:
-    """The quantum_classical_gap of t from its Bell functional and a gamma2
-    lower bound (the gamma2 bracket's lower end).  It divides by the value
-    of the functional's sign pair: up to EXACT_CAP the enumerated norm,
-    which the pair attains, above it the ascent's estimate of the norm."""
+def gap_from_bell(t, bell: BellFunctional) -> float:
+    """The quantum_classical_gap of t from its Bell functional: <t, a> over
+    the value of the functional's sign pair (up to EXACT_CAP the enumerated
+    norm, which the pair attains, above it the ascent's estimate of the
+    norm), divided by the uniform dual witness of a itself,
+    DualWitness(1, 1, a).value(t) = <t, a> / (n rho(a)).  For a = UV^t that
+    is ||t||_tr / n, the paper's quantity, not the gamma2 bracket's lower
+    end; a stored functional carries its a, so rebuilding a gap takes no
+    SVD."""
     m = as_matrix(t, square=True)
+    ones = np.ones(m.shape[0])
+    uniform = DualWitness(ones, ones, bell.a)
     numerator = float((m * bell.a).sum() / bell.attaining.pairing(bell.a))
-    return numerator / gamma2_lower
+    return numerator / uniform.value(m)
 
 
 def tau_gap_bound(n: int, m: int, seed: SeedSpec) -> float:

@@ -162,12 +162,13 @@ def report_results(kind: str, config: dict, matrix, values: dict, payloads: dict
         return {"lower": lower, "upper": upper, "converged": closed, "certified": closed,
                 "residual": payloads["classical_upper"].reconstruction_residual(matrix)}
     if kind == "gap":
-        bell, lower = payloads["classical_lower"], values["gamma2_lower"]
-        return {"gap": gap_from_bell(matrix, bell, lower),
+        bell = payloads["classical_lower"]
+        return {"gap": gap_from_bell(matrix, bell),
                 # exact where the norm bound is attained: wherever it is enumerated
                 "bell_norm_exact": bell.eps_one_norm == bell.attaining.pairing(bell.a),
                 "bell_norm": bell.eps_one_norm,
-                "gamma2_lower": lower, "gamma2_upper": values.get("gamma2_upper")}
+                "gamma2_lower": values.get("gamma2_lower"),
+                "gamma2_upper": values.get("gamma2_upper")}
     if kind == "spectral":
         return law_results(density(config["alpha"], config["grid_points"]), config)
     if kind == "threshold":
@@ -191,9 +192,10 @@ def _threshold_failures(config: dict, alpha0) -> list[str]:
 
 def _oracle_failures(oracle, lower: float, upper: float) -> list[str]:
     """gamma2_oracle continues the bracket's rescaling run from the same SVD
-    and returns the midpoint of its best lower and upper bounds, within
-    tol / 2 of gamma2 when the run closes to `tol` and within half the
-    width reached when it does not.  Both ends lie inside the bracket, so
+    and returns the midpoint of its upper bound and its dual witness's
+    value, within tol / 2 of gamma2 when the run closes to `tol` and within
+    half the width reached when it does not.  These lie inside the bracket
+    up to the two witnesses' rounding charges, which _REL_TOL absorbs, so
     the value must lie in the re-evaluated [lower, upper], to _REL_TOL
     relative."""
     slack = _REL_TOL * max(1.0, abs(lower), abs(upper))
@@ -220,7 +222,9 @@ def _verify_single(doc: dict) -> list[str]:
     the re-evaluated bracket; threshold's alpha0, across which the objective
     must change sign (alpha0 -+ (tol + BRENT_RTOL alpha0)); and spectral's
     csv. Any other entry fails. No bracket's lower end may exceed its upper
-    one (see _BRACKETS), and the config holds the keys of _CONFIG_KEYS."""
+    one (see _BRACKETS), and the config holds the keys of _CONFIG_KEYS.
+    Where a certificate fails, its line is the report's failure and
+    `results` are not rebuilt."""
     try:
         mat = as_matrix(doc["matrix"]) if "matrix" in doc else None
     except _MALFORMED as exc:
@@ -229,6 +233,7 @@ def _verify_single(doc: dict) -> list[str]:
     if not isinstance(certs, list) or not isinstance(results, dict):
         return ["`certificates` must be a list and `results` an object"]
     failures, values, payloads = [], {}, {}
+    certified = True  # every certificate re-evaluated
     for i, cert in enumerate(certs):
         claims = cert.get("claims") if isinstance(cert, dict) else None
         label = f"certificate {i} ({claims})"
@@ -236,6 +241,7 @@ def _verify_single(doc: dict) -> list[str]:
         if entry is None or not isinstance(cert.get("certificate"), dict):
             failures.append(f"{label}: needs a known `claims` name and a "
                             "`certificate` object")
+            certified = False
             continue
         cls, evaluate = entry
         try:
@@ -243,6 +249,7 @@ def _verify_single(doc: dict) -> list[str]:
             value = evaluate(payload, mat)
         except _MALFORMED as exc:
             failures.append(f"{label}: re-evaluation failed: {exc}")
+            certified = False
             continue
         values[claims], payloads[claims] = value, payload
         failures += _diff(cert, {"claims": claims, "value": value,
@@ -253,7 +260,10 @@ def _verify_single(doc: dict) -> list[str]:
     stored = {"gamma2": ("oracle",), "threshold": ("alpha0",),
               "spectral": ("csv",)}.get(kind, ())
     try:
-        fresh_results = report_results(kind, config, mat, values, payloads)
+        # results rebuilt without a failed certificate would only restate
+        # its failure, so they are kept as stored
+        fresh_results = (report_results(kind, config, mat, values, payloads) if certified
+                         else results)
         if config.keys() not in _CONFIG_KEYS[kind]:
             failures.append(f"config: keys {sorted(config)}, not one of "
                             f"{[sorted(keys) for keys in _CONFIG_KEYS[kind]]}")

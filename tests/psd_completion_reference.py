@@ -4,8 +4,10 @@ reference for the rescaling loop of `randcorr.norms`.
 gamma2(t) is the least c for which some PSD matrix [[P, t], [t^t, Q]] has
 every diagonal entry <= c.  Feasibility at a given c is decided by
 alternating projections between the PSD cone (eigenvalue clipping) and the
-affine slice {off-diagonal block = t, diagonal <= c}; c is bisected over
-the interval gamma2_bracket reports.  The projections give up as
+affine slice {off-diagonal block = t, diagonal <= c}; c is bisected from
+||t||_tr / n up to the upper end gamma2_bracket reports.  The lower end is
+not the bracket's own: the tests check the bracket's dual witness against
+this reference, which must not start from that witness's value.  The projections give up as
 infeasible when 50 of them cut the residual by less than 0.1 %, which
 happens for feasible c close to gamma2, so the result can lie above gamma2
 by about 5e-4 relative, whatever `tol`.  Slow on purpose (up to
@@ -15,7 +17,7 @@ bisection step), hence the cap on n.
 import numpy as np
 
 from randcorr.errors import NumericalError, ValidationError
-from randcorr.linalg import as_matrix
+from randcorr.linalg import as_matrix, trace_norm
 from randcorr.norms import gamma2_bracket
 
 GAMMA2_ORACLE_CAP = 12         # the projections stay desk-scale
@@ -58,14 +60,14 @@ def _psd_completion_feasible(t: np.ndarray, c: float, z0: np.ndarray | None):
 
 
 def gamma2_psd_completion(t, tol: float = 1e-4) -> float:
-    """Bisect c over gamma2_bracket(t)'s [lower, upper] on PSD-completion
-    feasibility until the interval is narrower than `tol`; its midpoint."""
+    """Bisect c over [||t||_tr / n, gamma2_bracket(t).upper] on
+    PSD-completion feasibility until the interval is narrower than `tol`;
+    its midpoint."""
     m = as_matrix(t, square=True)
     if m.shape[0] > GAMMA2_ORACLE_CAP:
         raise ValidationError(
             f"the PSD-completion reference is capped at n={GAMMA2_ORACLE_CAP}")
-    bracket = gamma2_bracket(m)
-    lo, hi = bracket.lower, bracket.upper
+    lo, hi = trace_norm(m) / m.shape[0], gamma2_bracket(m).upper
     warm = None
     steps = 0
     while hi - lo > tol:

@@ -158,7 +158,9 @@ def test_criterion_9_oracle_equivalence_suite():
         mat = bi_invariant(spectrum, SeedSpec(902, 2 * t + 1))
         bracket = gamma2_bracket(mat)
         val = gamma2_psd_completion(mat, tol=1e-4)
-        inside += (bracket.lower - 1e-6 <= val <= bracket.upper + 1e-6)
+        # the reference bisects from ||t||_tr / n, not from the bracket's
+        # certified lower end, and lands up to tol / 2 below gamma2
+        inside += (bracket.lower - 5e-5 - 1e-6 <= val <= bracket.upper + 1e-6)
 
     lower = classical_lower_bound(
         CHSH, BellFunctional(a=CHSH, eps_one_norm=2.0,

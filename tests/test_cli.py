@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from randcorr.errors import NumericalError
 from randcorr.experiments import (ExperimentConfig, TrialRecord, default_config,
                                   summarize_records, verdicts)
 from randcorr.linalg import read_matrix_csv, write_matrix_csv
-from randcorr.norms import (FactorizationPair, bell_functional_from_svd,
-                            classical_lower_bound, classical_upper_bound,
-                            quantum_classical_gap)
+from randcorr.norms import (GAMMA2_RESCALE_MAX_ITER, GAMMA2_RESCALE_TOL, FactorizationPair,
+                            bell_functional_from_svd, classical_lower_bound,
+                            classical_upper_bound, op_norm_bound, quantum_classical_gap)
 from randcorr.sampling import SeedSpec, gaussian, haar_orthogonal
 from randcorr.verify import verify_report
 
@@ -344,7 +345,10 @@ def test_verify_rejects_scaled_bell_functional_above_cap(tmp_path, capsys):
         json.dump(doc, fh)
     capsys.readouterr()
     assert main(["verify-certificate", out]) == 1
-    assert "(classical_lower): re-evaluation failed: eps_one_norm" in capsys.readouterr().out
+    # one line: the results, which read the failed functional, are not rebuilt
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith("FAIL certificate 0 (classical_lower): re-evaluation failed: "
+                           "eps_one_norm")
 
 
 def test_threshold_subcommand(capsys):
@@ -932,17 +936,14 @@ def _fails_verification(out, doc, capsys, expect):
 def test_verify_rejects_a_scaled_dual_witness(tmp_path, capsys, command):
     # gamma2 of an orthogonal matrix is 1; a witness scaled by 1 + 1e-7, its
     # value and the results restated, claimed a lower bound above the upper
-    # one, and verified while witnesses were gated at ||a a^t - I||_F <= 1e-6
+    # one, and verified while witnesses were gated at ||a a^t - I||_F <= 1e-6.
+    # A scaled a now leaves the value as it was, and breaks the canonical form
     out, doc = _sampled_report(tmp_path, "--kind haar_orthogonal --n 8 --seed 3", command)
     [cert] = [c for c in doc["certificates"] if c["claims"] == "gamma2_lower"]
     cert["certificate"]["a"] = (np.asarray(cert["certificate"]["a"]) * (1.0 + 1e-7)).tolist()
     cert["value"] *= 1.0 + 1e-7
-    if command == "gamma2":
-        doc["results"]["lower"] = cert["value"]
-    else:
-        doc["results"]["gamma2_lower"] = cert["value"]
-        doc["results"]["gap"] /= 1.0 + 1e-7
-    _fails_verification(out, doc, capsys, "(gamma2_lower).value")
+    doc["results"]["lower" if command == "gamma2" else "gamma2_lower"] = cert["value"]
+    _fails_verification(out, doc, capsys, "largest |entry| exactly 1")
 
 
 def test_verify_rejects_an_edited_factorization_entry(tmp_path, capsys):
@@ -957,14 +958,65 @@ def test_verify_rejects_an_edited_factorization_entry(tmp_path, capsys):
 
 
 def test_verify_rejects_a_witness_of_another_shape(tmp_path, capsys):
-    # a 1 x 1 witness [[1]] broadcast over J_4 paired to 16 / 4 = 4 > gamma2(J_4) = 1
+    # a 1 x 1 witness ([1], [1], [[1]]) broadcast over J_4 paired to 16 > gamma2(J_4) = 1
     mpath, out = str(tmp_path / "ones.csv"), str(tmp_path / "gamma2.json")
     write_matrix_csv(mpath, np.ones((4, 4)))
     assert main(["gamma2", "--matrix", mpath, "--out", out]) == 0
     doc = json.loads(open(out).read())
     [cert] = [c for c in doc["certificates"] if c["claims"] == "gamma2_lower"]
-    cert["certificate"]["a"], cert["value"], doc["results"]["lower"] = [[1.0]], 4.0, 4.0
+    cert["certificate"].update(u=[1.0], v=[1.0], a=[[1.0]])
+    cert["value"] = doc["results"]["lower"] = 16.0
     _fails_verification(out, doc, capsys, "(gamma2_lower): re-evaluation failed")
+
+
+@pytest.mark.parametrize("command, scaling", [
+    ("gamma2", "u"), ("gamma2", "v"), ("gap", "u"), ("gap", "v")])
+def test_verify_rejects_an_edited_scaling_entry(tmp_path, capsys, command, scaling):
+    # the witness's second largest scaling entry moved by 1e-6 relative, its
+    # value and the results left as they were
+    out, doc = _sampled_report(tmp_path, "--kind gaussian --n 8 --seed 3", command)
+    [cert] = [c for c in doc["certificates"] if c["claims"] == "gamma2_lower"]
+    d = cert["certificate"][scaling]
+    k = sorted(range(len(d)), key=lambda i: abs(d[i]))[-2]
+    d[k] *= 1.0 + 1e-6
+    _fails_verification(out, doc, capsys, "(gamma2_lower).value")
+
+
+@pytest.mark.parametrize("edit", ["short", "zero", "nan", "null"])
+def test_verify_reports_a_malformed_scaling_in_one_line(tmp_path, capsys, edit):
+    # a short, all-zero, non-finite or missing u is the witness's failure,
+    # not a traceback, and the results are not rebuilt from it
+    out, doc = _sampled_report(tmp_path, "--kind gaussian --n 6 --seed 5", "gamma2")
+    [cert] = [c for c in doc["certificates"] if c["claims"] == "gamma2_lower"]
+    u = cert["certificate"]["u"]
+    cert["certificate"]["u"] = {"short": u[:-1], "zero": [0.0] * len(u),
+                                "nan": [float("nan")] + u[1:], "null": None}[edit]
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify-certificate", out]) == 1
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith("FAIL certificate 0 (gamma2_lower): re-evaluation failed")
+
+
+@pytest.mark.parametrize("n", range(6, 21))
+def test_a_closed_gamma2_report_is_within_the_rescaling_tolerance(tmp_path, n):
+    # the lower end is the run's best-dual witness, so a run that stops
+    # before GAMMA2_RESCALE_MAX_ITER steps reports upper <= (1 +
+    # GAMMA2_RESCALE_TOL) lower, up to the witness's rounding charge, and a
+    # lower end at least 1.02 times ||t||_tr / n on these draws
+    import randcorr.norms as norms_mod
+    for i in range(3):
+        t = gaussian(n, n, SeedSpec(2024, i)) / math.sqrt(n)
+        mpath, out = str(tmp_path / f"t{i}.csv"), str(tmp_path / f"gamma2-{i}.json")
+        write_matrix_csv(mpath, t)
+        with mock.patch.object(norms_mod, "gram_eigh", wraps=norms_mod.gram_eigh) as steps:
+            assert main(["gamma2", "--matrix", mpath, "--out", out]) == 0
+        assert main(["verify-certificate", out]) == 0
+        res = json.loads(open(out).read())["results"]
+        assert steps.call_count < GAMMA2_RESCALE_MAX_ITER
+        assert res["upper"] / res["lower"] - 1.0 <= GAMMA2_RESCALE_TOL + 1e-12
+        assert res["lower"] > 1.02 * np.linalg.svd(t, compute_uv=False).sum() / n
 
 
 def test_verify_rejects_a_bell_functional_of_another_shape(tmp_path, capsys):
@@ -976,7 +1028,9 @@ def test_verify_rejects_a_bell_functional_of_another_shape(tmp_path, capsys):
     cert["certificate"].update(a=[[1.0]], eps_one_norm=1.0,
                                attaining={"type": "sign_pair", "alpha": [1], "beta": [1]})
     cert["value"] = total
-    doc["results"].update(bell_norm=1.0, gap=total / doc["results"]["gamma2_lower"])
+    # the gap divides by the uniform witness <t, a> / (n rho(a)) of its functional:
+    # total / (total / (6 rho([[1]])))
+    doc["results"].update(bell_norm=1.0, gap=6 * op_norm_bound(np.ones((1, 1))))
     _fails_verification(out, doc, capsys, "(classical_lower): re-evaluation failed")
 
 
@@ -1001,7 +1055,9 @@ def test_verify_rejects_a_forged_pair_with_its_gap_restated_above_cap(tmp_path, 
     value = float(np.asarray(pair["alpha"], dtype=float) @ a @ np.asarray(pair["beta"], dtype=float))
     assert value < 0.0
     t = np.asarray(doc["matrix"])
-    doc["results"]["gap"] = float((t * a).sum() / value) / doc["results"]["gamma2_lower"]
+    # the gap divides by the uniform witness <t, a> / (n rho(a)) of its functional
+    doc["results"]["gap"] = float((t * a).sum() / value) / float(
+        (t * a).sum() / (26 * op_norm_bound(a)))
     assert doc["results"]["gap"] < 0.0
     _fails_verification(out, doc, capsys, "(classical_lower): re-evaluation failed")
 

@@ -156,7 +156,7 @@ def test_quantum_norm_convergence_one_svd_per_trial(monkeypatch):
     # and reports what flatness_ratio and gamma2_bracket give on its matrix
     import randcorr.experiments as experiments_mod
     import randcorr.linalg as linalg_mod
-    from randcorr.linalg import flatness_ratio
+    from randcorr.linalg import flatness_ratio, svd
     from randcorr.norms import gamma2_bracket
     matrices = []
     real_svd = experiments_mod.svd
@@ -172,7 +172,9 @@ def test_quantum_norm_convergence_one_svd_per_trial(monkeypatch):
     assert len(matrices) == len(rep.trials) == 6
     for t, trial in zip(matrices, rep.trials):
         assert trial.values["flatness"] == pytest.approx(flatness_ratio(t), rel=1e-13)
-        assert trial.values["bracket_ratio"] == gamma2_bracket(t).ratio()
+        # the upper end over ||t||_tr / n, from the SVD the trial holds
+        want = gamma2_bracket(t).upper / float(svd(t).sigma.sum() / t.shape[0])
+        assert trial.values["bracket_ratio"] == want
 
 
 def test_nonlocality_sweep_controls():
@@ -218,7 +220,7 @@ def test_mean_width_one_svd_per_trial(monkeypatch):
     import randcorr.linalg as linalg_mod
     import randcorr.norms as norms_mod
     from randcorr.linalg import trace_norm
-    from randcorr.norms import bell_functional_from_svd, gap_from_bell
+    from randcorr.norms import bell_functional_from_svd
     from randcorr.sampling import SeedSpec
     matrices = []
     real_svd = linalg_mod.svd
@@ -239,8 +241,8 @@ def test_mean_width_one_svd_per_trial(monkeypatch):
         bell = bell_functional_from_svd(g, seed=SeedSpec(cfg.master_seed, trial.trial_index))
         assert trial.values["quantum_width_scaled"] == pytest.approx(
             trace_norm(g) / n ** 1.5, rel=1e-12)
-        assert trial.values["classical_width_scaled"] == \
-            gap_from_bell(g, bell, 1.0) / math.sqrt(n)
+        classical = float((g * bell.a).sum() / bell.attaining.pairing(bell.a))
+        assert trial.values["classical_width_scaled"] == classical / math.sqrt(n)
 
 
 def test_mean_width_scenario():

@@ -556,10 +556,12 @@ def test_bracket_orthogonal_is_tight():
 
 
 def test_bracket_spiky_diagonal():
+    # ||t||_tr / n is 1/8 here; the witness lives on the one live row and
+    # column, so the bracket closes on gamma2 = 1
     spike = np.zeros((8, 8))
     spike[0, 0] = 1.0
     br = gamma2_bracket(spike)
-    assert br.lower == pytest.approx(1 / 8)
+    assert br.lower == pytest.approx(1.0)
     assert br.upper == pytest.approx(1.0)
 
 
@@ -571,16 +573,60 @@ def test_bracket_certificates_re_evaluate():
     assert residual(br.upper_certificate, g) <= 1e-9
 
 
+def _trace_ratio(t):
+    """The bracket's upper end over ||t||_tr / n."""
+    return gamma2_bracket(t).upper / (trace_norm(t) / t.shape[0])
+
+
 def test_bracket_ratio_scale_with_n():
     # gamma2 / (||t||_tr / n) -> 1 for Gaussian t; the rescaled upper bound
     # follows gamma2, so the ratio shrinks with n and sits under 1.05 at n=400
-    ratios100 = [gamma2_bracket(small_gaussian(100, 37, t)).ratio()
-                 for t in range(5)]
-    ratios400 = [gamma2_bracket(small_gaussian(400, 38, t)).ratio()
-                 for t in range(5)]
+    ratios100 = [_trace_ratio(small_gaussian(100, 37, t)) for t in range(5)]
+    ratios400 = [_trace_ratio(small_gaussian(400, 38, t)) for t in range(5)]
     assert min(ratios100 + ratios400) >= 1.0
     assert np.median(ratios400) < np.median(ratios100)
     assert np.median(ratios400) <= 1.05
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_uniform_witness_is_the_unscaled_value_bit_for_bit(n):
+    # u = v = 1: ||u|| ||v|| is sqrt(n * n) = n exactly, and every scaling
+    # multiplies by 1.0, so the value is <t, a> / (n rho(a)) as computed
+    # before the witness carried scalings
+    ones = np.ones(n)
+    for i in range(20):
+        t = gaussian(n, n, SeedSpec(33, 100 * n + i)) / math.sqrt(n)
+        triple = svd(t)
+        a = triple.u @ triple.v.T
+        want = float((t * a).sum() / (n * op_norm_bound(a)))
+        assert DualWitness(ones, ones, a).value(t) == want
+
+
+@pytest.mark.parametrize("u, v", [
+    ([1.0, 1.0], [1.0, 1.0, 1.0]),      # short
+    ([[1.0, 1.0, 1.0]], [1.0, 1.0, 1.0]),  # not a vector
+    ([1.0, np.nan, 1.0], [1.0, 1.0, 1.0]),
+    ([1.0, 1.0, 1.0], [np.inf, 1.0, 1.0]),
+    ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+    ([1e-170, 0.0, 0.0], [1e-170, 0.0, 0.0]),  # the norm underflows to 0
+    ([1e160, 0.0, 0.0], [1.0, 1.0, 1.0]),      # the norm overflows
+])
+def test_witness_rejects_bad_scalings(u, v):
+    payload = {"type": "dual_witness", "u": u, "v": v, "a": np.eye(3).tolist()}
+    with pytest.raises(ValidationError):
+        DualWitness.from_dict(payload)
+    with pytest.raises(ValidationError):
+        DualWitness(np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.eye(3))
+
+
+def test_bracket_psd_lower_end_is_the_largest_diagonal_entry():
+    # for PSD t, gamma2 = max t_ii, which the coordinate witness certifies
+    for i in range(5):
+        g = gaussian(6, 6, SeedSpec(39, i))
+        psd = g @ g.T / 6
+        witness = gamma2_bracket(psd).lower_certificate
+        assert witness.value(psd) == pytest.approx(psd.diagonal().max(), rel=1e-14)
+        assert np.count_nonzero(witness.u) == np.count_nonzero(witness.v) == 1
 
 
 def test_bracket_rejects_zero():
@@ -687,21 +733,24 @@ def test_oracle_inside_its_own_run_and_the_bracket_hypothesis(n, seed, kind, tol
     triple = svd(t)
     br = gamma2_bracket(t, triple)
     with mock.patch.object(norms_mod, "gram_eigh", wraps=norms_mod.gram_eigh) as steps:
-        cert, upper, dual = _rescale(t, triple, tol)
-    _, default_upper, default_dual = _rescale(t, triple)
+        cert, upper, witness = _rescale(t, triple, tol)
+    _, default_upper, default_witness = _rescale(t, triple)
     oracle = gamma2_oracle(t, tol, triple)
     assert oracle == gamma2_oracle(t, tol)
+    dual, default_dual = witness.value(t), default_witness.value(t)
     # a stop width only adds a condition: the run goes at least as far as
-    # the bracket's, from the same iterates
-    assert default_upper == br.upper
-    assert upper <= default_upper and dual >= default_dual
+    # the bracket's, from the same iterates; its witness has at least the
+    # float dual of the bracket's, so its value is at least the bracket's
+    # lower end up to the two witnesses' rounding charges
+    slack = 1e-12 * upper
+    assert default_upper == br.upper and br.lower == min(default_dual, br.upper)
+    assert upper <= default_upper and dual >= default_dual - slack
     assert cert.value(t) == upper and residual(cert, t) <= 1e-9
     assert min(dual, upper) <= oracle <= upper
-    # the run's lower bound counts the bracket's lower end; its upper
-    # bound falls below that only where the two meet, by a rounding error
-    assert br.lower <= dual and upper <= br.upper
-    assert min(br.lower, upper) <= oracle <= br.upper
-    slack = 1e-12 * upper
+    # the run's upper bound falls below the bracket's lower end only where
+    # the two meet, by a rounding error
+    assert br.lower <= dual + slack and upper <= br.upper
+    assert min(br.lower, upper) - slack <= oracle <= br.upper
     if steps.call_count < GAMMA2_RESCALE_MAX_ITER:
         # the run closed, so the oracle is within tol / 2 of both bounds
         assert upper - dual <= tol
@@ -870,13 +919,18 @@ def test_any_witness_and_factorization_bracket_the_reference_hypothesis(n, seed,
     tol = 1e-4
     ref = gamma2_psd_completion(t, tol=tol)
     noise = lambda *shape: eps * gen.standard_normal(shape)
-    witnesses = [gen.standard_normal((n, n)),
-                 (1.0 + eps) * br.lower_certificate.a + noise(n, n)]
+    ones, best = np.ones(n), br.lower_certificate
+    witnesses = [DualWitness(ones, ones, gen.standard_normal((n, n))),
+                 DualWitness(gen.standard_normal(n), gen.standard_normal(n),
+                             gen.standard_normal((n, n))),
+                 best,
+                 DualWitness(best.u, best.v, (1.0 + eps) * best.a + noise(n, n)),
+                 DualWitness(best.u + noise(n), best.v + noise(n), best.a)]
     pairs = [FactorizationPair(gen.standard_normal((n, 3)), gen.standard_normal((3, n))),
              FactorizationPair((1.0 - eps) * cert.x, cert.y),
              FactorizationPair(cert.x + noise(*cert.x.shape), cert.y + noise(*cert.y.shape))]
-    for a in witnesses:
-        assert DualWitness(a).value(t) <= ref + tol
+    for witness in witnesses:
+        assert witness.value(t) <= ref + tol
     for pair in pairs:
         assert ref <= (1.0 + 5e-4) * (pair.value(t) + tol)
 
@@ -1034,9 +1088,9 @@ def test_gap_from_bell_divides_by_the_enumerated_norm_up_to_the_cap(n):
     # dividing by it, as above the cap, moves no gap
     t = gaussian(n, n, SeedSpec(31, n)) / math.sqrt(n)
     bell = bell_functional_from_svd(t)
-    lower = DualWitness(bell.a).value(t)
+    lower = DualWitness(np.ones(n), np.ones(n), bell.a).value(t)
     assert bell.attaining.pairing(bell.a) == bell.eps_one_norm
-    assert gap_from_bell(t, bell, lower) == float((t * bell.a).sum() / bell.eps_one_norm) / lower
+    assert gap_from_bell(t, bell) == float((t * bell.a).sum() / bell.eps_one_norm) / lower
 
 
 def _bracket_parts(bracket):
@@ -1554,11 +1608,13 @@ def test_gap_all_ones_control():
     assert quantum_classical_gap(np.ones((6, 6))) <= 1.0 + 1e-9
 
 
-def test_gap_uses_one_svd_and_matches_bracket_lower(monkeypatch):
+def test_gap_uses_one_svd_and_divides_by_the_uniform_witness(monkeypatch):
     import randcorr.norms as norms_mod
     g = small_gaussian(10, 56)
     bell = bell_functional_from_svd(g)
-    want = gap_from_bell(g, bell, gamma2_bracket(g).lower)
+    uniform = DualWitness(np.ones(10), np.ones(10), bell.a).value(g)
+    want = float((g * bell.a).sum() / bell.eps_one_norm) / uniform
+    assert uniform == pytest.approx(trace_norm(g) / 10, rel=1e-13)
     calls = []
     real_svd = norms_mod.svd
 

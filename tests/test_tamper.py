@@ -47,6 +47,8 @@ SINGLE = {
     "norm-operator": "norm --which operator --matrix {m6}",
     "norm-flatness": "norm --which flatness --matrix {m6}",
     "gamma2": "gamma2 --matrix {m6}",
+    "gamma2-psd": "gamma2 --matrix {psd6}",
+    "gamma2-zero-lines": "gamma2 --matrix {z6}",
     "gamma2-oracle": "gamma2 --oracle --matrix {m6}",
     "classical": "classical --matrix {m6}",
     "classical-max-atoms-2": "classical --max-atoms 2 --matrix {m6}",
@@ -65,9 +67,17 @@ EXPERIMENTS = {
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("tamper")
-    paths = {"m6": tmp / "g6.csv", "m26": tmp / "g26.csv"}
-    write_matrix_csv(paths["m6"], gaussian(6, 6, SeedSpec(17, 0)) / math.sqrt(6))
+    paths = {name: tmp / f"{name}.csv" for name in ("m6", "m26", "psd6", "z6")}
+    g6 = gaussian(6, 6, SeedSpec(17, 0)) / math.sqrt(6)
+    write_matrix_csv(paths["m6"], g6)
     write_matrix_csv(paths["m26"], gaussian(26, 26, SeedSpec(17, 1)) / math.sqrt(26))
+    # gamma2's lower witness is the coordinate one of the largest diagonal
+    # entry on a PSD matrix, and an iterate's with zero scalings on the zero
+    # row and column
+    write_matrix_csv(paths["psd6"], g6 @ g6.T)
+    z6 = g6.copy()
+    z6[0], z6[:, -1] = 0.0, 0.0
+    write_matrix_csv(paths["z6"], z6)
     argvs = {name: argv.format(**paths).split() for name, argv in SINGLE.items()}
     argvs.update((f"experiment-{scenario}",
                   ["experiment", "--scenario", scenario, *extra, "--threads", "1"])
